@@ -190,22 +190,6 @@ class MvMatrix:
     def __hash__(self):
         return hash((self.sig, self.rows))
 
-    def scaled_identity_factor(self) -> Fraction | None:
-        """If self == c*I for a rational c, return c, else None."""
-        if self.nrows != self.ncols:
-            return None
-        diag = self.rows[0][0]
-        if not diag.is_scalar:
-            return None
-        c = diag.scalar_part()
-        for r in range(self.nrows):
-            for col in range(self.ncols):
-                want = c if r == col else Fraction(0)
-                x = self.rows[r][col]
-                if not x.is_scalar or x.scalar_part() != want:
-                    return None
-        return c
-
     def __repr__(self):
         return f"<MvMatrix {self.nrows}x{self.ncols} over {self.sig}>"
 
@@ -356,6 +340,8 @@ class RepSpec:
     replication: ReplicationSpec
     unit_blades: dict[str, Multivector] = field(compare=False)
     node: object = field(compare=False)
+    # compiled basis-blade images by mask, filled lazily by represent
+    blade_images: dict = field(default_factory=dict, compare=False, init=False)
 
     def __repr__(self):
         return f"<RepSpec {self.signature} route={self.route} target={self.target}>"

@@ -1,7 +1,9 @@
 """Applying catalog recipes: element images, reconstruction and pullbacks.
 
-represent() walks a recipe's step structure (the fast path); the symbolic
-conjugation lives in the verify module and must agree with it exactly.
+Under every recipe a basis blade maps to a signed monomial matrix with unit
+entries; represent() sums an element's coefficients along these blade images,
+compiled lazily from the recipe's steps and memoized on the spec (the fast
+path).  The symbolic conjugation in the verify module must agree exactly.
 reconstruct() inverts the image by an exact linear solve against the basis
 blade images, so inverses, determinants and characteristic polynomials of
 matrix images pull back to the algebra.
@@ -20,6 +22,7 @@ from .algebra import (
     SignatureMismatchError,
 )
 from .catalog import (
+    CatalogError,
     CatalogMissError,
     ComplexPairLeaf,
     ExtendNode,
@@ -38,6 +41,7 @@ from .rings import (
     COMPLEX,
     DOUBLE_QUATERNION,
     DOUBLE_REAL,
+    QUATERNION,
     REAL,
     BlockPair,
     RingMatrix,
@@ -46,12 +50,19 @@ from .rings import (
     char_poly,
     mat_det,
     mat_inverse,
-    ring_identity,
 )
 
 
 class NotInImageError(Exception):
     """The matrix is not the image of any element under this recipe."""
+
+
+class NonMonomialStepError(CatalogError):
+    """A recipe step splits over generators that are not signed blades."""
+
+
+class InversePullbackError(Exception):
+    """The pulled-back matrix inverse does not invert the element."""
 
 
 @dataclass(frozen=True)
@@ -68,121 +79,131 @@ class RepImage:
         return Target(self.value.ring, size)
 
 
-def _scalar_or_zero(comps: dict[int, Multivector], key: int) -> Fraction:
-    mv = comps.get(key)
-    return mv.scalar_part() if mv is not None else Fraction(0)
+# ---------------------------------------------------------------------------
+# compiled blade images
+#
+# Row r of a blade image holds one signed unit in column cols[r].  A block of
+# size s is stored as bytes: s column indices, then s row codes unit*2+sign
+# (units 0..3 are 1, i, j, k; the low bit marks -1); doubled rings store a
+# (plus, minus) pair.  Each step kind has one rule over its child's images.
+
+_XOR = [bytes(c ^ k for c in range(256)) for k in range(8)]
+_BLOCK_RING = {DOUBLE_REAL: REAL, DOUBLE_QUATERNION: QUATERNION}
+
+# leaf patterns indexed by outer mask (by the blade itself for the real pair)
+_REAL_PAIR = tuple(map(bytes, [(0, 1, 0, 0), (1, 0, 1, 0)]))
+_COMPLEX_PAIR = tuple(map(bytes, [(0, 1, 0, 0), (0, 1, 2, 3), (1, 0, 1, 0), (1, 0, 3, 3)]))
+_REAL_QUAD = tuple(map(bytes, [
+    (0, 1, 2, 3, 0, 0, 0, 0), (1, 0, 3, 2, 1, 0, 1, 0),
+    (2, 3, 0, 1, 1, 0, 0, 1), (3, 2, 1, 0, 1, 1, 0, 0),
+]))
 
 
-def _apply_node(spec: RepSpec, a: Multivector) -> RingMatrix | BlockPair:
-    node = spec.node
-    if isinstance(node, RingUnitsNode):
-        comps = node.basis.decompose(a)
-        parts = [_scalar_or_zero(comps, k) for k in range(4)]
-        ring = spec.target.ring
-        if ring == REAL:
-            s = RingScalar.real(parts[0])
-        elif ring == COMPLEX:
-            s = RingScalar.complex_parts(parts[0], parts[1])
-        else:
-            s = RingScalar.quaternion_parts(parts[0], parts[1], parts[2], parts[3])
-        return RingMatrix(ring, [[s]])
+def _xor_codes(block: bytes, k: int) -> bytes:
+    """XOR every row code with k: k=1 negates, k=unit*2 tags a real block."""
+    size = len(block) // 2
+    return block[:size] + block[size:].translate(_XOR[k])
+
+
+def _per_block(image, fn):
+    return tuple(fn(b) for b in image) if isinstance(image, tuple) else fn(image)
+
+
+def _quad_block(block: bytes, outer: int, flip_top: bool, neg: int) -> bytes:
+    """[[M, 0], [0, +-M]] for outer 0/1, [[0, +-M], [+-M, 0]] for outer 2/3."""
+    t = len(block) // 2
+    cols, codes = block[:t], block[t:]
+    shifted = bytes(c + t for c in cols)
+    top, bottom = (cols, shifted) if outer < 2 else (shifted, cols)
+    top_neg = neg ^ (flip_top and outer >= 2)
+    bottom_neg = neg ^ (outer & 1)
+    return top + bottom + codes.translate(_XOR[top_neg]) + codes.translate(_XOR[bottom_neg])
+
+
+def _kron_block(core: bytes, block: bytes, neg: int) -> bytes:
+    """Kronecker product of a real core monomial with an inner image block."""
+    w, t = len(core) // 2, len(block) // 2
+    cols, codes = bytearray(), bytearray()
+    for col, code in zip(core[:w], core[w:]):
+        cols += bytes(col * t + c for c in block[:t])
+        codes += block[t:].translate(_XOR[code ^ neg])
+    return bytes(cols + codes)
+
+
+def _step(node, mask: int) -> tuple[int, int, int]:
+    """(outer mask, sub mask, sign bit) of a host blade under a recipe step."""
+    lookup = node.basis._lookup
+    if lookup is None:
+        raise NonMonomialStepError(f"{type(node).__name__} splits over non-blade generators")
+    outer, sub, factor = lookup[mask]
+    return outer, sub, int(factor < 0)
+
+
+def blade_image(spec: RepSpec, mask: int) -> bytes | tuple[bytes, bytes]:
+    """Compiled image of one basis blade, memoized on the spec."""
+    image = spec.blade_images.get(mask)
+    if image is None:
+        image = spec.blade_images[mask] = _compile_blade(spec.node, mask)
+    return image
+
+
+def _compile_blade(node, mask: int) -> bytes | tuple[bytes, bytes]:
     if isinstance(node, RealPairLeaf):
-        a0 = a.coefficient(0)
-        a1 = a.coefficient(1)
-        return RingMatrix.from_components(REAL, [[a0, -a1], [a1, a0]])
+        return _REAL_PAIR[mask]
+    outer, sub, neg = _step(node, mask)
+    if isinstance(node, RingUnitsNode):
+        return bytes((0, outer * 2 + neg))
     if isinstance(node, ComplexPairLeaf):
-        comps = node.basis.decompose(a)
-        a0, a1, a2, a3 = (_scalar_or_zero(comps, k) for k in range(4))
-        return RingMatrix.from_components(
-            COMPLEX, [[(a0, a1), (-a2, -a3)], [(a2, -a3), (a0, -a1)]]
-        )
+        return _xor_codes(_COMPLEX_PAIR[outer], neg)
     if isinstance(node, RealQuadLeaf):
-        comps = node.basis.decompose(a)
-        a0, a1, a2, a3 = (_scalar_or_zero(comps, k) for k in range(4))
-        return RingMatrix.from_components(
-            REAL,
-            [
-                [a0, -a1, -a2, -a3],
-                [a1, a0, -a3, a2],
-                [a2, a3, a0, -a1],
-                [a3, -a2, a1, a0],
-            ],
-        )
+        return _xor_codes(_REAL_QUAD[outer], neg)
     if isinstance(node, ExtendNode):
-        comps = node.basis.decompose(a)
-        sub_sig = node.sub.signature
-        zero = Multivector.zero(sub_sig)
-        blocks = [
-            _apply_node(node.sub, comps.get(k, zero)) for k in range(1 << node.nunits)
-        ]
-        size = spec.target.size
-        ring = spec.target.ring
-        rows = []
-        for r in range(size):
-            line = []
-            for c in range(size):
-                vals = [b.entry(r, c).r for b in blocks]
-                if ring == COMPLEX:
-                    line.append(RingScalar.complex_parts(vals[0], vals[1]))
-                else:
-                    line.append(
-                        RingScalar.quaternion_parts(vals[0], vals[1], vals[2], vals[3])
-                    )
-            rows.append(line)
-        return RingMatrix(ring, rows)
+        return _xor_codes(blade_image(node.sub, sub), outer * 2 + neg)
     if isinstance(node, QuadNode):
-        comps = node.basis.decompose(a)
-        sub_sig = node.sub.signature
-        zero = Multivector.zero(sub_sig)
-        m0, m1, m2, m3 = (_apply_node(node.sub, comps.get(k, zero)) for k in range(4))
-        top_right = m2 + m3 if node.sign > 0 else -(m2 + m3)
-        return _paste_blocks(spec.target, [[m0 + m1, top_right], [m2 - m3, m0 - m1]])
+        child = blade_image(node.sub, sub)
+        return _per_block(child, lambda b: _quad_block(b, outer, node.sign < 0, neg))
     if isinstance(node, SplitNode):
-        comps = node.basis.decompose(a)
-        sub_sig = node.sub.signature
-        zero = Multivector.zero(sub_sig)
-        m0 = _apply_node(node.sub, comps.get(0, zero))
-        m1 = _apply_node(node.sub, comps.get(1, zero))
-        return BlockPair(spec.target.ring, m0 + m1, m0 - m1)
+        child = blade_image(node.sub, sub)
+        return (_xor_codes(child, neg), _xor_codes(child, neg ^ outer))
     if isinstance(node, PeriodicNode):
-        return _apply_periodic(spec, node, a)
+        core = blade_image(node.core, sub)
+        return _per_block(blade_image(node.inner, outer), lambda b: _kron_block(core, b, neg))
     raise TypeError(f"unknown node type {type(node).__name__}")
 
 
-def _paste_blocks(
-    target: Target, blocks: Sequence[Sequence[RingMatrix | BlockPair]]
-) -> RingMatrix | BlockPair:
-    (a, b), (c, d) = blocks
-    if isinstance(a, BlockPair):
-        plus = _paste_plain([[a.plus, b.plus], [c.plus, d.plus]])
-        minus = _paste_plain([[a.minus, b.minus], [c.minus, d.minus]])
-        return BlockPair(target.ring, plus, minus)
-    return _paste_plain(blocks)
+def _image(spec: RepSpec, a: Multivector) -> RingMatrix | BlockPair:
+    """Sum the numerators of ``a`` along its blades' compiled images."""
+    ring, size = spec.target.ring, spec.target.size
+    inner = _BLOCK_RING.get(ring)
+    counters = [[0] * (4 * size * size) for _ in range(2 if inner else 1)]
+    row_base = range(0, 4 * size * size, 4 * size)
+    for mask, num in a._num.items():
+        image = blade_image(spec, mask)
+        for counts, block in zip(counters, image if inner else (image,)):
+            for base, col, code in zip(row_base, block, block[size:]):
+                counts[base + 4 * col + (code >> 1)] += -num if code & 1 else num
+    blocks = [_ring_matrix(inner or ring, size, counts, a._den) for counts in counters]
+    return BlockPair(ring, *blocks) if inner else blocks[0]
 
 
-def _paste_plain(blocks: Sequence[Sequence[RingMatrix]]) -> RingMatrix:
-    (a, b), (c, d) = blocks
-    rows = [list(ra) + list(rb) for ra, rb in zip(a.rows, b.rows)]
-    rows += [list(rc) + list(rd) for rc, rd in zip(c.rows, d.rows)]
-    return RingMatrix(a.ring, rows)
+def _ring_matrix(ring: str, size: int, counts: list[int], den: int) -> RingMatrix:
+    zero = RingScalar.zero(ring)
+    cells = [counts[i : i + 4] for i in range(0, 4 * size * size, 4)]
+    flat = [RingScalar(ring, *(Fraction(x, den) for x in c)) if any(c) else zero for c in cells]
+    return RingMatrix(ring, [flat[r : r + size] for r in range(0, size * size, size)])
 
 
 def periodic_stage1(node: PeriodicNode, a: Multivector) -> list[list[Multivector]]:
     """First reduction stage: a 16x16 layout of reduced-signature elements."""
-    comps = node.basis.decompose(a)
-    width = 16
-    entries: list[list[dict[int, Fraction]]] = [
-        [dict() for _ in range(width)] for _ in range(width)
-    ]
-    for outer_mask, comp in comps.items():
-        block = _apply_node(node.core, comp)
-        for r in range(width):
-            for c in range(width):
-                val = block.entry(r, c).r
-                if val:
-                    entries[r][c][outer_mask] = val
-    reduced = node.reduced
-    return [[Multivector(reduced, cell) for cell in row] for row in entries]
+    width = node.core.target.size
+    cells: list[list[dict[int, int]]] = [[{} for _ in range(width)] for _ in range(width)]
+    for mask, num in a._num.items():
+        outer, sub, neg = _step(node, mask)
+        core = blade_image(node.core, sub)
+        for row, col, code in zip(cells, core, core[width:]):
+            cell = row[col]
+            cell[outer] = cell.get(outer, 0) + (-num if (code ^ neg) & 1 else num)
+    return [[Multivector._raw(node.reduced, cell, a._den) for cell in row] for row in cells]
 
 
 def assemble_entry_images(
@@ -194,12 +215,6 @@ def assemble_entry_images(
         minus = _paste_grid([[m.minus for m in row] for row in images], t)
         return BlockPair(target.ring, plus, minus)
     return _paste_grid(images, t)
-
-
-def _apply_periodic(spec: RepSpec, node: PeriodicNode, a: Multivector) -> RingMatrix | BlockPair:
-    stage1 = periodic_stage1(node, a)
-    images = [[_apply_node(node.inner, x) for x in row] for row in stage1]
-    return assemble_entry_images(spec.target, images, node.inner.target.size)
 
 
 def _paste_grid(grid: Sequence[Sequence[RingMatrix]], t: int) -> RingMatrix:
@@ -214,13 +229,13 @@ def _paste_grid(grid: Sequence[Sequence[RingMatrix]], t: int) -> RingMatrix:
 def represent(a: Multivector, route: str | None = None) -> RepImage:
     """Matrix image of ``a`` under the signature's recipe for ``route``."""
     spec = get_spec(a.sig, route if route is not None else default_route(a.sig))
-    return RepImage(a.sig, spec.route, _apply_node(spec, a))
+    return RepImage(a.sig, spec.route, _image(spec, a))
 
 
 def represent_with(spec: RepSpec, a: Multivector) -> RingMatrix | BlockPair:
     if a.sig != spec.signature:
         raise SignatureMismatchError("element does not match the recipe's signature")
-    return _apply_node(spec, a)
+    return _image(spec, a)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +318,8 @@ def element_inverse(a: Multivector, route: str | None = None) -> Multivector | N
         return None
     result = reconstruct(RepImage(image.signature, image.route, inv))
     one = Multivector.scalar(a.sig, 1)
-    assert a * result == one and result * a == one, "pullback of a matrix inverse must invert"
+    if a * result != one or result * a != one:
+        raise InversePullbackError(f"pullback of the matrix inverse of {a} does not invert it")
     return result
 
 
@@ -381,8 +397,3 @@ def matrix_represent(rows: Sequence[Sequence[Multivector]]) -> BlockPair | RingM
     top = [r0 + [-b for b in r1] for r0, r1 in zip(comp0, comp1)]
     bottom = [list(r1) + list(r0) for r0, r1 in zip(comp0, comp1)]
     return RingMatrix.from_components(REAL, top + bottom)
-
-
-def identity_image(sig: Signature, route: str | None = None) -> RingMatrix | BlockPair:
-    spec = get_spec(sig, route if route is not None else default_route(sig))
-    return ring_identity(spec.target.ring, spec.target.size)
