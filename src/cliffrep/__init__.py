@@ -19,11 +19,8 @@ from .algebra import (
     StructureError,
     blade_product,
     conjugate_along,
-    mv_add,
-    mv_mul,
     pseudoscalar_square,
     reindex,
-    scalar_mul,
     split_along,
 )
 from .catalog import (
@@ -57,7 +54,6 @@ from .verify import (
     EqualityViolationError,
     check_similarity,
     check_suite,
-    check_transform,
     oracle_represent,
     run_catalog_suite,
 )
@@ -89,7 +85,6 @@ __all__ = [
     "catalog_text",
     "check_similarity",
     "check_suite",
-    "check_transform",
     "classify",
     "conjugate_along",
     "corrections_markdown",
@@ -99,8 +94,6 @@ __all__ = [
     "format_multivector",
     "get_spec",
     "matrix_represent",
-    "mv_add",
-    "mv_mul",
     "oracle_represent",
     "parse_multivector",
     "pseudoscalar_square",
@@ -109,6 +102,5 @@ __all__ = [
     "represent",
     "routes_for",
     "run_catalog_suite",
-    "scalar_mul",
     "split_along",
 ]

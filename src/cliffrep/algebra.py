@@ -419,19 +419,6 @@ def _mul_term_dicts(sig: Signature, xa: dict[int, int], xb: dict[int, int]) -> d
     return out
 
 
-def mv_mul(a: Multivector, b: Multivector) -> Multivector:
-    """Geometric product; function form of ``a * b``."""
-    return a * b
-
-
-def mv_add(a: Multivector, b: Multivector) -> Multivector:
-    return a + b
-
-
-def scalar_mul(value: Fraction | int, a: Multivector) -> Multivector:
-    return a * _as_fraction(value)
-
-
 # ---------------------------------------------------------------------------
 # generator lists and structured decompositions
 

@@ -12,7 +12,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from .algebra import Signature
+from .algebra import MAX_GENERATORS, BladeWidthError, Signature
 from .catalog import (
     CatalogMissError,
     catalog_signatures,
@@ -38,6 +38,8 @@ def _parse_sig(text: str) -> Signature:
         return Signature(int(p_str), int(q_str))
     except (ValueError, TypeError) as exc:
         raise argparse.ArgumentTypeError(f"signature must look like 'p,q': {exc}")
+    except BladeWidthError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _read_expr(expr: str) -> str:
@@ -164,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     cls.set_defaults(fn=_cmd_classify)
 
     table = sub.add_parser("table", help="classification grid")
-    table.add_argument("--max-n", type=int, default=10, dest="max_n")
+    table.add_argument("--max-n", type=int, default=10, dest="max_n", metavar="N",
+                       choices=range(MAX_GENERATORS + 1))
     table.set_defaults(fn=_cmd_table)
 
     ver = sub.add_parser("verify", help="run the symbolic check suite")

@@ -4,19 +4,20 @@ Under every recipe a basis blade maps to a signed monomial matrix with unit
 entries; represent() sums an element's coefficients along these blade images,
 compiled lazily from the recipe's steps and memoized on the spec (the fast
 path).  The symbolic conjugation in the verify module must agree exactly.
-reconstruct() inverts the image by an exact linear solve against the basis
-blade images, so inverses, determinants and characteristic polynomials of
-matrix images pull back to the algebra.
+reconstruct() reads coefficients back off the same images by the real trace
+form, after an exact certificate that they are orthogonal, so inverses,
+determinants and characteristic polynomials of matrix images pull back to
+the algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .algebra import (
-    LinearSolver,
     Multivector,
     Signature,
     SignatureMismatchError,
@@ -171,18 +172,28 @@ def _compile_blade(node, mask: int) -> bytes | tuple[bytes, bytes]:
     raise TypeError(f"unknown node type {type(node).__name__}")
 
 
+def _blocks(image):
+    return image if isinstance(image, tuple) else (image,)
+
+
+def _counters(spec: RepSpec, num: dict[int, int]) -> list[list[int]]:
+    """Flat numerators of sum(num[m] * rho(e_m)): index row*4*size + 4*col + unit."""
+    size = spec.target.size
+    blocks = 2 if spec.target.ring in _BLOCK_RING else 1
+    counters = [[0] * (4 * size * size) for _ in range(blocks)]
+    row_base = range(0, 4 * size * size, 4 * size)
+    for mask, x in num.items():
+        for counts, block in zip(counters, _blocks(blade_image(spec, mask))):
+            for base, col, code in zip(row_base, block, block[size:]):
+                counts[base + 4 * col + (code >> 1)] += -x if code & 1 else x
+    return counters
+
+
 def _image(spec: RepSpec, a: Multivector) -> RingMatrix | BlockPair:
     """Sum the numerators of ``a`` along its blades' compiled images."""
     ring, size = spec.target.ring, spec.target.size
     inner = _BLOCK_RING.get(ring)
-    counters = [[0] * (4 * size * size) for _ in range(2 if inner else 1)]
-    row_base = range(0, 4 * size * size, 4 * size)
-    for mask, num in a._num.items():
-        image = blade_image(spec, mask)
-        for counts, block in zip(counters, image if inner else (image,)):
-            for base, col, code in zip(row_base, block, block[size:]):
-                counts[base + 4 * col + (code >> 1)] += -num if code & 1 else num
-    blocks = [_ring_matrix(inner or ring, size, counts, a._den) for counts in counters]
+    blocks = [_ring_matrix(inner or ring, size, c, a._den) for c in _counters(spec, a._num)]
     return BlockPair(ring, *blocks) if inner else blocks[0]
 
 
@@ -242,59 +253,69 @@ def represent_with(spec: RepSpec, a: Multivector) -> RingMatrix | BlockPair:
 # reconstruction
 
 
-def _vectorize(value: RingMatrix | BlockPair) -> list[Fraction]:
-    if isinstance(value, BlockPair):
-        return _vectorize(value.plus) + _vectorize(value.minus)
-    out: list[Fraction] = []
-    for row in value.rows:
-        for s in row:
-            out.extend(s.components())
-    return out
+def _trace_sums(spec: RepSpec, counters: list[list[int]]) -> list[int]:
+    """Re tr(rho(e_m)* X), summed over blocks, for every mask m: on the flat
+    numerators of X, a signed sum of one component per row of rho(e_m)."""
+    size = spec.target.size
+    row_base = range(0, 4 * size * size, 4 * size)
+    sums = []
+    for mask in range(spec.signature.dim):
+        total = 0
+        for counts, block in zip(counters, _blocks(blade_image(spec, mask))):
+            for base, col, code in zip(row_base, block, block[size:]):
+                x = counts[base + 4 * col + (code >> 1)]
+                total += -x if code & 1 else x
+        sums.append(total)
+    return sums
 
 
 class BasisImageTable:
-    """Images of all basis blades for one recipe, with the solve factored.
+    """The compiled images of all basis blades of one recipe, certified.
 
-    Faithfulness is certified by the rank of the image vectors; solving a
-    vectorized matrix either reconstructs the unique preimage or reports
-    that the matrix is foreign to the image space.
+    The exact certificate: under the real trace form the Gram matrix of the
+    images is N = size * blocks times the identity, so the 2^n images are
+    independent (the representation is faithful) and each coefficient of an
+    element is its trace form against that blade's image, over N.
     """
 
     def __init__(self, spec: RepSpec):
         self.spec = spec
-        sig = spec.signature
-        self.images = [
-            represent_with(spec, Multivector.blade(sig, m)) for m in range(sig.dim)
-        ]
-        columns = [_vectorize(img) for img in self.images]
-        self.solver = LinearSolver(columns)
-        if self.solver.rank != sig.dim:
-            raise NotInImageError(
-                f"basis images for {sig} route {spec.route} are linearly dependent"
-            )
+        target = spec.target
+        self.norm = target.size * (2 if target.ring in _BLOCK_RING else 1)
+        for mask in range(spec.signature.dim):
+            gram_row = _trace_sums(spec, _counters(spec, {mask: 1}))
+            gram_row[mask] -= self.norm
+            other = next((m for m, x in enumerate(gram_row) if x), None)
+            if other is not None:
+                raise NotInImageError(
+                    f"Gram matrix of the {spec.signature} route {spec.route} blade images "
+                    f"differs from {self.norm} * I at blades ({mask:#x}, {other:#x})"
+                )
 
     def reconstruct(self, value: RingMatrix | BlockPair) -> Multivector:
-        vec = _vectorize(value)
-        if len(vec) != self.solver.nrows:
-            raise NotInImageError("matrix shape does not match the recipe target")
-        coords = self.solver.solve(vec)
-        if coords is None:
+        # the ring tag also fixes the kind: only BlockPair holds 2R and 2H
+        target = self.spec.target
+        blocks = (value.plus, value.minus) if isinstance(value, BlockPair) else (value,)
+        square = (target.size, target.size)
+        if value.ring != target.ring or any((b.nrows, b.ncols) != square for b in blocks):
+            raise NotInImageError(f"matrix does not fit the recipe target {target}")
+        flat = [[x for row in b.rows for s in row for x in (s.r, s.i, s.j, s.k)] for b in blocks]
+        den = lcm(*(x.denominator for xs in flat for x in xs))
+        counters = [[x.numerator * (den // x.denominator) for x in xs] for xs in flat]
+        coeffs = {m: x for m, x in enumerate(_trace_sums(self.spec, counters)) if x}
+        result = Multivector._raw(self.spec.signature, coeffs, den * self.norm)
+        if represent_with(self.spec, result) != value:
             raise NotInImageError("matrix lies outside the representation's image space")
-        sig = self.spec.signature
-        return Multivector(sig, {m: c for m, c in enumerate(coords) if c})
-
-
-_TABLES: dict[tuple[int, int, str], BasisImageTable] = {}
+        return result
 
 
 def basis_table(sig: Signature, route: str | None = None) -> BasisImageTable:
-    spec = get_spec(sig, route if route is not None else default_route(sig))
-    key = (sig.p, sig.q, spec.route)
-    table = _TABLES.get(key)
-    if table is None:
-        table = BasisImageTable(spec)
-        _TABLES.setdefault(key, table)
-    return _TABLES[key]
+    """The recipe's certified basis table, built once and memoized on the spec."""
+    spec = get_spec(sig, route)
+    if spec.basis_table is None:
+        # the spec is frozen; the memo slot is excluded from init and compare
+        object.__setattr__(spec, "basis_table", BasisImageTable(spec))
+    return spec.basis_table
 
 
 def reconstruct(image: RepImage) -> Multivector:

@@ -411,14 +411,6 @@ def ring_identity(ring: str, size: int) -> RingElement:
     return RingMatrix.identity(ring, size)
 
 
-def mat_mul(a: RingElement, b: RingElement) -> RingElement:
-    return a * b
-
-
-def mat_add(a: RingElement, b: RingElement) -> RingElement:
-    return a + b
-
-
 def mat_inverse(a: RingElement) -> RingElement | None:
     """Two-sided inverse, or None when singular.
 

@@ -48,6 +48,13 @@ class _Scanner:
         return self.src[start : self.pos]
 
 
+def _to_int(digits: str, position: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's limit on int() digits
+        raise ParseError(f"number of {len(digits)} digits is too long", position) from None
+
+
 def _parse_blade_name(scanner: _Scanner, sig: Signature) -> int:
     """One generator-family name with digits; returns the blade mask."""
     start = scanner.pos
@@ -64,7 +71,7 @@ def _parse_blade_name(scanner: _Scanner, sig: Signature) -> int:
     digits = scanner.take_digits()
     if not digits:
         raise ParseError("expected generator indices", scanner.pos)
-    value = int(digits)
+    value = _to_int(digits, start)
     if len(digits) == 1 or (1 <= value <= family_size):
         indices = [value]
     else:
@@ -84,14 +91,15 @@ def _parse_rational(scanner: _Scanner) -> Fraction:
     digits = scanner.take_digits()
     if not digits:
         raise ParseError("expected a number", start)
-    numerator = int(digits)
+    numerator = _to_int(digits, start)
     if scanner.peek() == "/":
         scanner.take()
         dstart = scanner.pos
         ddigits = scanner.take_digits()
-        if not ddigits or int(ddigits) == 0:
+        denominator = _to_int(ddigits, dstart) if ddigits else 0
+        if not denominator:
             raise ParseError("expected a non-zero denominator", dstart)
-        return Fraction(numerator, int(ddigits))
+        return Fraction(numerator, denominator)
     return Fraction(numerator)
 
 

@@ -239,16 +239,6 @@ def random_multivector(sig: Signature, rng: random.Random, dense_limit: int = 6)
 # checks
 
 
-def check_transform(sig: Signature, route: str | None = None) -> CheckReport:
-    """P * (scale * Pinv) must be the identity, entrywise as multivectors."""
-    spec = get_spec(sig, route)
-    defect = spec.transform.identity_defect()
-    if defect is None:
-        return CheckReport(sig, spec.route, "transform", True)
-    witness = f"product cell {defect} = {spec.transform.conjugate(MvMatrix.identity(sig, spec.transform.size)).rows[defect[0]][defect[1]]}"
-    return CheckReport(sig, spec.route, "transform", False, counterexample=witness)
-
-
 def check_transform_pair(spec: RepSpec) -> CheckReport:
     defect = spec.transform.identity_defect()
     if defect is None:
@@ -375,7 +365,8 @@ def check_unit(sig: Signature, route: str | None = None) -> CheckReport:
 
 
 def check_faithfulness(sig: Signature, route: str | None = None) -> CheckReport:
-    """Basis images linearly independent over the rationals."""
+    """Certificate: the basis blade images have Gram matrix N * I under the
+    real trace form, so they are independent; a failure names a blade pair."""
     spec = get_spec(sig, route)
     try:
         basis_table(sig, spec.route)

@@ -4,6 +4,8 @@ import io
 import random
 from fractions import Fraction
 
+import pytest
+
 from cliffrep.algebra import Multivector, Signature
 from cliffrep.cli import main
 from cliffrep.text import format_multivector, parse_multivector
@@ -41,6 +43,14 @@ def test_rep_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "rep", "--sig", "0,1", "1 + + 2")
     assert code == 2
     assert "position" in err
+
+
+def test_rep_oversized_number_exit_code(capsys):
+    code, out, err = run_cli(capsys, "rep", "--sig", "2,0", "9" * 5000)
+    assert code == 2 and out == ""
+    assert "position 0" in err and "Traceback" not in err
+    code, _, err = run_cli(capsys, "rep", "--sig", "2,0", "1 + e" + "1" * 5000)
+    assert code == 2 and "position 4" in err
 
 
 def test_rep_catalog_miss_exit_code(capsys):
@@ -82,6 +92,22 @@ def test_table_marks_constructed_only(capsys):
     row7 = next(line for line in out.splitlines() if line.startswith("n=7:"))
     assert "(7,0) C(8)*" in row7
     assert "(3,4) C(8) " in row7  # mirror family not constructed
+
+
+def test_generator_bound_is_an_argument_error(capsys):
+    for argv, message in (
+        (("classify", "--sig", "40,0"), "exceeds the 32-generator bound"),
+        (("rep", "--sig", "33,0", "1"), "exceeds the 32-generator bound"),
+        (("verify", "--sig", "0,40"), "exceeds the 32-generator bound"),
+        (("table", "--max-n", "40"), "invalid choice: 40"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert message in err and "Traceback" not in err
+    code, out, _ = run_cli(capsys, "table", "--max-n", "32")
+    assert code == 0 and out.splitlines()[32].startswith("n=32: (32,0) R(65536)")
 
 
 def test_verify_single_signature(capsys):

@@ -17,10 +17,13 @@ from cliffrep.algebra import (
 )
 from cliffrep.catalog import CatalogMissError, RingUnitsNode, catalog_signatures, get_spec
 from cliffrep.represent import (
+    BasisImageTable,
     InversePullbackError,
     NonMonomialStepError,
     NotInImageError,
     RepImage,
+    basis_table,
+    blade_image,
     charpoly_evaluate,
     element_charpoly,
     element_det,
@@ -31,6 +34,9 @@ from cliffrep.represent import (
     represent_with,
 )
 from cliffrep.rings import (
+    COMPLEX,
+    DOUBLE_REAL,
+    QUATERNION,
     REAL,
     BlockPair,
     RingMatrix,
@@ -140,6 +146,44 @@ def test_foreign_matrix_rejected():
     wrong_shape = RingMatrix.from_components(REAL, [[1]])
     with pytest.raises(NotInImageError):
         reconstruct(RepImage(S01, img.route, wrong_shape))
+
+
+def test_reconstruct_rejects_wrong_kind_ring_and_size():
+    route20 = represent(Multivector.scalar(S20, 1)).route  # target R(2)
+    eye = ring_identity(REAL, 2)
+    for value in (
+        BlockPair(DOUBLE_REAL, eye, eye),
+        RingMatrix.from_components(QUATERNION, [[(1, 0, 0, 0)]]),  # as many components
+        ring_identity(COMPLEX, 2),
+        ring_identity(REAL, 3),
+    ):
+        with pytest.raises(NotInImageError):
+            reconstruct(RepImage(S20, route20, value))
+    s21 = Signature(2, 1)  # target 2R(2): a plain matrix is not a pair
+    with pytest.raises(NotInImageError):
+        reconstruct(RepImage(s21, represent(Multivector.scalar(s21, 1)).route, eye))
+
+
+def test_basis_table_memoized_on_spec():
+    sig = Signature(2, 1)
+    table = basis_table(sig)
+    assert basis_table(sig) is table and basis_table(sig, get_spec(sig).route) is table
+    assert table.spec is get_spec(sig) and get_spec(sig).basis_table is table
+
+
+def test_corrupted_blade_image_fails_certificate():
+    sig = Signature(2, 1)
+    spec = dataclasses.replace(get_spec(sig))
+    spec.blade_images[0b101] = blade_image(spec, 0b011)
+    with pytest.raises(NotInImageError, match=r"at blades \(0x3, 0x5\)"):
+        BasisImageTable(spec)
+    # the copy's image of e1*eps1 is that of e12; reading it back through the
+    # copy must fail rather than return an element
+    value = represent_with(spec, Multivector.blade(sig, 0b101))
+    with pytest.raises(NotInImageError):
+        BasisImageTable(spec).reconstruct(value)
+    assert blade_image(get_spec(sig), 0b101) != spec.blade_images[0b101]
+    assert reconstruct(represent(Multivector.blade(sig, 0b101))) == Multivector.blade(sig, 0b101)
 
 
 # -- inverses

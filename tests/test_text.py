@@ -81,3 +81,17 @@ def test_round_trip_wide_signature():
     sig = Signature(5, 5)
     a = Multivector(sig, {0: Fraction(1, 7), (1 << 10) - 1: -3, 0b1111100000: 2})
     assert parse_multivector(sig, format_multivector(a)) == a
+
+
+def test_oversized_numbers_raise_parse_error():
+    # int() refuses digit strings past the interpreter's conversion limit
+    long_run = "1" * 5000
+    for source, position in [
+        (long_run, 0),
+        (f"e{long_run}", 0),
+        (f"2 + 1/{long_run}*e1", 6),
+        (f"2 - eps{long_run}", 4),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_multivector(S21, source)
+        assert err.value.position == position

@@ -19,7 +19,6 @@ from cliffrep.verify import (
     check_homomorphism,
     check_similarity,
     check_suite,
-    check_transform,
     check_transform_pair,
     emit_records,
     emit_text,
@@ -101,7 +100,7 @@ def test_equality_violation_flags_tampered_units():
 
 
 def test_check_transform_pass_and_corrupted_fixture():
-    report = check_transform(Signature(2, 1))
+    report = check_transform_pair(get_spec(Signature(2, 1)))
     assert report.passed
     spec = get_spec(Signature(2, 0))
     sig = spec.signature
