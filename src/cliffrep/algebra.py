@@ -487,6 +487,38 @@ def _single_signed_blade(mv: Multivector) -> tuple[int, Fraction] | None:
     return mask, Fraction(num, mv._den)
 
 
+def _subset_blades(gens: GeneratorList) -> list[tuple[int, int]] | None:
+    """(sign, blade) of every ordered subset product of ``gens``, indexed by
+    subset mask, when each generator is a signed blade; else None."""
+    blades = [_single_signed_blade(g) for g in gens.elements]
+    if None in blades:
+        return None
+    neg = gens.sig.neg_mask
+    products = [(1, 0)]
+    for mask, coeff in blades:
+        # the new generator has the highest index, so it multiplies on the right
+        products += [(s * int(coeff) * _pair_sign(m, mask, neg), m ^ mask) for s, m in products]
+    return products
+
+
+def _blade_lookup(sub: GeneratorList, outer: GeneratorList) -> dict[int, tuple[int, int, int]] | None:
+    """Host blade -> (outer mask, sub mask, sign) when the products
+    (sub)_S * (outer)_A are distinct signed blades, by blade arithmetic;
+    otherwise None."""
+    sub_blades, outer_blades = _subset_blades(sub), _subset_blades(outer)
+    if sub_blades is None or outer_blades is None:
+        return None
+    neg = sub.sig.neg_mask
+    lookup: dict[int, tuple[int, int, int]] = {}
+    for amask, (asign, ablade) in enumerate(outer_blades):
+        for smask, (ssign, sblade) in enumerate(sub_blades):
+            mask = sblade ^ ablade
+            if mask in lookup:
+                return None
+            lookup[mask] = (amask, smask, ssign * asign * _pair_sign(sblade, ablade, neg))
+    return lookup
+
+
 class SplitBasis:
     """Rewriting of host elements over (sub generators) x (outer generators).
 
@@ -507,30 +539,8 @@ class SplitBasis:
         self.sig = sub.sig
         self.sub = sub
         self.outer = outer
-        self._lookup: dict[int, tuple[int, int, Fraction]] | None = None
-        self._solver = None
-        ks, ko = len(sub), len(outer)
-        lookup: dict[int, tuple[int, int, Fraction]] = {}
-        permutation = True
-        for amask in range(1 << ko):
-            outer_part = outer.product(amask)
-            for smask in range(1 << ks):
-                prod = sub.product(smask) * outer_part
-                single = _single_signed_blade(prod)
-                if single is None:
-                    permutation = False
-                    break
-                mask, coeff = single
-                if mask in lookup:
-                    permutation = False
-                    break
-                lookup[mask] = (amask, smask, coeff)
-            if not permutation:
-                break
-        if permutation:
-            self._lookup = lookup
-        else:
-            self._solver = _DenseBasisSolver(sub, outer)
+        self._lookup = _blade_lookup(sub, outer)
+        self._solver = _DenseBasisSolver(sub, outer) if self._lookup is None else None
 
     def decompose(self, a: Multivector) -> dict[int, Multivector]:
         """Components of ``a`` keyed by outer subset mask, as abstract sub elements."""

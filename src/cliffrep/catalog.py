@@ -16,7 +16,10 @@ Three step constructions cover the whole catalog:
   a doubled ring acting on diag(a I, conj(a) I).
 
 Recipes recurse over these steps; wide signatures reduce through the
-sixteen-fold periodicity step.  Printed source formulas that fail the
+sixteen-fold periodicity step.  A recipe's transform is built on first use
+and passes the identity check before it is handed out; the compiled blade
+images (the represent module) never read it, so only the oracle and the
+verify module pay for building P.  Printed source formulas that fail the
 machine checks are rebuilt from the step patterns and recorded in the
 corrections registry, each with an executable demonstration of the failing
 literal form.
@@ -213,28 +216,91 @@ class Target:
         return f"{self.ring}({self.size})"
 
 
-@dataclass(frozen=True)
+_UNCHECKED = object()
+
+
 class TransformPair:
     """P and its inverse, stored so all entries stay rational.
 
     P * Pinv = c * I for a positive rational c and scale = 1/c; transforms
     whose printed normalization is irrational are stored stripped, with the
     stripped factors absorbed into the scale.
+
+    A pair is immutable.  A deferred pair knows its size but builds P, Pinv
+    and scale on the first read of any of them, and checks the identity
+    (up to _BUILD_CHECK_MAX_SIZE) before handing anything out.
     """
 
-    P: MvMatrix
-    Pinv: MvMatrix
-    scale: Fraction
+    __slots__ = ("size", "_where", "_build", "_parts", "_defect")
+
+    def __init__(self, P: MvMatrix, Pinv: MvMatrix, scale: Fraction):
+        self._init(P.nrows, None, None, (P, Pinv, scale))
+
+    @classmethod
+    def deferred(cls, size: int, where: str, build: Callable[[], "TransformPair"]) -> "TransformPair":
+        """Pair of the given size whose transform ``build`` makes on first use;
+        ``where`` names it in a failed check."""
+        pair = object.__new__(cls)
+        pair._init(size, where, build, None)
+        return pair
+
+    def _init(self, size, where, build, parts) -> None:
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "_where", where)
+        object.__setattr__(self, "_build", build)
+        object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "_defect", _UNCHECKED)
+
+    def __setattr__(self, name, value):  # pragma: no cover
+        raise AttributeError("TransformPair is immutable")
+
+    def _materialized(self) -> tuple[MvMatrix, MvMatrix, Fraction]:
+        if self._parts is None:
+            built = self._build()
+            if built.size != self.size:
+                raise TransformCheckError(
+                    f"{self._where}: built transform has size {built.size}, not {self.size}"
+                )
+            _check_transform(built, self._where)
+            object.__setattr__(self, "_defect", built._defect)
+            object.__setattr__(self, "_parts", built._parts)
+            object.__setattr__(self, "_build", None)
+        return self._parts
 
     @property
-    def size(self) -> int:
-        return self.P.nrows
+    def P(self) -> MvMatrix:
+        return self._materialized()[0]
+
+    @property
+    def Pinv(self) -> MvMatrix:
+        return self._materialized()[1]
+
+    @property
+    def scale(self) -> Fraction:
+        return self._materialized()[2]
+
+    def __eq__(self, other):
+        if not isinstance(other, TransformPair):
+            return NotImplemented
+        return self._materialized() == other._materialized()
+
+    def __hash__(self):
+        return hash(self._materialized())
 
     def conjugate(self, diag: MvMatrix) -> MvMatrix:
         return ((self.P * diag) * self.Pinv).scale(self.scale)
 
     def identity_defect(self) -> tuple[int, int] | None:
-        """First cell where P * (scale * Pinv) differs from I, or None."""
+        """First cell where P * (scale * Pinv) differs from I, or None.
+
+        Computed once per pair: the pair is immutable.
+        """
+        self._materialized()
+        if self._defect is _UNCHECKED:
+            object.__setattr__(self, "_defect", self._first_defect())
+        return self._defect
+
+    def _first_defect(self) -> tuple[int, int] | None:
         prod = (self.P * self.Pinv).scale(self.scale)
         size = prod.nrows
         one = Multivector.scalar(prod.sig, 1)
@@ -400,6 +466,25 @@ def _check_transform(tp: TransformPair, where: str) -> None:
             raise TransformCheckError(f"{where}: transform product differs from I at {defect}")
 
 
+def _reindexed(sub: TransformPair, gens: GeneratorList) -> TransformPair:
+    """A sub-recipe's transform carried into the host through ``gens``."""
+    return TransformPair(reindex_matrix(sub.P, gens), reindex_matrix(sub.Pinv, gens), sub.scale)
+
+
+def _doubled(
+    sub: TransformPair,
+    gens: GeneratorList,
+    left: Sequence[Sequence[Multivector]],
+    right: Sequence[Sequence[Multivector]],
+) -> TransformPair:
+    """Doubled transform: P = [[l_rc * S]] / 2 and Pinv = [[Sinv * r_rc]] / 2
+    around the sub-transform S carried into the host through ``gens``."""
+    host = _reindexed(sub, gens)
+    P = MvMatrix.block2([[host.P.left_mul(f) for f in row] for row in left]).scale(HALF)
+    Pinv = MvMatrix.block2([[host.Pinv.right_mul(f) for f in row] for row in right]).scale(HALF)
+    return TransformPair(P, Pinv, host.scale)
+
+
 def _square_sign(mv: Multivector) -> int:
     sq = mv * mv
     if sq == 1:
@@ -421,7 +506,8 @@ def _spec_ring_units(sig: Signature, route: str, unit_masks: Sequence[int]) -> R
         raise StructureError("ring units must square to -1")
     basis = SplitBasis(_empty_gens(sig), units)
     ring = {0: "R", 1: "C", 2: "H"}[len(unit_masks)]
-    tp = TransformPair(MvMatrix.identity(sig, 1), MvMatrix.identity(sig, 1), Fraction(1))
+    identity = MvMatrix.identity(sig, 1)
+    tp = TransformPair.deferred(1, f"{sig} {route}", lambda: TransformPair(identity, identity, Fraction(1)))
     names = {}
     if len(unit_masks) >= 1:
         names["i"] = units.elements[0]
@@ -443,8 +529,7 @@ def _spec_real_pair(sig: Signature) -> RepSpec:
     one = Multivector.scalar(sig, 1)
     u = Multivector.generator(sig, 1)
     P = MvMatrix(sig, [[one, u], [-u, -one]])
-    tp = TransformPair(P, P, HALF)
-    _check_transform(tp, "(0,1) real pair")
+    tp = TransformPair.deferred(2, "(0,1) real pair", lambda: TransformPair(P, P, HALF))
     return RepSpec(
         signature=sig,
         route="real2",
@@ -469,8 +554,7 @@ def _spec_complex_pair(sig: Signature) -> RepSpec:
     i12 = i1 * i2
     P = MvMatrix(sig, [[one, -i1], [-i2, i12]])
     Pinv = MvMatrix(sig, [[one, i2], [i1, -i12]])
-    tp = TransformPair(P, Pinv, HALF)
-    _check_transform(tp, "(0,2) complex pair")
+    tp = TransformPair.deferred(2, "(0,2) complex pair", lambda: TransformPair(P, Pinv, HALF))
     basis = SplitBasis(_empty_gens(sig), _gens(sig, [1, 2]))
     return RepSpec(
         signature=sig,
@@ -496,8 +580,7 @@ def _spec_real_quad(sig: Signature) -> RepSpec:
         [-i12, i2, -i1, one],
     ]
     P = MvMatrix(sig, rows).scale(HALF)
-    tp = TransformPair(P, P, Fraction(1))
-    _check_transform(tp, "(0,2) real quad")
+    tp = TransformPair.deferred(4, "(0,2) real quad", lambda: TransformPair(P, P, Fraction(1)))
     basis = SplitBasis(_empty_gens(sig), _gens(sig, [1, 2]))
     return RepSpec(
         signature=sig,
@@ -526,10 +609,8 @@ def _spec_extend(
     basis = SplitBasis(sub_gens, units)
     if sub_spec.target.ring != "R":
         raise StructureError("unit extension needs a real-matrix sub-representation")
-    P = reindex_matrix(sub_spec.transform.P, sub_gens)
-    Pinv = reindex_matrix(sub_spec.transform.Pinv, sub_gens)
-    tp = TransformPair(P, Pinv, sub_spec.transform.scale)
-    _check_transform(tp, f"{sig} {route}")
+    sub_tp = sub_spec.transform
+    tp = TransformPair.deferred(sub_tp.size, f"{sig} {route}", lambda: _reindexed(sub_tp, sub_gens))
     ring = "C" if len(unit_masks) == 1 else "H"
     names = {"i": units.elements[0]}
     if len(unit_masks) == 2:
@@ -565,25 +646,15 @@ def _spec_quad(
         raise StructureError("doubling pair must anticommute")
     basis = SplitBasis(sub_gens, GeneratorList(sig, [u, v]))
     mu = u * v
-    Ps = reindex_matrix(sub_spec.transform.P, sub_gens)
-    Psi = reindex_matrix(sub_spec.transform.Pinv, sub_gens)
     one = Multivector.scalar(sig, 1)
     fplus, fminus = one + u, one - u
     gminus, gplus = v - mu, v + mu
-    P = MvMatrix.block2(
-        [
-            [Ps.left_mul(fplus), Ps.left_mul(gminus)],
-            [Ps.left_mul(gplus * sgn), Ps.left_mul(fminus)],
-        ]
-    ).scale(HALF)
-    Pinv = MvMatrix.block2(
-        [
-            [Psi.right_mul(fplus), Psi.right_mul(gminus)],
-            [Psi.right_mul(gplus * sgn), Psi.right_mul(fminus)],
-        ]
-    ).scale(HALF)
-    tp = TransformPair(P, Pinv, sub_spec.transform.scale)
-    _check_transform(tp, f"{sig} {route}")
+    blocks = [[fplus, gminus], [gplus * sgn, fminus]]
+    tp = TransformPair.deferred(
+        2 * sub_spec.transform.size,
+        f"{sig} {route}",
+        lambda: _doubled(sub_spec.transform, sub_gens, blocks, blocks),
+    )
     return RepSpec(
         signature=sig,
         route=route,
@@ -609,24 +680,15 @@ def _spec_split(
     if _square_sign(u) != 1:
         raise StructureError("the splitting element must square to +1")
     basis = SplitBasis(sub_gens, GeneratorList(sig, [u]))
-    Ps = reindex_matrix(sub_spec.transform.P, sub_gens)
-    Psi = reindex_matrix(sub_spec.transform.Pinv, sub_gens)
     one = Multivector.scalar(sig, 1)
     fplus, fminus = one + u, one - u
-    P = MvMatrix.block2(
-        [
-            [Ps.left_mul(fplus), Ps.left_mul(-fminus)],
-            [Ps.left_mul(fminus), Ps.left_mul(fplus)],
-        ]
-    ).scale(HALF)
-    Pinv = MvMatrix.block2(
-        [
-            [Psi.right_mul(fplus), Psi.right_mul(fminus)],
-            [Psi.right_mul(-fminus), Psi.right_mul(fplus)],
-        ]
-    ).scale(HALF)
-    tp = TransformPair(P, Pinv, sub_spec.transform.scale)
-    _check_transform(tp, f"{sig} {route}")
+    left = [[fplus, -fminus], [fminus, fplus]]
+    right = [[fplus, fminus], [-fminus, fplus]]
+    tp = TransformPair.deferred(
+        2 * sub_spec.transform.size,
+        f"{sig} {route}",
+        lambda: _doubled(sub_spec.transform, sub_gens, left, right),
+    )
     ring = {"R": "2R", "H": "2H"}.get(sub_spec.target.ring)
     if ring is None:
         raise StructureError("conjugate split needs a real or quaternion sub-representation")
@@ -920,9 +982,8 @@ def build_periodic(sig: Signature) -> RepSpec:
     core_gens = _gens(sig, core_masks)
     outer_gens = _gens(sig, outer_masks)
     basis = SplitBasis(core_gens, outer_gens)
-    P = reindex_matrix(core.transform.P, core_gens)
-    Pinv = reindex_matrix(core.transform.Pinv, core_gens)
-    tp = TransformPair(P, Pinv, core.transform.scale)
+    core_tp = core.transform
+    tp = TransformPair.deferred(core_tp.size, f"{sig} periodic", lambda: _reindexed(core_tp, core_gens))
     inner_target = inner.target
     target = Target(inner_target.ring, 16 * inner_target.size)
     from .algebra import reindex

@@ -3,14 +3,17 @@
 Commands: rep (print an element's matrix image), inverse, classify, table,
 verify, catalog.  Output ordering is deterministic so golden-file tests
 stay stable.  Exit codes: 0 success, 1 failing verification, 2 parse error
-(with the offending position), 3 catalog miss.
+(with the offending position), invalid argument, or a rep/inverse result
+holding a number past the interpreter's int-to-str digit limit (one line on
+stderr naming the limit), 3 catalog miss (including an inverse whose recipe
+is too wide for the reconstruction certificate).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .algebra import MAX_GENERATORS, BladeWidthError, Signature
 from .catalog import (
@@ -22,7 +25,7 @@ from .catalog import (
     routes_for,
 )
 from .represent import element_inverse, represent
-from .rings import format_matrix
+from .rings import NumberTooLongError, format_matrix
 from .text import ParseError, format_multivector, parse_multivector
 from .verify import check_suite, emit_records, emit_text
 
@@ -48,6 +51,16 @@ def _read_expr(expr: str) -> str:
     return expr
 
 
+def _print_result(render: Callable[[], str]) -> int:
+    try:
+        text = render()
+    except NumberTooLongError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    print(text)
+    return EXIT_OK
+
+
 def _cmd_rep(args) -> int:
     sig = args.sig
     try:
@@ -60,8 +73,7 @@ def _cmd_rep(args) -> int:
     except CatalogMissError as exc:
         print(f"catalog miss: {exc}", file=sys.stderr)
         return EXIT_CATALOG_MISS
-    print(format_matrix(image.value))
-    return EXIT_OK
+    return _print_result(lambda: format_matrix(image.value))
 
 
 def _cmd_inverse(args) -> int:
@@ -76,8 +88,7 @@ def _cmd_inverse(args) -> int:
     except CatalogMissError as exc:
         print(f"catalog miss: {exc}", file=sys.stderr)
         return EXIT_CATALOG_MISS
-    print("non-invertible" if inv is None else format_multivector(inv))
-    return EXIT_OK
+    return _print_result(lambda: "non-invertible" if inv is None else format_multivector(inv))
 
 
 def _cmd_classify(args) -> int:

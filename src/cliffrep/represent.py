@@ -269,6 +269,22 @@ def _trace_sums(spec: RepSpec, counters: list[list[int]]) -> list[int]:
     return sums
 
 
+# The certificate holds one (cell, sign) entry per row of every blade image,
+# dim * N in all, and its time grows as dim * N^2; past this many entries it
+# needs hundreds of megabytes and hours, so wider recipes are refused.
+_CERTIFICATE_MAX_ENTRIES = 1 << 20
+
+
+def _signed_cells(spec: RepSpec, mask: int):
+    """(cell, sign) of each row of a blade image; a cell numbers the block,
+    row, column and unit as _counters indexes a block."""
+    size = spec.target.size
+    span = 4 * size * size
+    for b, block in enumerate(_blocks(blade_image(spec, mask))):
+        for base, col, code in zip(range(b * span, (b + 1) * span, 4 * size), block, block[size:]):
+            yield base + 4 * col + (code >> 1), -1 if code & 1 else 1
+
+
 class BasisImageTable:
     """The compiled images of all basis blades of one recipe, certified.
 
@@ -282,14 +298,30 @@ class BasisImageTable:
         self.spec = spec
         target = spec.target
         self.norm = target.size * (2 if target.ring in _BLOCK_RING else 1)
-        for mask in range(spec.signature.dim):
-            gram_row = _trace_sums(spec, _counters(spec, {mask: 1}))
-            gram_row[mask] -= self.norm
-            other = next((m for m, x in enumerate(gram_row) if x), None)
-            if other is not None:
+        entries = spec.signature.dim * self.norm
+        if entries > _CERTIFICATE_MAX_ENTRIES:
+            raise CatalogMissError(
+                f"no reconstruction for {spec.signature} route {spec.route}: its certificate "
+                f"needs {entries} blade-image rows, over the bound of {_CERTIFICATE_MAX_ENTRIES}"
+            )
+        # Gram entry (m, m') is the signed count of cells (block, row, column,
+        # unit) the two images share, so each row sums over its own cells'
+        # partners only
+        images = [list(_signed_cells(spec, mask)) for mask in range(spec.signature.dim)]
+        partners: dict[int, list[tuple[int, int]]] = {}
+        for mask, cells in enumerate(images):
+            for cell, sign in cells:
+                partners.setdefault(cell, []).append((mask, sign))
+        for mask, cells in enumerate(images):
+            gram_row = {mask: -self.norm}
+            for cell, sign in cells:
+                for other, other_sign in partners[cell]:
+                    gram_row[other] = gram_row.get(other, 0) + sign * other_sign
+            bad = [m for m, x in gram_row.items() if x]
+            if bad:
                 raise NotInImageError(
                     f"Gram matrix of the {spec.signature} route {spec.route} blade images "
-                    f"differs from {self.norm} * I at blades ({mask:#x}, {other:#x})"
+                    f"differs from {self.norm} * I at blades ({mask:#x}, {min(bad):#x})"
                 )
 
     def reconstruct(self, value: RingMatrix | BlockPair) -> Multivector:

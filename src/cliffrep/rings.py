@@ -9,6 +9,7 @@ immutable and exact.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
@@ -35,6 +36,10 @@ class RingMismatchError(RingError):
 
 class UnsupportedRingError(RingError):
     """The operation is not defined over the operand's ring."""
+
+
+class NumberTooLongError(RingError):
+    """A number has more digits than the interpreter converts to text."""
 
 
 def _frac(value) -> Fraction:
@@ -172,17 +177,24 @@ class RingScalar:
         return f"RingScalar({self.ring!r}, {format_scalar(self)})"
 
 
+def format_rational(value: Fraction) -> str:
+    """``n`` or ``n/d``; NumberTooLongError past the interpreter's digit limit."""
+    try:
+        return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+    except ValueError:  # only raised past the limit, which then exists
+        raise NumberTooLongError(
+            f"a number passes the interpreter's {sys.get_int_max_str_digits()}-digit "
+            "limit on int-to-str conversion"
+        ) from None
+
+
 def format_scalar(s: RingScalar) -> str:
     """Scalar grammar: ``a``, ``a+bi``, ``a+bi+cj+dk`` with zero parts dropped."""
-
-    def rat(f: Fraction) -> str:
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
     parts: list[str] = []
     for comp, unit in zip((s.r, s.i, s.j, s.k), ("", "i", "j", "k")):
         if not comp:
             continue
-        body = f"{rat(abs(comp))}{unit}"
+        body = f"{format_rational(abs(comp))}{unit}"
         if not parts:
             parts.append(body if comp > 0 else f"-{body}")
         else:

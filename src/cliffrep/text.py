@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import Multivector, Signature
+from .rings import format_rational
 
 
 class ParseError(ValueError):
@@ -169,10 +170,6 @@ def blade_name(sig: Signature, mask: int) -> str:
         else:
             parts.extend(f"eps{d}" for d in neg_digits)
     return "*".join(parts)
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
 def format_multivector(mv: Multivector) -> str:

@@ -362,6 +362,29 @@ def test_dense_split_basis_fallback():
         basis.decompose(Multivector.generator(sig, 1))
 
 
+def test_blade_lookup_matches_generator_products():
+    # the lookup is built by blade arithmetic; the generator-list products
+    # are the reference
+    from cliffrep.catalog import get_spec
+
+    for p, q in [(1, 0), (0, 2), (3, 1), (1, 3), (0, 5), (0, 6), (7, 0), (9, 0), (8, 1)]:
+        basis = get_spec(Signature(p, q)).node.basis
+        assert len(basis._lookup) == Signature(p, q).dim
+        for mask, (amask, smask, sign) in basis._lookup.items():
+            prod = basis.sub.product(smask) * basis.outer.product(amask)
+            assert prod == Multivector.blade(basis.sig, mask, sign), (p, q, mask)
+    # a signed-blade generator carries its sign into every product
+    sig = S30
+    basis = SplitBasis(
+        GeneratorList(sig, [-Multivector.generator(sig, 1)]),
+        GeneratorList(sig, [Multivector.blade(sig, 0b110, -1)]),
+    )
+    assert basis._lookup is not None and len(basis._lookup) == 4
+    for mask, (amask, smask, sign) in basis._lookup.items():
+        prod = basis.sub.product(smask) * basis.outer.product(amask)
+        assert prod == Multivector.blade(sig, mask, sign)
+
+
 def test_immutability():
     a = Multivector.scalar(S20, 1)
     with pytest.raises(AttributeError):

@@ -1,9 +1,13 @@
 """Catalog recipes: classification, transforms, routes, corrections."""
 
+import dataclasses
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
+import cliffrep.catalog as catalog_mod
 from cliffrep.algebra import Multivector, Signature
 from cliffrep.catalog import (
     CONJUGATE_PAIRS,
@@ -12,6 +16,7 @@ from cliffrep.catalog import (
     CatalogMissError,
     CORRECTIONS,
     MvMatrix,
+    TransformCheckError,
     TransformPair,
     build_diagonal_family,
     build_explicit,
@@ -248,3 +253,156 @@ def test_corrupted_transform_detected():
     bad_rows[0][0] = bad_rows[0][0] + Multivector.scalar(sig, 1)
     bad = TransformPair(MvMatrix(sig, bad_rows), spec.transform.Pinv, spec.transform.scale)
     assert bad.identity_defect() is not None
+
+
+# -- transforms built on first use
+
+# every route with n <= 6, then the wide explicit, diagonal and periodic ones
+_DEFERRAL_PAIRS = [
+    (Signature(p, n - p), route)
+    for n in range(7)
+    for p in range(n, -1, -1)
+    for route in routes_for(Signature(p, n - p))
+] + [
+    (Signature(p, q), route)
+    for p, q in [(7, 0), (8, 0), (5, 5), (9, 0), (8, 1)]
+    for route in routes_for(Signature(p, q))
+]
+
+# SHA-256 of P, Pinv and scale (entries in the text grammar) as eager
+# construction built them, before transforms were deferred
+_TRANSFORM_DIGESTS = {
+    ((0, 0), "scalar"): "e8298705adddf050e93107df0ae22534fe678f6a38025d4ec2aefe4e463d337c",
+    ((1, 0), "explicit"): "da629d16add3e017ddf7c5e82c1fb1533ed6d7fdd24cacc641fc40255c54379b",
+    ((0, 1), "real2"): "9f60020fb50116d4bd62cde11bb669ae36bfe1c3a5e8d5d14a3553542fe82897",
+    ((0, 1), "complex1"): "e8298705adddf050e93107df0ae22534fe678f6a38025d4ec2aefe4e463d337c",
+    ((2, 0), "explicit"): "e23b3b75bfe63cde54c28da1221637b4ef8c263453a16a1ede963d48fa9ed393",
+    ((1, 1), "explicit"): "46cc6cd22ac50a0ad1d6fc0b2325821d55e1cd570ed6d20e95aea86ff29480c7",
+    ((1, 1), "diagonal"): "46cc6cd22ac50a0ad1d6fc0b2325821d55e1cd570ed6d20e95aea86ff29480c7",
+    ((0, 2), "quaternion"): "e8298705adddf050e93107df0ae22534fe678f6a38025d4ec2aefe4e463d337c",
+    ((0, 2), "complex2"): "8def924855d49e88bdf05a901c5e7f2facebce09624276b7c89f7f8351cc759b",
+    ((0, 2), "real4"): "b1b63a18a94fba0e15c63db2197efab6d0a4b68ec8cb88d0c818574820b5b9f9",
+    ((3, 0), "explicit"): "e23b3b75bfe63cde54c28da1221637b4ef8c263453a16a1ede963d48fa9ed393",
+    ((2, 1), "explicit"): "117f6da2e05aeac1e865694e87a0ab8a970badbcfb4b39734dc4d98355985e41",
+    ((2, 1), "diagonal"): "117f6da2e05aeac1e865694e87a0ab8a970badbcfb4b39734dc4d98355985e41",
+    ((1, 2), "explicit"): "46cc6cd22ac50a0ad1d6fc0b2325821d55e1cd570ed6d20e95aea86ff29480c7",
+    ((0, 3), "explicit"): "cb5cb5e9d8052cd7b5d63e8fdd7a8b88775b9853b7b95a5b7af3acfae670df4e",
+    ((4, 0), "explicit"): "e23b3b75bfe63cde54c28da1221637b4ef8c263453a16a1ede963d48fa9ed393",
+    ((3, 1), "explicit"): "b8690fb10088a0a8ed0cd8c099ee140ce073ed673fc184a5eb96e6266bf88988",
+    ((3, 1), "diagonal"): "b8690fb10088a0a8ed0cd8c099ee140ce073ed673fc184a5eb96e6266bf88988",
+    ((2, 2), "explicit"): "3d99347adb85386869aed6bf27f9dc77a2ce6abdfce88b796f8abfcab91477c5",
+    ((2, 2), "diagonal"): "3d99347adb85386869aed6bf27f9dc77a2ce6abdfce88b796f8abfcab91477c5",
+    ((1, 3), "explicit"): "b6c8ebc1d852e65bb379d7319d61ea1a248dd5ce80e318c65d7577b5df75487c",
+    ((0, 4), "explicit"): "c6076f838160ede64f4c2c6a64132feffda30f3ce566866b8cfafe57173202d5",
+    ((5, 0), "explicit"): "b8e700b913f4ed9c5c202ad5d4dcd318cfe6b43bf93936e79ff394efe9c0e317",
+    ((4, 1), "explicit"): "b8690fb10088a0a8ed0cd8c099ee140ce073ed673fc184a5eb96e6266bf88988",
+    ((4, 1), "diagonal"): "b8690fb10088a0a8ed0cd8c099ee140ce073ed673fc184a5eb96e6266bf88988",
+    ((3, 2), "explicit"): "f3203a654fe4937a7551aeec210e3495be1c7864d38bb80813999c04089847ec",
+    ((3, 2), "diagonal"): "f3203a654fe4937a7551aeec210e3495be1c7864d38bb80813999c04089847ec",
+    ((2, 3), "explicit"): "3d99347adb85386869aed6bf27f9dc77a2ce6abdfce88b796f8abfcab91477c5",
+    ((1, 4), "explicit"): "b1986432ecf244cb4ecc40d0a0fe5d038f9382238730ee504fc7bfd969b8b206",
+    ((0, 5), "explicit"): "7ec272f0205a0e5f4e02fc859479e3b08316ccc33cf112b9a577e92df9c3b5cc",
+    ((6, 0), "explicit"): "031794f46ab2331f0651c0ccda4b924147187138a395489493f8400d4c0299bc",
+    ((5, 1), "explicit"): "38f18af5f97a789fa76d169f0bab1b106d9bea1627e9fd9b3355a356a511c839",
+    ((5, 1), "diagonal"): "38f18af5f97a789fa76d169f0bab1b106d9bea1627e9fd9b3355a356a511c839",
+    ((4, 2), "explicit"): "dc78aa3a7aee4c2ee9b7c53864932504aad24e9093870fd309b21e02d62cf323",
+    ((4, 2), "diagonal"): "dc78aa3a7aee4c2ee9b7c53864932504aad24e9093870fd309b21e02d62cf323",
+    ((3, 3), "explicit"): "ed4affad3065036a97575ccd591950558a044895bec99ad27096ae98c0047f1e",
+    ((3, 3), "diagonal"): "ed4affad3065036a97575ccd591950558a044895bec99ad27096ae98c0047f1e",
+    ((2, 4), "explicit"): "e1416dc29a815f9dd190756d982b84c4788703148bc5346081da03a6d139a58d",
+    ((1, 5), "explicit"): "0e7f6b21378eaab84debf2ba224a12a844a792a4857ee3ac8201381b041d5a25",
+    ((0, 6), "explicit"): "965daa9b7317d884ce4b13fa757afb517b3d3d305ea8285d29e0b91f973dffdb",
+    ((7, 0), "explicit"): "4d7bb1b67e35471622a8e19cc64db3d3633f6bb1b67b9737c465892c0f568815",
+    ((8, 0), "explicit"): "aff48437be494254aea199814004106116819b0c9d5e599927b12eb769dc9c5d",
+    ((5, 5), "diagonal"): "ee517a87d56f50c5d4b23cbf6ee1a35c46fbb247228db991dcfdc995946e26a2",
+    ((9, 0), "periodic"): "aff48437be494254aea199814004106116819b0c9d5e599927b12eb769dc9c5d",
+    ((8, 1), "periodic"): "aff48437be494254aea199814004106116819b0c9d5e599927b12eb769dc9c5d",
+}
+
+
+def _transform_digest(tp: TransformPair) -> str:
+    from cliffrep.text import format_multivector
+
+    def text(m):
+        return "\n".join(" ; ".join(format_multivector(x) for x in row) for row in m.rows)
+
+    blob = "\n|\n".join([text(tp.P), text(tp.Pinv), str(tp.scale)])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _corrupted_two_zero() -> TransformPair:
+    spec = get_spec(Signature(2, 0))
+    rows = [list(r) for r in spec.transform.P.rows]
+    rows[0][1] = rows[0][1] * 3
+    return TransformPair(MvMatrix(spec.signature, rows), spec.transform.Pinv, spec.transform.scale)
+
+
+def test_recipes_and_images_leave_transforms_unbuilt(monkeypatch):
+    from cliffrep.represent import reconstruct, represent
+    from cliffrep.verify import random_multivector
+
+    fresh: dict = {}
+    monkeypatch.setattr(catalog_mod, "_SPECS", fresh)
+    rng = random.Random(5)
+    for sig, route in _DEFERRAL_PAIRS:
+        get_spec(sig, route)
+        a = random_multivector(sig, rng)
+        image = represent(a, route)
+        if sig.n <= 6:
+            assert reconstruct(image) == a
+    assert len(fresh) >= len(_DEFERRAL_PAIRS)
+    unbuilt = [key for key, spec in fresh.items() if spec.transform._parts is not None]
+    assert not unbuilt
+    assert get_spec(Signature(5, 5), "diagonal").transform.size == 32
+
+
+def test_deferred_transform_checked_before_use():
+    bad = _corrupted_two_zero()
+    assert bad.identity_defect() is not None
+    pair = TransformPair.deferred(2, "corrupted (2,0)", lambda: bad)
+    reads = [
+        lambda: pair.P,
+        lambda: pair.Pinv,
+        lambda: pair.scale,
+        lambda: pair.identity_defect(),
+        lambda: pair.conjugate(MvMatrix.identity(bad.P.sig, 2)),
+    ]
+    for read in reads:
+        with pytest.raises(TransformCheckError, match="corrupted"):
+            read()
+    assert pair._parts is None
+    wrong_size = TransformPair.deferred(4, "resized (2,0)", lambda: get_spec(Signature(2, 0)).transform)
+    with pytest.raises(TransformCheckError, match="size"):
+        wrong_size.P
+
+
+def test_deferred_transforms_match_recorded_digests():
+    got = {((sig.p, sig.q), route): _transform_digest(get_spec(sig, route).transform)
+           for sig, route in _DEFERRAL_PAIRS}
+    assert got == _TRANSFORM_DIGESTS
+
+
+def test_identity_defect_computed_once_per_pair(monkeypatch):
+    from cliffrep.verify import check_transform_pair
+
+    products = []
+    multiply = MvMatrix.__mul__
+
+    def counted(self, other):
+        products.append(self.nrows)
+        return multiply(self, other)
+
+    good = get_spec(Signature(2, 0)).transform
+    parts = (good.P, good.Pinv, good.scale)
+    bad = _corrupted_two_zero()
+    monkeypatch.setattr(MvMatrix, "__mul__", counted)
+    # the check at first materialization and later reads share one product
+    pair = TransformPair.deferred(2, "(2,0) copy", lambda: TransformPair(*parts))
+    assert pair.identity_defect() is None
+    assert pair.identity_defect() is None
+    assert len(products) == 1
+    defect = bad.identity_defect()
+    assert defect is not None and bad.identity_defect() == defect
+    assert len(products) == 2
+    spec = dataclasses.replace(get_spec(Signature(2, 0)), transform=bad)
+    assert not check_transform_pair(spec).passed

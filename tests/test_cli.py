@@ -53,6 +53,17 @@ def test_rep_oversized_number_exit_code(capsys):
     assert code == 2 and "position 4" in err
 
 
+def test_oversized_result_exit_code(capsys):
+    # each input number fits the interpreter's int-to-str limit; the sum does not
+    nines = "9" * 4300
+    code, out, err = run_cli(capsys, "rep", "--sig", "2,0", f"{nines} + {nines}")
+    assert code == 2 and out == ""
+    assert "4300-digit" in err and "Traceback" not in err and len(err.splitlines()) == 1
+    code, out, err = run_cli(capsys, "inverse", "--sig", "2,0", f"{nines}*e1 + {nines}*e1")
+    assert code == 2 and out == ""
+    assert "4300-digit" in err and "Traceback" not in err and len(err.splitlines()) == 1
+
+
 def test_rep_catalog_miss_exit_code(capsys):
     code, _, err = run_cli(capsys, "rep", "--sig", "3,4", "1")
     assert code == 3

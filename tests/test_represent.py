@@ -186,6 +186,15 @@ def test_corrupted_blade_image_fails_certificate():
     assert reconstruct(represent(Multivector.blade(sig, 0b101))) == Multivector.blade(sig, 0b101)
 
 
+def test_certificate_size_bound():
+    # (17,0) has 2^17 blade images of 512 rows each: refused before any is built
+    spec = get_spec(Signature(17, 0))
+    compiled = len(spec.blade_images)
+    with pytest.raises(CatalogMissError, match="over the bound"):
+        basis_table(Signature(17, 0))
+    assert len(spec.blade_images) == compiled and spec.basis_table is None
+
+
 # -- inverses
 
 

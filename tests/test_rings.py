@@ -12,6 +12,7 @@ from cliffrep.rings import (
     QUATERNION,
     REAL,
     BlockPair,
+    NumberTooLongError,
     RingMatrix,
     RingMismatchError,
     RingScalar,
@@ -285,3 +286,19 @@ def test_matrix_printer_headers():
     pair = BlockPair.identity(DOUBLE_REAL, 2)
     text = format_matrix(pair)
     assert text.startswith("2R(2)\n") and "plus:" in text and "minus:" in text
+
+
+def test_numbers_past_the_digit_limit_raise_typed_error():
+    from cliffrep.algebra import Multivector, Signature
+    from cliffrep.text import format_multivector
+
+    huge = Fraction(10**4300)  # 4,301 digits
+    with pytest.raises(NumberTooLongError, match="4300-digit"):
+        format_scalar(RingScalar.real(huge))
+    with pytest.raises(NumberTooLongError):
+        format_scalar(RingScalar.complex_parts(1, Fraction(1, 10**4300)))
+    with pytest.raises(NumberTooLongError):
+        format_matrix(RingMatrix.from_components(REAL, [[1, huge]]))
+    with pytest.raises(NumberTooLongError):
+        format_multivector(Multivector.blade(Signature(1, 0), 1, huge))
+    assert format_scalar(RingScalar.real(Fraction(10**4299))) == "1" + "0" * 4299
