@@ -16,13 +16,14 @@ Three step constructions cover the whole catalog:
   a doubled ring acting on diag(a I, conj(a) I).
 
 Recipes recurse over these steps; wide signatures reduce through the
-sixteen-fold periodicity step.  A recipe's transform is built on first use
-and passes the identity check before it is handed out; the compiled blade
-images (the represent module) never read it, so only the oracle and the
-verify module pay for building P.  Printed source formulas that fail the
-machine checks are rebuilt from the step patterns and recorded in the
-corrections registry, each with an executable demonstration of the failing
-literal form.
+sixteen-fold periodicity step.  A recipe's transform keeps the same step
+structure as data (a leaf, a reindexed or a doubled sub-transform), so its
+identity check and the oracle's sandwich run one step at a time, and the
+dense P is multiplied out only when something reads it.  The compiled blade
+images (the represent module) never read the transform at all.  Printed
+source formulas that fail the machine checks are rebuilt from the step
+patterns and recorded in the corrections registry, each with an executable
+demonstration of the failing literal form.
 """
 
 from __future__ import annotations
@@ -217,6 +218,7 @@ class Target:
 
 
 _UNCHECKED = object()
+QUARTER = Fraction(1, 4)
 
 
 class TransformPair:
@@ -226,46 +228,105 @@ class TransformPair:
     whose printed normalization is irrational are stored stripped, with the
     stripped factors absorbed into the scale.
 
-    A pair is immutable.  A deferred pair knows its size but builds P, Pinv
-    and scale on the first read of any of them, and checks the identity
-    (up to _BUILD_CHECK_MAX_SIZE) before handing anything out.
+    A pair is immutable and takes one of three forms, mirroring the recipe
+    steps:
+
+    * a leaf: P, Pinv and scale given densely, or made by ``deferred`` on
+      first use;
+    * a reindexed sub-pair (``reindexed``): the sub-transform S carried into
+      the host through the generators ``gens``, with S's scale;
+    * a doubled sub-pair (``doubled``): with 2x2 blocks L and R of host
+      elements, P = [[l_rc * S]] / 2 and Pinv = [[Sinv * r_rc]] / 2.
+
+    The identity check and the sandwich run through the steps.  Since
+    P * scale * Pinv = L * diag(S * scale * Sinv, S * scale * Sinv) * R / 4,
+    a doubled pair passes when its sub-pair passes and L * R = 4 I, and a
+    reindexed pair passes when its sub-pair does; only a failure multiplies
+    the pair out, to name the first bad cell.  Likewise
+    P * D * (scale * Pinv) = L * [[conj_S(D_kj)]] * R / 4 over the 2x2
+    blocks D_kj of D.  The dense P and Pinv are built only when something
+    reads ``P``, ``Pinv`` or ``scale``.  A deferred or stepped pair passes
+    its identity check before any of those reads or ``conjugate`` is
+    served, and raises TransformCheckError on each of them otherwise.
     """
 
-    __slots__ = ("size", "_where", "_build", "_parts", "_defect")
+    __slots__ = ("size", "_where", "_build", "_step", "_parts", "_defect", "_carried")
 
     def __init__(self, P: MvMatrix, Pinv: MvMatrix, scale: Fraction):
-        self._init(P.nrows, None, None, (P, Pinv, scale))
+        self._init(P.nrows, None, None, None, (P, Pinv, scale))
 
     @classmethod
     def deferred(cls, size: int, where: str, build: Callable[[], "TransformPair"]) -> "TransformPair":
-        """Pair of the given size whose transform ``build`` makes on first use;
-        ``where`` names it in a failed check."""
+        """Leaf pair of the given size whose transform ``build`` makes on first
+        use; ``where`` names it in a failed check."""
+        return cls._made(size, where, build, None)
+
+    @classmethod
+    def reindexed(cls, sub: "TransformPair", gens: GeneratorList, where: str) -> "TransformPair":
+        """``sub`` carried into the host through ``gens``."""
+        return cls._made(sub.size, where, None, (sub, gens, None, None))
+
+    @classmethod
+    def doubled(
+        cls,
+        sub: "TransformPair",
+        gens: GeneratorList,
+        left: Sequence[Sequence[Multivector]],
+        right: Sequence[Sequence[Multivector]],
+        where: str,
+    ) -> "TransformPair":
+        """Doubling step with 2x2 blocks ``left``/``right`` around ``sub``
+        carried into the host through ``gens``."""
+        step = (sub, gens, MvMatrix(gens.sig, left), MvMatrix(gens.sig, right))
+        return cls._made(2 * sub.size, where, None, step)
+
+    @classmethod
+    def _made(cls, size, where, build, step) -> "TransformPair":
         pair = object.__new__(cls)
-        pair._init(size, where, build, None)
+        pair._init(size, where, build, step, None)
         return pair
 
-    def _init(self, size, where, build, parts) -> None:
+    def _init(self, size, where, build, step, parts) -> None:
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "_where", where)
         object.__setattr__(self, "_build", build)
+        object.__setattr__(self, "_step", step)
         object.__setattr__(self, "_parts", parts)
         object.__setattr__(self, "_defect", _UNCHECKED)
+        object.__setattr__(self, "_carried", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("TransformPair is immutable")
 
     def _materialized(self) -> tuple[MvMatrix, MvMatrix, Fraction]:
         if self._parts is None:
-            built = self._build()
-            if built.size != self.size:
-                raise TransformCheckError(
-                    f"{self._where}: built transform has size {built.size}, not {self.size}"
-                )
-            _check_transform(built, self._where)
-            object.__setattr__(self, "_defect", built._defect)
-            object.__setattr__(self, "_parts", built._parts)
-            object.__setattr__(self, "_build", None)
+            if self._build is not None:
+                built = self._build()
+                if built.size != self.size:
+                    raise TransformCheckError(
+                        f"{self._where}: built transform has size {built.size}, not {self.size}"
+                    )
+                _check_transform(built, self._where)
+                object.__setattr__(self, "_defect", built._defect)
+                object.__setattr__(self, "_parts", built._materialized())
+                object.__setattr__(self, "_build", None)
+            else:
+                _check_transform(self, self._where)
+                object.__setattr__(self, "_parts", self._multiplied())
         return self._parts
+
+    def _multiplied(self) -> tuple[MvMatrix, MvMatrix, Fraction]:
+        """P, Pinv and scale multiplied out through the steps, unchecked."""
+        if self._step is None or self._parts is not None:
+            return self._materialized()
+        sub, gens, left, right = self._step
+        sub_P, sub_Pinv, scale = sub._multiplied()
+        P, Pinv = reindex_matrix(sub_P, gens), reindex_matrix(sub_Pinv, gens)
+        if left is not None:
+            P = MvMatrix.block2([[P.left_mul(f) for f in row] for row in left.rows])
+            Pinv = MvMatrix.block2([[Pinv.right_mul(f) for f in row] for row in right.rows])
+            P, Pinv = P.scale(HALF), Pinv.scale(HALF)
+        return P, Pinv, scale
 
     @property
     def P(self) -> MvMatrix:
@@ -288,20 +349,50 @@ class TransformPair:
         return hash(self._materialized())
 
     def conjugate(self, diag: MvMatrix) -> MvMatrix:
-        return ((self.P * diag) * self.Pinv).scale(self.scale)
+        """P * diag * (scale * Pinv), taken one recipe step at a time."""
+        if (diag.nrows, diag.ncols) != (self.size, self.size):
+            raise ValueError("shape mismatch in conjugation")
+        if self._step is not None:
+            _check_transform(self, self._where)
+        return _sandwich(*self._carried_steps(), diag)
+
+    def _carried_steps(self) -> tuple[tuple, MvMatrix, MvMatrix, Fraction]:
+        """The doubling blocks (L, R) from the outermost step inward, then the
+        leaf's P, Pinv and scale, all carried into this pair's algebra."""
+        if self._carried is None:
+            if self._step is None:
+                carried = ((), *self._materialized())
+            else:
+                sub, gens, left, right = self._step
+                blocks, P, Pinv, scale = sub._carried_steps()
+                blocks = tuple((reindex_matrix(L, gens), reindex_matrix(R, gens))
+                               for L, R in blocks)
+                if left is not None:
+                    blocks = ((left, right),) + blocks
+                carried = (blocks, reindex_matrix(P, gens), reindex_matrix(Pinv, gens), scale)
+            object.__setattr__(self, "_carried", carried)
+        return self._carried
 
     def identity_defect(self) -> tuple[int, int] | None:
         """First cell where P * (scale * Pinv) differs from I, or None.
 
         Computed once per pair: the pair is immutable.
         """
-        self._materialized()
+        if self._build is not None:
+            self._materialized()
         if self._defect is _UNCHECKED:
             object.__setattr__(self, "_defect", self._first_defect())
         return self._defect
 
     def _first_defect(self) -> tuple[int, int] | None:
-        prod = (self.P * self.Pinv).scale(self.scale)
+        if self._step is not None:
+            sub, _gens, left, right = self._step
+            if sub.identity_defect() is None and (
+                left is None or (left * right).scale(QUARTER) == MvMatrix.identity(left.sig, 2)
+            ):
+                return None
+        P, Pinv, scale = self._multiplied()
+        prod = (P * Pinv).scale(scale)
         size = prod.nrows
         one = Multivector.scalar(prod.sig, 1)
         zero = Multivector.zero(prod.sig)
@@ -311,6 +402,67 @@ class TransformPair:
                 if prod.rows[r][c] != want:
                     return (r, c)
         return None
+
+
+def _quadrant(matrix: MvMatrix, k: int, j: int) -> MvMatrix | None:
+    """Block (k, j) of a 2x2 split of ``matrix``, or None when it is zero."""
+    h = matrix.nrows // 2
+    rows = [row[j * h : (j + 1) * h] for row in matrix.rows[k * h : (k + 1) * h]]
+    if all(x.is_zero for row in rows for x in row):
+        return None
+    return MvMatrix(matrix.sig, rows)
+
+
+def _sandwich(steps, P: MvMatrix, Pinv: MvMatrix, scale: Fraction, matrix: MvMatrix) -> MvMatrix:
+    """P * matrix * (scale * Pinv) with P factored into doubling steps
+    (outermost first) around a leaf; equal blocks are conjugated once."""
+    if not steps:
+        return ((P * matrix) * Pinv).scale(scale)
+    done: dict[MvMatrix, MvMatrix] = {}
+    conj = {}
+    for k in (0, 1):
+        for j in (0, 1):
+            block = _quadrant(matrix, k, j)
+            if block is not None:
+                if block not in done:
+                    done[block] = _sandwich(steps[1:], P, Pinv, scale, block)
+                conj[k, j] = done[block]
+    return _doubling_step(*steps[0], conj, matrix.sig, matrix.nrows // 2)
+
+
+def _doubling_step(left: MvMatrix, right: MvMatrix, conj: dict, sig: Signature, h: int) -> MvMatrix:
+    """L * [[C_kj]] * R / 4 for the conjugated blocks C_kj (absent ones are
+    zero), summed on integer numerators over one denominator."""
+    dl, lrows = left._lifted()
+    dr, rrows = right._lifted()
+    den = 1
+    for value in conj.values():
+        den = lcm(den, value._lifted()[0])
+    grids = {}
+    for kj, value in conj.items():
+        d, grid = value._lifted()
+        f = den // d
+        if f != 1:
+            grid = [[{m: x * f for m, x in cell.items()} for cell in row] for row in grid]
+        grids[kj] = grid
+    out_den = 4 * dl * dr * den
+    rows = []
+    for r in (0, 1):
+        for i in range(h):
+            halves: tuple[list, list] = ([], [])
+            for col in range(h):
+                accs: tuple[dict[int, int], dict[int, int]] = ({}, {})
+                for (k, j), grid in grids.items():
+                    cell = grid[i][col]
+                    if cell:
+                        part: dict[int, int] = {}
+                        _mul_accumulate(sig, part, lrows[r][k], cell)
+                        _mul_accumulate(sig, accs[0], part, rrows[j][0])
+                        _mul_accumulate(sig, accs[1], part, rrows[j][1])
+                for half, acc in zip(halves, accs):
+                    half.append(Multivector._raw(sig, acc, out_den))
+            rows.append(halves[0] + halves[1])
+    return MvMatrix(sig, rows)
 
 
 PLAIN = "plain"
@@ -441,9 +593,6 @@ def classify(sig: Signature) -> Target:
 # ---------------------------------------------------------------------------
 # construction helpers
 
-_BUILD_CHECK_MAX_SIZE = 16
-
-
 def _mask(indices: Sequence[int]) -> int:
     m = 0
     for i in indices:
@@ -460,29 +609,9 @@ def _empty_gens(sig: Signature) -> GeneratorList:
 
 
 def _check_transform(tp: TransformPair, where: str) -> None:
-    if tp.size <= _BUILD_CHECK_MAX_SIZE:
-        defect = tp.identity_defect()
-        if defect is not None:
-            raise TransformCheckError(f"{where}: transform product differs from I at {defect}")
-
-
-def _reindexed(sub: TransformPair, gens: GeneratorList) -> TransformPair:
-    """A sub-recipe's transform carried into the host through ``gens``."""
-    return TransformPair(reindex_matrix(sub.P, gens), reindex_matrix(sub.Pinv, gens), sub.scale)
-
-
-def _doubled(
-    sub: TransformPair,
-    gens: GeneratorList,
-    left: Sequence[Sequence[Multivector]],
-    right: Sequence[Sequence[Multivector]],
-) -> TransformPair:
-    """Doubled transform: P = [[l_rc * S]] / 2 and Pinv = [[Sinv * r_rc]] / 2
-    around the sub-transform S carried into the host through ``gens``."""
-    host = _reindexed(sub, gens)
-    P = MvMatrix.block2([[host.P.left_mul(f) for f in row] for row in left]).scale(HALF)
-    Pinv = MvMatrix.block2([[host.Pinv.right_mul(f) for f in row] for row in right]).scale(HALF)
-    return TransformPair(P, Pinv, host.scale)
+    defect = tp.identity_defect()
+    if defect is not None:
+        raise TransformCheckError(f"{where}: transform product differs from I at {defect}")
 
 
 def _square_sign(mv: Multivector) -> int:
@@ -609,8 +738,7 @@ def _spec_extend(
     basis = SplitBasis(sub_gens, units)
     if sub_spec.target.ring != "R":
         raise StructureError("unit extension needs a real-matrix sub-representation")
-    sub_tp = sub_spec.transform
-    tp = TransformPair.deferred(sub_tp.size, f"{sig} {route}", lambda: _reindexed(sub_tp, sub_gens))
+    tp = TransformPair.reindexed(sub_spec.transform, sub_gens, f"{sig} {route}")
     ring = "C" if len(unit_masks) == 1 else "H"
     names = {"i": units.elements[0]}
     if len(unit_masks) == 2:
@@ -650,11 +778,7 @@ def _spec_quad(
     fplus, fminus = one + u, one - u
     gminus, gplus = v - mu, v + mu
     blocks = [[fplus, gminus], [gplus * sgn, fminus]]
-    tp = TransformPair.deferred(
-        2 * sub_spec.transform.size,
-        f"{sig} {route}",
-        lambda: _doubled(sub_spec.transform, sub_gens, blocks, blocks),
-    )
+    tp = TransformPair.doubled(sub_spec.transform, sub_gens, blocks, blocks, f"{sig} {route}")
     return RepSpec(
         signature=sig,
         route=route,
@@ -684,11 +808,7 @@ def _spec_split(
     fplus, fminus = one + u, one - u
     left = [[fplus, -fminus], [fminus, fplus]]
     right = [[fplus, fminus], [-fminus, fplus]]
-    tp = TransformPair.deferred(
-        2 * sub_spec.transform.size,
-        f"{sig} {route}",
-        lambda: _doubled(sub_spec.transform, sub_gens, left, right),
-    )
+    tp = TransformPair.doubled(sub_spec.transform, sub_gens, left, right, f"{sig} {route}")
     ring = {"R": "2R", "H": "2H"}.get(sub_spec.target.ring)
     if ring is None:
         raise StructureError("conjugate split needs a real or quaternion sub-representation")
@@ -982,8 +1102,7 @@ def build_periodic(sig: Signature) -> RepSpec:
     core_gens = _gens(sig, core_masks)
     outer_gens = _gens(sig, outer_masks)
     basis = SplitBasis(core_gens, outer_gens)
-    core_tp = core.transform
-    tp = TransformPair.deferred(core_tp.size, f"{sig} periodic", lambda: _reindexed(core_tp, core_gens))
+    tp = TransformPair.reindexed(core.transform, core_gens, f"{sig} periodic")
     inner_target = inner.target
     target = Target(inner_target.ring, 16 * inner_target.size)
     from .algebra import reindex
@@ -1122,6 +1241,9 @@ def get_spec(sig: Signature, route: str | None = None) -> RepSpec:
         spec = build_diagonal_family(sig)
     elif route == "periodic":
         spec = build_periodic(sig)
+    elif routes_for(sig):
+        names = ", ".join(routes_for(sig))
+        raise CatalogMissError(f"no route {route!r} for {sig}; its routes are {names}")
     else:
         raise CatalogMissError(_miss_message(sig))
     _SPECS.setdefault(key, spec)

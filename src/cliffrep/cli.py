@@ -45,6 +45,16 @@ def _parse_sig(text: str) -> Signature:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _read_expr(expr: str) -> str:
     if expr == "-":
         return sys.stdin.read()
@@ -119,9 +129,6 @@ def _cmd_verify(args) -> int:
             for route in routes:
                 pairs.append((sig, route))
     else:
-        if args.sig is None:
-            print("verify needs --sig p,q or --all", file=sys.stderr)
-            return EXIT_CATALOG_MISS
         sig = args.sig
         if not routes_for(sig):
             print(f"catalog miss: no routes for ({sig.p},{sig.q})", file=sys.stderr)
@@ -182,11 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
     table.set_defaults(fn=_cmd_table)
 
     ver = sub.add_parser("verify", help="run the symbolic check suite")
-    ver.add_argument("--sig", type=_parse_sig, default=None, metavar="p,q")
+    scope = ver.add_mutually_exclusive_group(required=True)
+    scope.add_argument("--sig", type=_parse_sig, default=None, metavar="p,q")
+    scope.add_argument("--all", action="store_true", help="whole catalog, all routes")
     ver.add_argument("--route", default=None)
-    ver.add_argument("--all", action="store_true", help="whole catalog, all routes")
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--trials", type=int, default=None)
+    ver.add_argument("--trials", type=_positive_int, default=None, metavar="N")
     ver.add_argument("--format", choices=("text", "records"), default="text")
     ver.set_defaults(fn=_cmd_verify)
 

@@ -406,3 +406,99 @@ def test_identity_defect_computed_once_per_pair(monkeypatch):
     assert len(products) == 2
     spec = dataclasses.replace(get_spec(Signature(2, 0)), transform=bad)
     assert not check_transform_pair(spec).passed
+
+
+# -- identity check and sandwich one recipe step at a time
+
+
+def _dense(tp: TransformPair) -> TransformPair:
+    """The pair multiplied out into a dense leaf, checked and conjugated densely."""
+    return TransformPair(tp.P, tp.Pinv, tp.scale)
+
+
+def _restepped(pair: TransformPair, sub: TransformPair, where: str) -> TransformPair:
+    """``pair``'s own step taken around a replacement sub-pair."""
+    _, gens, left, right = pair._step
+    if left is None:
+        return TransformPair.reindexed(sub, gens, where)
+    return TransformPair.doubled(sub, gens, left.rows, right.rows, where)
+
+
+def _corrupted_doubling(pair: TransformPair, where: str) -> TransformPair:
+    """A copy of a doubled pair with the upper-right entry of L tripled."""
+    sub, gens, left, right = pair._step
+    rows = [list(row) for row in left.rows]
+    rows[0][1] = rows[0][1] * 3
+    return TransformPair.doubled(sub, gens, rows, right.rows, where)
+
+
+def test_stepwise_identity_matches_dense_product():
+    checked = 0
+    for sig, routes in catalog_signatures():
+        for route in routes:
+            tp = get_spec(sig, route).transform
+            if tp.size <= 16:
+                assert tp.identity_defect() is None, (sig, route)
+                assert _dense(tp).identity_defect() is None, (sig, route)
+                checked += 1
+    assert checked >= 50
+
+
+def test_stepwise_sandwich_matches_dense_product():
+    from cliffrep.verify import random_multivector
+
+    rng = random.Random(17)
+    checked = 0
+    for sig, routes in catalog_signatures():
+        for route in routes:
+            spec = get_spec(sig, route)
+            if spec.transform.size > 8:
+                continue
+            diag = spec.replication.diagonal_for(random_multivector(sig, rng))
+            want = _dense(spec.transform).conjugate(diag)
+            assert spec.transform.conjugate(diag) == want, (sig, route)
+            checked += 1
+    assert checked >= 40
+    # any matrix, not only a diagonal one, conjugates block by block
+    for sig in (Signature(3, 1), Signature(0, 3)):
+        tp = get_spec(sig).transform
+        rows = [[random_multivector(sig, rng) for _ in range(tp.size)] for _ in range(tp.size)]
+        full = MvMatrix(sig, rows)
+        assert tp.conjugate(full) == _dense(tp).conjugate(full)
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+def test_corrupted_doubling_step_fails_checks(monkeypatch, depth):
+    from cliffrep.catalog import _sandwich
+    from cliffrep.verify import check_similarity, check_transform_pair
+
+    # (3,3) diagonal doubles (2,2), which doubles (1,1), which doubles (0,0)
+    sig = Signature(3, 3)
+    spec = get_spec(sig, "diagonal")
+    chain = [spec.transform]
+    for _ in range(depth):
+        chain.append(chain[-1]._step[0])
+    bad = _corrupted_doubling(chain[-1], "corrupted")
+    for pair in reversed(chain[:-1]):
+        bad = _restepped(pair, bad, "host of corrupted")
+    assert bad.size == spec.transform.size
+
+    report = check_transform_pair(dataclasses.replace(spec, transform=bad))
+    assert not report.passed and "cell (" in report.counterexample
+    for read in (lambda: bad.P, lambda: bad.conjugate(MvMatrix.identity(sig, 8))):
+        with pytest.raises(TransformCheckError):
+            read()
+
+    registry = dict(catalog_mod._SPECS)
+    registry[(3, 3, "corrupted")] = dataclasses.replace(spec, route="corrupted", transform=bad)
+    monkeypatch.setattr(catalog_mod, "_SPECS", registry)
+    report = check_similarity(sig, "corrupted", trials=2, seed=3)
+    assert not report.passed and "transform check failed" in report.counterexample
+
+    # the step-wise sandwich is the dense one even for a pair that fails its
+    # identity, so the oracle does not lean on the check to be exact
+    diag = MvMatrix.diagonal(sig, [Multivector.generator(sig, 1)] * 8)
+    unchecked = TransformPair(*bad._multiplied())
+    assert _sandwich(*bad._carried_steps(), diag) == unchecked.conjugate(diag)
+    registry[(3, 3, "corrupted")] = dataclasses.replace(registry[(3, 3, "corrupted")], transform=unchecked)
+    assert not check_similarity(sig, "corrupted", trials=2, seed=3).passed

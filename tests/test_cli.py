@@ -142,6 +142,30 @@ def test_verify_unknown_signature(capsys):
     assert code == 3 and "catalog miss" in err
 
 
+def test_verify_needs_exactly_one_scope(capsys):
+    for argv in (["verify"], ["verify", "--all", "--sig", "2,1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "--sig" in err and "--all" in err and "Traceback" not in err
+
+
+def test_verify_trials_must_be_positive(capsys):
+    for value in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--sig", "2,1", "--trials", value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "at least 1" in err and "Traceback" not in err
+
+
+def test_verify_unknown_route_names_the_routes(capsys):
+    code, out, err = run_cli(capsys, "verify", "--sig", "2,1", "--route", "nosuch")
+    assert code == 3 and out == ""
+    assert "'nosuch'" in err and "explicit, diagonal" in err and "is covered" not in err
+
+
 def test_verify_route_scoped(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--sig", "0,2", "--route", "real4", "--trials", "5"

@@ -1,5 +1,6 @@
 """Oracle conjugation, check reports, determinism and negative controls."""
 
+import dataclasses
 import random
 
 import pytest
@@ -75,12 +76,15 @@ def test_oracle_wide_signatures_spot_blades():
 
 def test_oracle_largest_transforms_single_blade():
     # the size-32 transforms get one direct conjugation each; slow but it
-    # exercises the full sandwich with no shared lifting helpers
+    # exercises the full sandwich with no shared lifting helpers, on the
+    # materialized P and Pinv (a dense pair, not the step-wise evaluation)
     for p, q in [(5, 5), (6, 4), (5, 4)]:
         sig = Signature(p, q)
         spec = get_spec(sig, "diagonal")
+        tp = spec.transform
+        dense = dataclasses.replace(spec, transform=TransformPair(tp.P, tp.Pinv, tp.scale))
         mv = Multivector.generator(sig, 1)
-        assert oracle_represent(mv, spec) == represent_with(spec, mv), (p, q)
+        assert oracle_represent(mv, dense) == represent_with(spec, mv), (p, q)
 
 
 def test_equality_violation_flags_tampered_units():
@@ -153,7 +157,7 @@ def test_failing_report_carries_witness():
 
     rng = random.Random(0)
     a = random_multivector(spec.signature, rng)
-    witness = verify_mod._similarity_once(bad, a, True)
+    witness = verify_mod._similarity_once(bad, a)
     assert witness is not None
 
 
@@ -163,6 +167,12 @@ def test_check_suite_quaternion_routes_and_reports():
         assert reports and all(r.passed for r in reports)
         names = [r.name for r in reports]
         assert names == sorted(names)
+
+
+def test_check_suite_rejects_nonpositive_trials():
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            check_suite(Signature(2, 1), trials=trials)
 
 
 def test_check_suite_periodic_reduced_trials():
