@@ -16,9 +16,15 @@ Three step constructions cover the whole catalog:
   a doubled ring acting on diag(a I, conj(a) I).
 
 Recipes recurse over these steps; wide signatures reduce through the
-sixteen-fold periodicity step.  A recipe's transform keeps the same step
-structure as data (a leaf, a reindexed or a doubled sub-transform), so its
-identity check and the oracle's sandwich run one step at a time, and the
+sixteen-fold periodicity step.  A signature's routes are listed in one
+place, ``_routes``: the entries of the explicit route table (keyed by
+(p, q), then by route, default first), then the diagonal family, then the
+periodicity step when its reduced signature has a route; nothing past
+seventeen generators is listed.  ``routes_for``, ``default_route`` and
+``get_spec`` all read that list, so only a listed route is ever built, and a
+new explicit route is one table entry.  A recipe's transform keeps the same
+step structure as data (a leaf, a reindexed or a doubled sub-transform), so
+its identity check and the oracle's sandwich run one step at a time, and the
 dense P is multiplied out only when something reads it.  The compiled blade
 images (the represent module) never read the transform at all.  Printed
 source formulas that fail the machine checks are rebuilt from the step
@@ -113,9 +119,6 @@ class MvMatrix:
         rows += [list(rc) + list(rd) for rc, rd in zip(c.rows, d.rows)]
         return cls(sig, rows)
 
-    def entry(self, r: int, c: int) -> Multivector:
-        return self.rows[r][c]
-
     def map_entries(self, fn: Callable[[Multivector], Multivector]) -> "MvMatrix":
         return MvMatrix(self.sig, [[fn(x) for x in row] for row in self.rows])
 
@@ -146,18 +149,6 @@ class MvMatrix:
             cached = (den, grid)
             object.__setattr__(self, "_lift", cached)
         return cached
-
-    def __add__(self, other: "MvMatrix") -> "MvMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return MvMatrix(
-            self.sig, [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other: "MvMatrix") -> "MvMatrix":
-        return MvMatrix(
-            self.sig, [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
 
     def __mul__(self, other: "MvMatrix") -> "MvMatrix":
         if not isinstance(other, MvMatrix):
@@ -847,171 +838,84 @@ def _eps_range(sig: Signature, upto: int) -> int:
     return _mask(range(sig.p + 1, sig.p + upto + 1))
 
 
-def _build_explicit_route(sig: Signature, route: str) -> RepSpec:
-    p, q = sig.p, sig.q
-
-    def sub(spec_sig: tuple[int, int], spec_route: str | None = None) -> RepSpec:
-        return get_spec(Signature(*spec_sig), spec_route)
-
-    key = (p, q, route)
-    E = lambda upto: _e_range(sig, upto)  # noqa: E731
-
-    if key == (0, 0, "scalar"):
-        return _spec_ring_units(sig, "scalar", [])
-    if key == (1, 0, "explicit"):
-        return _spec_split(sig, route, sub((0, 0)), [], _mask([1]))
-    if key == (0, 1, "real2"):
-        return _spec_real_pair(sig)
-    if key == (0, 1, "complex1"):
-        return _spec_ring_units(sig, "complex1", _ids(1))
-    if key == (2, 0, "explicit"):
-        return _spec_quad(sig, route, sub((0, 0)), [], _mask([1]), _mask([2]))
-    if key == (1, 1, "explicit"):
-        return _spec_quad(sig, route, sub((0, 0)), [], _mask([1]), _mask([2]))
-    if key == (0, 2, "quaternion"):
-        return _spec_ring_units(sig, "quaternion", _ids(1, 2))
-    if key == (0, 2, "complex2"):
-        return _spec_complex_pair(sig)
-    if key == (0, 2, "real4"):
-        return _spec_real_quad(sig)
-    if key == (3, 0, "explicit"):
-        return _spec_extend(sig, route, sub((2, 0)), _ids(1, 2), [E(3)])
-    if key == (2, 1, "explicit"):
-        return _spec_split(sig, route, sub((1, 1)), _ids(1, 3), _mask([1, 2, 3]))
-    if key == (1, 2, "explicit"):
-        return _spec_extend(sig, route, sub((1, 1)), _ids(1, 2), [_mask([1, 2, 3])])
-    if key == (0, 3, "explicit"):
-        return _spec_split(sig, route, sub((0, 2)), _ids(1, 2), _mask([1, 2, 3]))
-    if key == (4, 0, "explicit"):
-        return _spec_extend(sig, route, sub((2, 0)), _ids(1, 2), [_mask([1, 2, 3]), _mask([1, 2, 4])])
-    if key == (3, 1, "explicit"):
-        return _spec_quad(sig, route, sub((2, 0)), _ids(1, 2), _mask([1, 2, 4]), _mask([1, 2, 3]))
-    if key == (2, 2, "explicit"):
-        return _spec_quad(sig, route, sub((1, 1)), _ids(1, 3), _mask([1, 2, 3]), _mask([1, 3, 4]))
-    if key == (1, 3, "explicit"):
-        return _spec_quad(sig, route, sub((0, 2)), _ids(2, 3), _mask([2, 3, 4]), _mask([1, 2, 3]))
-    if key == (0, 4, "explicit"):
-        return _spec_quad(sig, route, sub((0, 2)), _ids(1, 2), _mask([1, 2, 3]), _mask([1, 2, 4]))
-    if key == (5, 0, "explicit"):
-        return _spec_split(sig, route, sub((4, 0)), _ids(1, 2, 3, 4), E(5))
-    if key == (4, 1, "explicit"):
-        return _spec_extend(sig, route, sub((3, 1)), _ids(1, 2, 3, 5), [_mask([1, 2, 3, 4, 5])])
-    if key == (3, 2, "explicit"):
-        return _spec_split(sig, route, sub((2, 2)), _ids(1, 2, 4, 5), _mask([1, 2, 3, 4, 5]))
-    if key == (2, 3, "explicit"):
-        return _spec_extend(sig, route, sub((2, 2)), _ids(1, 2, 3, 4), [_mask([1, 2, 3, 4, 5])])
-    if key == (1, 4, "explicit"):
-        return _spec_split(sig, route, sub((1, 3)), _ids(1, 2, 3, 4), _mask([1, 2, 3, 4, 5]))
-    if key == (0, 5, "explicit"):
-        return _spec_extend(
-            sig,
-            route,
-            sub((2, 2)),
-            [_mask([1, 2, 3, 4]), _mask([1, 2, 3, 5]), _mask([1]), _mask([2])],
-            [_mask([1, 2, 3, 4, 5])],
-        )
-    if key == (6, 0, "explicit"):
-        return _spec_quad(
-            sig, route, sub((4, 0)), _ids(1, 2, 3, 4), _mask([1, 2, 3, 4, 5]), _mask([1, 2, 3, 4, 6])
-        )
-    if key == (5, 1, "explicit"):
-        return _spec_quad(sig, route, sub((4, 0)), _ids(1, 2, 3, 4), E(5), _mask([1, 2, 3, 4, 6]))
-    if key == (4, 2, "explicit"):
-        return _spec_quad(
-            sig, route, sub((3, 1)), _ids(1, 2, 3, 5), _mask([1, 2, 3, 5, 6]), _mask([1, 2, 3, 4, 5])
-        )
-    if key == (3, 3, "explicit"):
-        return _spec_quad(
-            sig, route, sub((2, 2)), _ids(1, 2, 4, 5), _mask([1, 2, 3, 4, 5]), _mask([1, 2, 4, 5, 6])
-        )
-    if key == (2, 4, "explicit"):
-        return _spec_quad(
-            sig, route, sub((1, 3)), _ids(1, 3, 4, 5), _mask([1, 3, 4, 5, 6]), _mask([1, 2, 3, 4, 5])
-        )
-    if key == (1, 5, "explicit"):
-        return _spec_quad(
-            sig, route, sub((0, 4)), _ids(2, 3, 4, 5), _mask([1, 2, 3, 4, 5]), _mask([2, 3, 4, 5, 6])
-        )
-    if key == (0, 6, "explicit"):
-        return _spec_quad(
-            sig,
-            route,
-            sub((3, 1)),
-            [_mask([1, 2, 4]), _mask([1, 3, 4]), _mask([2, 3, 4]), _mask([1, 2, 3, 5, 6])],
-            _mask([1, 2, 3, 6]),
-            _mask([1, 2, 3, 5]),
-        )
-    if key == (7, 0, "explicit"):
-        return _spec_extend(
-            sig,
-            route,
-            sub((4, 2)),
-            [_mask([1]), _mask([2]), _mask([3]), _mask([4]), _mask([1, 2, 3, 4, 5, 6]), _mask([1, 2, 3, 4, 5, 7])],
-            [E(7)],
-        )
-    if key == (0, 7, "explicit"):
-        return _spec_split(sig, route, sub((0, 6)), _ids(1, 2, 3, 4, 5, 6), _mask(range(1, 8)))
-    if key == (8, 0, "explicit"):
-        return _spec_quad(
-            sig,
-            route,
-            sub((3, 3)),
-            [
-                _mask([1]),
-                _mask([2]),
-                _mask([3]),
-                _mask([1, 2, 3, 4, 7, 8]),
-                _mask([1, 2, 3, 5, 7, 8]),
-                _mask([1, 2, 3, 6, 7, 8]),
-            ],
-            _mask([4, 5, 6, 7]),
-            _mask([4, 5, 6, 8]),
-        )
-    if key == (0, 8, "explicit"):
-        return _spec_quad(
-            sig,
-            route,
-            sub((0, 6)),
-            _ids(1, 2, 3, 4, 5, 6),
-            _mask([1, 2, 3, 4, 5, 6, 8]),
-            _mask([1, 2, 3, 4, 5, 6, 7]),
-        )
-    raise CatalogMissError(f"no explicit recipe for {sig} route {route!r}")
+def _sub(p: int, q: int) -> RepSpec:
+    return get_spec(Signature(p, q))
 
 
-_EXPLICIT_ROUTES: dict[tuple[int, int], tuple[str, ...]] = {
-    (0, 0): ("scalar",),
-    (1, 0): ("explicit",),
-    (0, 1): ("real2", "complex1"),
-    (2, 0): ("explicit",),
-    (1, 1): ("explicit",),
-    (0, 2): ("quaternion", "complex2", "real4"),
-    (3, 0): ("explicit",),
-    (2, 1): ("explicit",),
-    (1, 2): ("explicit",),
-    (0, 3): ("explicit",),
-    (4, 0): ("explicit",),
-    (3, 1): ("explicit",),
-    (2, 2): ("explicit",),
-    (1, 3): ("explicit",),
-    (0, 4): ("explicit",),
-    (5, 0): ("explicit",),
-    (4, 1): ("explicit",),
-    (3, 2): ("explicit",),
-    (2, 3): ("explicit",),
-    (1, 4): ("explicit",),
-    (0, 5): ("explicit",),
-    (6, 0): ("explicit",),
-    (5, 1): ("explicit",),
-    (4, 2): ("explicit",),
-    (3, 3): ("explicit",),
-    (2, 4): ("explicit",),
-    (1, 5): ("explicit",),
-    (0, 6): ("explicit",),
-    (7, 0): ("explicit",),
-    (0, 7): ("explicit",),
-    (8, 0): ("explicit",),
-    (0, 8): ("explicit",),
+# builder of one route: (host signature, route name) -> recipe
+Builder = Callable[[Signature, str], RepSpec]
+
+# The explicit recipes by (p, q), then by route, default route first.
+_EXPLICIT_RECIPES: dict[tuple[int, int], dict[str, Builder]] = {
+    (0, 0): {"scalar": lambda s, r: _spec_ring_units(s, r, [])},
+    (1, 0): {"explicit": lambda s, r: _spec_split(s, r, _sub(0, 0), [], _mask([1]))},
+    (0, 1): {
+        "real2": lambda s, r: _spec_real_pair(s),
+        "complex1": lambda s, r: _spec_ring_units(s, r, _ids(1)),
+    },
+    (2, 0): {"explicit": lambda s, r: _spec_quad(s, r, _sub(0, 0), [], _mask([1]), _mask([2]))},
+    (1, 1): {"explicit": lambda s, r: _spec_quad(s, r, _sub(0, 0), [], _mask([1]), _mask([2]))},
+    (0, 2): {
+        "quaternion": lambda s, r: _spec_ring_units(s, r, _ids(1, 2)),
+        "complex2": lambda s, r: _spec_complex_pair(s),
+        "real4": lambda s, r: _spec_real_quad(s),
+    },
+    (3, 0): {"explicit": lambda s, r: _spec_extend(s, r, _sub(2, 0), _ids(1, 2), [_e_range(s, 3)])},
+    (2, 1): {"explicit": lambda s, r: _spec_split(s, r, _sub(1, 1), _ids(1, 3), _mask([1, 2, 3]))},
+    (1, 2): {"explicit": lambda s, r: _spec_extend(
+        s, r, _sub(1, 1), _ids(1, 2), [_mask([1, 2, 3])])},
+    (0, 3): {"explicit": lambda s, r: _spec_split(s, r, _sub(0, 2), _ids(1, 2), _mask([1, 2, 3]))},
+    (4, 0): {"explicit": lambda s, r: _spec_extend(
+        s, r, _sub(2, 0), _ids(1, 2), [_mask([1, 2, 3]), _mask([1, 2, 4])])},
+    (3, 1): {"explicit": lambda s, r: _spec_quad(
+        s, r, _sub(2, 0), _ids(1, 2), _mask([1, 2, 4]), _mask([1, 2, 3]))},
+    (2, 2): {"explicit": lambda s, r: _spec_quad(
+        s, r, _sub(1, 1), _ids(1, 3), _mask([1, 2, 3]), _mask([1, 3, 4]))},
+    (1, 3): {"explicit": lambda s, r: _spec_quad(
+        s, r, _sub(0, 2), _ids(2, 3), _mask([2, 3, 4]), _mask([1, 2, 3]))},
+    (0, 4): {"explicit": lambda s, r: _spec_quad(
+        s, r, _sub(0, 2), _ids(1, 2), _mask([1, 2, 3]), _mask([1, 2, 4]))},
+    (5, 0): {"explicit": lambda s, r: _spec_split(
+        s, r, _sub(4, 0), _ids(1, 2, 3, 4), _e_range(s, 5))},
+    (4, 1): {"explicit": lambda s, r: _spec_extend(
+        s, r, _sub(3, 1), _ids(1, 2, 3, 5), [_mask([1, 2, 3, 4, 5])])},
+    (3, 2): {"explicit": lambda s, r: _spec_split(
+        s, r, _sub(2, 2), _ids(1, 2, 4, 5), _mask([1, 2, 3, 4, 5]))},
+    (2, 3): {"explicit": lambda s, r: _spec_extend(
+        s, r, _sub(2, 2), _ids(1, 2, 3, 4), [_mask([1, 2, 3, 4, 5])])},
+    (1, 4): {"explicit": lambda s, r: _spec_split(
+        s, r, _sub(1, 3), _ids(1, 2, 3, 4), _mask([1, 2, 3, 4, 5]))},
+    (0, 5): {"explicit": lambda s, r: _spec_extend(
+        s, r, _sub(2, 2), [_mask([1, 2, 3, 4]), _mask([1, 2, 3, 5]), _mask([1]), _mask([2])],
+        [_mask([1, 2, 3, 4, 5])])},
+    (6, 0): {"explicit": lambda s, r: _spec_quad(
+        s, r, _sub(4, 0), _ids(1, 2, 3, 4), _mask([1, 2, 3, 4, 5]), _mask([1, 2, 3, 4, 6]))},
+    (5, 1): {"explicit": lambda s, r: _spec_quad(
+        s, r, _sub(4, 0), _ids(1, 2, 3, 4), _e_range(s, 5), _mask([1, 2, 3, 4, 6]))},
+    (4, 2): {"explicit": lambda s, r: _spec_quad(
+        s, r, _sub(3, 1), _ids(1, 2, 3, 5), _mask([1, 2, 3, 5, 6]), _mask([1, 2, 3, 4, 5]))},
+    (3, 3): {"explicit": lambda s, r: _spec_quad(
+        s, r, _sub(2, 2), _ids(1, 2, 4, 5), _mask([1, 2, 3, 4, 5]), _mask([1, 2, 4, 5, 6]))},
+    (2, 4): {"explicit": lambda s, r: _spec_quad(
+        s, r, _sub(1, 3), _ids(1, 3, 4, 5), _mask([1, 3, 4, 5, 6]), _mask([1, 2, 3, 4, 5]))},
+    (1, 5): {"explicit": lambda s, r: _spec_quad(
+        s, r, _sub(0, 4), _ids(2, 3, 4, 5), _mask([1, 2, 3, 4, 5]), _mask([2, 3, 4, 5, 6]))},
+    (0, 6): {"explicit": lambda s, r: _spec_quad(
+        s, r, _sub(3, 1),
+        [_mask([1, 2, 4]), _mask([1, 3, 4]), _mask([2, 3, 4]), _mask([1, 2, 3, 5, 6])],
+        _mask([1, 2, 3, 6]), _mask([1, 2, 3, 5]))},
+    (7, 0): {"explicit": lambda s, r: _spec_extend(
+        s, r, _sub(4, 2),
+        _ids(1, 2, 3, 4) + [_mask([1, 2, 3, 4, 5, 6]), _mask([1, 2, 3, 4, 5, 7])],
+        [_e_range(s, 7)])},
+    (0, 7): {"explicit": lambda s, r: _spec_split(
+        s, r, _sub(0, 6), _ids(1, 2, 3, 4, 5, 6), _mask(range(1, 8)))},
+    (8, 0): {"explicit": lambda s, r: _spec_quad(
+        s, r, _sub(3, 3), _ids(1, 2, 3) + [_mask([1, 2, 3, g, 7, 8]) for g in (4, 5, 6)],
+        _mask([4, 5, 6, 7]), _mask([4, 5, 6, 8]))},
+    (0, 8): {"explicit": lambda s, r: _spec_quad(
+        s, r, _sub(0, 6), _ids(1, 2, 3, 4, 5, 6),
+        _mask([1, 2, 3, 4, 5, 6, 8]), _mask([1, 2, 3, 4, 5, 6, 7]))},
 }
 
 
@@ -1029,10 +933,11 @@ def build_diagonal_family(sig: Signature) -> RepSpec:
     Recursions bottom out at the explicit recipes for (0,0), (2,0), (4,0)
     and (6,0).
     """
-    if not _diagonal_covered(sig):
-        raise CatalogMissError(f"{sig} is not of the (n+k, n) form with k <= 6")
+    return get_spec(sig, "diagonal")
+
+
+def _diagonal_spec(sig: Signature, route: str) -> RepSpec:
     n, k = sig.q, sig.p - sig.q
-    route = "diagonal"
 
     def sub(p2: int, q2: int) -> RepSpec:
         s = Signature(p2, q2)
@@ -1073,6 +978,16 @@ def build_diagonal_family(sig: Signature) -> RepSpec:
 # periodicity (p+8, q) and (0, q+8)
 
 
+def _periodic_reduction(sig: Signature) -> Signature | None:
+    """The reduced signature of the sixteen-fold step, or None when the
+    signature does not reduce through it."""
+    if sig.p >= 8 and sig.n > 8:
+        return Signature(sig.p - 8, sig.q)
+    if sig.p == 0 and sig.q > 8:
+        return Signature(0, sig.q - 8)
+    return None
+
+
 def build_periodic(sig: Signature) -> RepSpec:
     """Sixteen-fold reduction: conjugate with the widest explicit transform,
     then apply the reduced signature's recipe entrywise.
@@ -1080,38 +995,26 @@ def build_periodic(sig: Signature) -> RepSpec:
     The empty-subset outer product is the unit element, not the core
     pseudoscalar the source text prints (see corrections).
     """
-    if sig.p >= 8 and (sig.p > 8 or sig.q > 0):
-        core_sig = Signature(8, 0)
-        reduced = Signature(sig.p - 8, sig.q)
-        core_masks = [_mask([i]) for i in range(1, 9)]
-        outer_masks = [_mask(list(range(1, 9)) + [8 + j]) for j in range(1, reduced.p + 1)]
-        outer_masks += [
-            _mask(list(range(1, 9)) + [sig.p + j2]) for j2 in range(1, reduced.q + 1)
-        ]
-    elif sig.p == 0 and sig.q > 8:
-        core_sig = Signature(0, 8)
-        reduced = Signature(0, sig.q - 8)
-        core_masks = [_mask([i]) for i in range(1, 9)]
-        outer_masks = [_mask(list(range(1, 9)) + [8 + j]) for j in range(1, reduced.q + 1)]
-    else:
-        raise CatalogMissError(f"{sig} does not reduce through the periodicity step")
-    if not _has_any_route(reduced):
-        raise CatalogMissError(f"reduced signature {reduced} is not covered")
-    core = get_spec(core_sig)
-    inner = get_spec(reduced, canonical_route(reduced))
-    core_gens = _gens(sig, core_masks)
-    outer_gens = _gens(sig, outer_masks)
-    basis = SplitBasis(core_gens, outer_gens)
-    tp = TransformPair.reindexed(core.transform, core_gens, f"{sig} periodic")
-    inner_target = inner.target
-    target = Target(inner_target.ring, 16 * inner_target.size)
+    return get_spec(sig, "periodic")
+
+
+def _periodic_spec(sig: Signature, route: str) -> RepSpec:
     from .algebra import reindex
 
+    reduced = _periodic_reduction(sig)
+    core = get_spec(Signature(sig.p - reduced.p, sig.q - reduced.q))
+    inner = get_spec(reduced, canonical_route(reduced))
+    # the core takes generators 1..8; every further generator g enters the
+    # reduced algebra as the core pseudoscalar times g
+    core_gens = _gens(sig, _ids(*range(1, 9)))
+    outer_gens = _gens(sig, [_mask([*range(1, 9), g]) for g in range(9, sig.n + 1)])
+    basis = SplitBasis(core_gens, outer_gens)
+    tp = TransformPair.reindexed(core.transform, core_gens, f"{sig} {route}")
     units = {name: reindex(mv, outer_gens) for name, mv in inner.unit_blades.items()}
     return RepSpec(
         signature=sig,
-        route="periodic",
-        target=target,
+        route=route,
+        target=Target(inner.target.ring, 16 * inner.target.size),
         transform=tp,
         replication=ReplicationSpec(PLAIN, 16),
         unit_blades=units,
@@ -1167,37 +1070,38 @@ def build_from_matrix_units(
 
 _SPECS: dict[tuple[int, int, str], RepSpec] = {}
 
-
-def _has_any_route(sig: Signature) -> bool:
-    return bool(routes_for(sig))
-
-
 # transforms grow as 2^(n/2); seventeen generators (the widest the
-# periodicity reduction needs) is the practical construction bound
+# periodicity reduction needs) is the practical construction bound, and it
+# keeps every target within size 256, the widest a byte-coded blade image
+# in the represent module can index
 _MAX_CONSTRUCTION_GENERATORS = 17
+
+
+def _routes(sig: Signature) -> list[tuple[str, Builder]]:
+    """The signature's routes in order, default first, each with its builder:
+    the explicit recipes, the diagonal family, then the periodicity step when
+    its reduced signature has a route."""
+    if sig.n > _MAX_CONSTRUCTION_GENERATORS:
+        return []
+    routes = list(_EXPLICIT_RECIPES.get((sig.p, sig.q), {}).items())
+    if _diagonal_covered(sig):
+        routes.append(("diagonal", _diagonal_spec))
+    reduced = _periodic_reduction(sig)
+    if reduced is not None and _routes(reduced):
+        routes.append(("periodic", _periodic_spec))
+    return routes
 
 
 def routes_for(sig: Signature) -> tuple[str, ...]:
     """All route names constructible for the signature."""
-    if sig.n > _MAX_CONSTRUCTION_GENERATORS:
-        return ()
-    routes = list(_EXPLICIT_ROUTES.get((sig.p, sig.q), ()))
-    if _diagonal_covered(sig):
-        routes.append("diagonal")
-    if sig.p == 0 and sig.q > 8:
-        if _has_any_route(Signature(0, sig.q - 8)):
-            routes.append("periodic")
-    elif sig.p > 8 or (sig.p == 8 and sig.q > 0):
-        if _has_any_route(Signature(sig.p - 8, sig.q)):
-            routes.append("periodic")
-    return tuple(routes)
+    return tuple(name for name, _build in _routes(sig))
 
 
 def default_route(sig: Signature) -> str:
-    routes = routes_for(sig)
+    routes = _routes(sig)
     if not routes:
         raise CatalogMissError(_miss_message(sig))
-    return routes[0]
+    return routes[0][0]
 
 
 def canonical_route(sig: Signature) -> str:
@@ -1208,12 +1112,17 @@ def canonical_route(sig: Signature) -> str:
 
 
 def _miss_message(sig: Signature) -> str:
+    if sig.n > _MAX_CONSTRUCTION_GENERATORS:
+        return (
+            f"no catalog route for {sig}: recipes are built for at most "
+            f"{_MAX_CONSTRUCTION_GENERATORS} generators"
+        )
     candidates: list[tuple[int, Signature, str]] = []
     mirror = Signature(sig.q, sig.p)
     if routes_for(mirror):
         candidates.append((0, mirror, "its mirror"))
     best = None
-    for (p, q) in _EXPLICIT_ROUTES:
+    for (p, q) in _EXPLICIT_RECIPES:
         d = abs(p - sig.p) + abs(q - sig.q)
         if best is None or d < best[0]:
             best = (d, Signature(p, q), "the nearest covered signature")
@@ -1226,8 +1135,9 @@ def _miss_message(sig: Signature) -> str:
 def get_spec(sig: Signature, route: str | None = None) -> RepSpec:
     """Build (or fetch from the memo table) the recipe for one signature.
 
-    Construction is deterministic and idempotent, so concurrent builders
-    may race benignly; the first completed spec wins the cache slot.
+    Only the routes ``routes_for`` lists are built.  Construction is
+    deterministic and idempotent, so concurrent builders may race benignly;
+    the first completed spec wins the cache slot.
     """
     if route is None:
         route = default_route(sig)
@@ -1235,33 +1145,27 @@ def get_spec(sig: Signature, route: str | None = None) -> RepSpec:
     spec = _SPECS.get(key)
     if spec is not None:
         return spec
-    if route in _EXPLICIT_ROUTES.get((sig.p, sig.q), ()):
-        spec = _build_explicit_route(sig, route)
-    elif route == "diagonal" and _diagonal_covered(sig):
-        spec = build_diagonal_family(sig)
-    elif route == "periodic":
-        spec = build_periodic(sig)
-    elif routes_for(sig):
-        names = ", ".join(routes_for(sig))
-        raise CatalogMissError(f"no route {route!r} for {sig}; its routes are {names}")
-    else:
+    builders = dict(_routes(sig))
+    if route not in builders:
+        if builders:
+            names = ", ".join(builders)
+            raise CatalogMissError(f"no route {route!r} for {sig}; its routes are {names}")
         raise CatalogMissError(_miss_message(sig))
-    _SPECS.setdefault(key, spec)
+    _SPECS.setdefault(key, builders[route](sig, route))
     return _SPECS[key]
 
 
 def build_explicit(sig: Signature, route: str | None = None) -> RepSpec:
     """Explicit small-signature recipe (p+q <= 6 plus the extremal wide ones)."""
-    names = _EXPLICIT_ROUTES.get((sig.p, sig.q))
-    if not names:
+    if (sig.p, sig.q) not in _EXPLICIT_RECIPES:
         raise CatalogMissError(_miss_message(sig))
-    return get_spec(sig, route if route is not None else names[0])
+    return get_spec(sig, route)
 
 
 def catalog_signatures(max_total: int = 10) -> list[tuple[Signature, tuple[str, ...]]]:
     """All cataloged signatures with their routes, ordered by (n, p)."""
     seen: dict[tuple[int, int], Signature] = {}
-    for (p, q) in _EXPLICIT_ROUTES:
+    for (p, q) in _EXPLICIT_RECIPES:
         seen[(p, q)] = Signature(p, q)
     for n in range(1, max_total // 2 + 1):
         for k in range(0, 7):
@@ -1277,7 +1181,7 @@ def catalog_signatures(max_total: int = 10) -> list[tuple[Signature, tuple[str, 
 def catalog_text(max_total: int = 10) -> str:
     """One line per supported signature: (p,q), route, ring, size, replication."""
     lines = []
-    for sig, _routes in catalog_signatures(max_total):
+    for sig, _names in catalog_signatures(max_total):
         spec = get_spec(sig)
         lines.append(
             f"({sig.p},{sig.q}) route={spec.route} target={spec.target.ring}"

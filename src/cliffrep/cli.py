@@ -109,13 +109,12 @@ def _cmd_classify(args) -> int:
 
 def _cmd_table(args) -> int:
     max_n = args.max_n
-    covered = {(s.p, s.q) for s, _ in catalog_signatures()}
     for n in range(max_n + 1):
         cells = []
         for p in range(n, -1, -1):
             q = n - p
             target = classify(Signature(p, q))
-            mark = "*" if (p, q) in covered else " "
+            mark = "*" if routes_for(Signature(p, q)) else " "
             cells.append(f"({p},{q}) {target}{mark}")
         print(f"n={n}: " + "  ".join(cells))
     print("entries marked * have constructed transforms")

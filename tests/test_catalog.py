@@ -136,8 +136,45 @@ def test_practical_construction_bound():
     # classification stays unbounded; constructions stop at 17 generators
     assert str(classify(Signature(12, 12))) == "R(4096)"
     assert routes_for(Signature(12, 12)) == ()
+    for sig, route in [(Signature(12, 12), None), (Signature(18, 0), "periodic")]:
+        with pytest.raises(CatalogMissError) as err:
+            get_spec(sig, route)
+        assert "at most 17 generators" in str(err.value)
+
+
+_ROUTE_NAMES = (
+    "scalar", "explicit", "real2", "complex1", "quaternion", "complex2", "real4", "diagonal",
+    "periodic",
+)
+
+
+def test_unlisted_routes_are_never_built():
+    # naming a route builds it only when routes_for lists it: (18,0) periodic
+    # and (9,9) diagonal would otherwise build past the 17-generator bound
+    for n in range(19):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            listed = routes_for(sig)
+            assert set(listed) <= set(_ROUTE_NAMES)
+            for route in _ROUTE_NAMES:
+                if route not in listed:
+                    with pytest.raises(CatalogMissError):
+                        get_spec(sig, route)
     with pytest.raises(CatalogMissError):
-        get_spec(Signature(12, 12))
+        build_periodic(Signature(18, 0))
+    with pytest.raises(CatalogMissError):
+        build_diagonal_family(Signature(9, 9))
+
+
+def test_route_listing_is_pinned():
+    # every route of every signature with n <= 18, in order (so every
+    # default too), as listed before the route table was merged
+    listing = [
+        (p, n - p, routes_for(Signature(p, n - p))) for n in range(19) for p in range(n + 1)
+    ]
+    assert sum(1 for _p, _q, routes in listing if routes) == 112
+    digest = hashlib.sha256(repr(listing).encode()).hexdigest()
+    assert digest == "15aafcd3c19a426df1a3c176294feee4f578c6390a49a2e3d5e6473066c0efad"
 
 
 def test_double_periodicity_chain():

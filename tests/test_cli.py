@@ -68,6 +68,10 @@ def test_rep_catalog_miss_exit_code(capsys):
     code, _, err = run_cli(capsys, "rep", "--sig", "3,4", "1")
     assert code == 3
     assert "catalog miss" in err
+    # a named route past the 17-generator bound is a miss, not a build
+    code, out, err = run_cli(capsys, "rep", "--sig", "18,0", "--route", "periodic", "e1")
+    assert code == 3 and out == ""
+    assert "at most 17 generators" in err
 
 
 def test_rep_stdin(capsys, monkeypatch):
@@ -99,10 +103,13 @@ def test_table_rows(capsys):
 
 
 def test_table_marks_constructed_only(capsys):
-    code, out, _ = run_cli(capsys, "table", "--max-n", "8")
-    row7 = next(line for line in out.splitlines() if line.startswith("n=7:"))
-    assert "(7,0) C(8)*" in row7
-    assert "(3,4) C(8) " in row7  # mirror family not constructed
+    code, out, _ = run_cli(capsys, "table", "--max-n", "17")
+    rows = out.splitlines()
+    assert "(7,0) C(8)*" in rows[7]
+    assert "(3,4) C(8) " in rows[7]  # mirror family not constructed
+    # signatures built only through the periodicity step are marked too
+    assert "(8,1) C(16)*" in rows[9] and "(10,0) R(32)*" in rows[10]
+    assert "(17,0) 2R(256)*" in rows[17]
 
 
 def test_generator_bound_is_an_argument_error(capsys):
