@@ -493,8 +493,6 @@ class RingUnitsNode:
 class RealPairLeaf:
     """Size-2 real image of the one-negative-generator algebra."""
 
-    u: Multivector
-
 
 @dataclass(frozen=True)
 class ComplexPairLeaf:
@@ -514,7 +512,6 @@ class RealQuadLeaf:
 class ExtendNode:
     sub: "RepSpec"
     basis: SplitBasis
-    nunits: int
 
 
 @dataclass(frozen=True)
@@ -657,7 +654,7 @@ def _spec_real_pair(sig: Signature) -> RepSpec:
         transform=tp,
         replication=ReplicationSpec(CONJUGATE_PAIRS, 2, u=u, sub=_empty_gens(sig)),
         unit_blades={},
-        node=RealPairLeaf(u),
+        node=RealPairLeaf(),
     )
 
 
@@ -741,7 +738,7 @@ def _spec_extend(
         transform=tp,
         replication=ReplicationSpec(PLAIN, tp.size),
         unit_blades=names,
-        node=ExtendNode(sub_spec, basis, len(unit_masks)),
+        node=ExtendNode(sub_spec, basis),
     )
 
 

@@ -128,12 +128,10 @@ def _cmd_verify(args) -> int:
             for route in routes:
                 pairs.append((sig, route))
     else:
-        sig = args.sig
-        if not routes_for(sig):
-            print(f"catalog miss: no routes for ({sig.p},{sig.q})", file=sys.stderr)
-            return EXIT_CATALOG_MISS
-        route = args.route
-        pairs = [(sig, route)] if route else [(sig, r) for r in routes_for(sig)]
+        # a signature with no route reaches get_spec through its default
+        # route, which raises the catalog's own miss message
+        routes = [args.route] if args.route else routes_for(args.sig) or [None]
+        pairs = [(args.sig, route) for route in routes]
     reports = []
     for sig, route in pairs:
         try:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Sequence
 
 REAL = "R"
@@ -458,8 +457,8 @@ def mat_inverse(a: RingElement) -> RingElement | None:
 
 
 def mat_det(a: RingMatrix) -> RingScalar:
-    """Determinant over the commutative rings R and C, by fraction-free
-    elimination on a common-denominator integer lift."""
+    """Determinant over the commutative rings R and C by pivoted forward
+    elimination: the product of the pivots, negated once per row swap."""
     if isinstance(a, BlockPair):
         raise UnsupportedRingError("determinant of a doubled-ring pair is taken blockwise")
     if a.ring == QUATERNION:
@@ -467,36 +466,24 @@ def mat_det(a: RingMatrix) -> RingScalar:
     if not a.is_square:
         raise RingMismatchError("determinant of a non-square matrix")
     n = a.size
-    den = 1
-    for row in a.rows:
-        for s in row:
-            den = lcm(den, s.r.denominator, s.i.denominator)
-    lifted = [[s * den for s in row] for row in a.rows]
-    sign = 1
-    prev = RingScalar.one(a.ring)
-    for col in range(n - 1):
-        pivot = next((r for r in range(col, n) if not lifted[r][col].is_zero), None)
+    work = [list(row) for row in a.rows]
+    det = RingScalar.one(a.ring)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not work[r][col].is_zero), None)
         if pivot is None:
             return RingScalar.zero(a.ring)
         if pivot != col:
-            lifted[col], lifted[pivot] = lifted[pivot], lifted[col]
-            sign = -sign
-        pk = lifted[col][col]
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        pk = work[col][col]
+        det = det * pk
+        inv = pk.inverse()
         for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                num = pk * lifted[r][c] - lifted[r][col] * lifted[col][c]
-                lifted[r][c] = _exact_divide(num, prev)
-            lifted[r][col] = RingScalar.zero(a.ring)
-        prev = pk
-    det = lifted[n - 1][n - 1] * sign
-    return det * Fraction(1, den**n)
-
-
-def _exact_divide(num: RingScalar, den: RingScalar) -> RingScalar:
-    inv = den.inverse()
-    if inv is None:
-        raise ZeroDivisionError("fraction-free step divided by zero")
-    return num * inv
+            if not work[r][col].is_zero:
+                factor = work[r][col] * inv
+                tail = zip(work[r][col + 1 :], work[col][col + 1 :])
+                work[r][col + 1 :] = [v - factor * w for v, w in tail]
+    return det
 
 
 def char_poly(a: RingMatrix) -> list[Fraction]:

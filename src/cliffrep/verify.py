@@ -1,18 +1,21 @@
 """Symbolic oracle and property harness for the catalog recipes.
 
 The oracle evaluates P * D_a * (scale * Pinv) in matrix-over-the-algebra
-arithmetic and reads each entry back through the target ring's unit blades;
-any residue outside those units is an equality violation, which is what
-flags misprinted source formulas.  The sandwich is taken one recipe step at
-a time, reading each step's 2x2 blocks L and R from the transform pair
-(never from the fast path's nodes or blade images): a doubling step maps
-D = [[D_kj]] to L * [[conj_S(D_kj)]] * R / 4 with conj_S the sub-recipe's
-sandwich, a reindexing step only carries the sub-recipe into the host, and
-equal diagonal blocks are conjugated once.  That is the dense product
-exactly, without a dense P.  The harness cross-checks the oracle against
-the structural fast path on every trial (on a periodic recipe, the
-sandwich against the fast path's first stage, then the inner oracle), plus
-the homomorphism, faithfulness, unit, inverse-pullback, round-trip and
+arithmetic and reads each entry back with one reader over distinct signed
+blades: the target ring's units {1, i, j, ij}, or on a periodic recipe the
+outer generators' products, which give the reduced-signature element the
+inner recipe's oracle takes.  Any residue outside those blades is an
+equality violation, which is what flags misprinted source formulas.  The
+sandwich is taken one recipe step at a time, reading each step's 2x2
+blocks L and R from the transform pair (never from the fast path's nodes
+or blade images): a doubling step maps D = [[D_kj]] to
+L * [[conj_S(D_kj)]] * R / 4 with conj_S the sub-recipe's sandwich, a
+reindexing step only carries the sub-recipe into the host, and equal
+diagonal blocks are conjugated once.  That is the dense product exactly,
+without a dense P.  The harness cross-checks the oracle against the
+structural fast path on every trial (on a periodic recipe, the read-back
+stage one against the fast path's first, then the inner oracle), plus the
+homomorphism, faithfulness, unit, inverse-pullback, round-trip and
 characteristic-polynomial properties, deterministically under a seed.
 """
 
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebra import Multivector, Signature, reindex
+from .algebra import Multivector, Signature
 from .catalog import MvMatrix, PeriodicNode, RepSpec, TransformCheckError, get_spec
 from .represent import (
     NotInImageError,
@@ -38,7 +41,6 @@ from .represent import (
     represent_with,
 )
 from .rings import (
-    COMPLEX,
     DOUBLE_QUATERNION,
     DOUBLE_REAL,
     QUATERNION,
@@ -81,129 +83,89 @@ class CheckReport:
 # oracle
 
 
-def _unit_products(spec: RepSpec) -> list[Multivector]:
-    sig = spec.signature
-    one = Multivector.scalar(sig, 1)
-    units = [one]
-    if "i" in spec.unit_blades:
-        units.append(spec.unit_blades["i"])
-    if "j" in spec.unit_blades:
-        units.append(spec.unit_blades["j"])
-        units.append(spec.unit_blades["i"] * spec.unit_blades["j"])
-    return units
-
-
-def _entry_to_scalar(entry: Multivector, units: Sequence[Multivector], ring: str) -> RingScalar:
-    """Express a conjugated entry over {1, i, j, ij}; leftovers are violations."""
+def _read(entry: Multivector, signed_blades: Sequence[Multivector], what: str) -> list[Fraction]:
+    """Coordinates of ``entry`` over distinct signed blades; any leftover
+    component is an equality violation."""
     residue = dict(entry._num)
-    comps = []
-    for unit in units:
-        # unit is a signed blade: coefficient = entry component on that blade
-        mask, factor = next(iter(unit.terms()))
-        comps.append(Fraction(residue.pop(mask, 0), entry._den) / factor)
+    coords = []
+    for blade in signed_blades:
+        ((mask, num),) = blade._num.items()
+        coords.append(Fraction(residue.pop(mask, 0) * blade._den, entry._den * num))
     if residue:
         leftover = Multivector._raw(entry.sig, residue, entry._den)
-        raise EqualityViolationError(f"entry has residue {leftover} outside the ring units")
-    comps += [Fraction(0)] * (4 - len(comps))
-    if ring == REAL:
-        return RingScalar.real(comps[0])
-    if ring == COMPLEX:
-        return RingScalar.complex_parts(comps[0], comps[1])
-    return RingScalar.quaternion_parts(*comps)
+        raise EqualityViolationError(f"entry has residue {leftover} outside {what}")
+    return coords
 
 
-def _matrix_from_mv(
-    grid: MvMatrix, spec: RepSpec
-) -> RingMatrix | BlockPair:
+def _matrix_from_mv(grid: MvMatrix, spec: RepSpec) -> RingMatrix | BlockPair:
+    """Read a conjugated grid over the ring units {1, i, j, ij}; a doubled
+    ring reads both diagonal blocks and needs zero off-diagonal blocks."""
+    named = spec.unit_blades
+    units = [Multivector.scalar(spec.signature, 1)] + [named[k] for k in ("i", "j") if k in named]
+    if "j" in named:
+        units.append(named["i"] * named["j"])
     target = spec.target
-    units = _unit_products(spec)
-    if target.ring in (DOUBLE_REAL, DOUBLE_QUATERNION):
-        inner = REAL if target.ring == DOUBLE_REAL else QUATERNION
-        s = target.size
-        zero = Multivector.zero(spec.signature)
-        for r in range(2 * s):
-            for c in range(2 * s):
-                if (r < s) != (c < s) and grid.rows[r][c] != zero:
-                    raise EqualityViolationError(
-                        f"off-diagonal block entry ({r},{c}) = {grid.rows[r][c]} is non-zero"
-                    )
-        plus = RingMatrix(
-            inner, [[_entry_to_scalar(grid.rows[r][c], units, inner) for c in range(s)] for r in range(s)]
-        )
-        minus = RingMatrix(
-            inner,
-            [
-                [_entry_to_scalar(grid.rows[s + r][s + c], units, inner) for c in range(s)]
-                for r in range(s)
-            ],
-        )
-        return BlockPair(target.ring, plus, minus)
-    return RingMatrix(
-        target.ring,
-        [
-            [_entry_to_scalar(grid.rows[r][c], units, target.ring) for c in range(grid.ncols)]
-            for r in range(grid.nrows)
-        ],
-    )
+    ring = {DOUBLE_REAL: REAL, DOUBLE_QUATERNION: QUATERNION}.get(target.ring, target.ring)
+
+    def block(start: int, size: int) -> RingMatrix:
+        cells = range(start, start + size)
+        rows = [[_read(grid.rows[r][c], units, "the ring units") for c in cells] for r in cells]
+        return RingMatrix(ring, [[RingScalar(ring, *x) for x in row] for row in rows])
+
+    if target.ring not in (DOUBLE_REAL, DOUBLE_QUATERNION):
+        return block(0, grid.nrows)
+    s = target.size
+    for r in range(2 * s):
+        for c in range(2 * s):
+            if (r < s) != (c < s) and grid.rows[r][c]:
+                raise EqualityViolationError(
+                    f"off-diagonal block entry ({r},{c}) = {grid.rows[r][c]} is non-zero"
+                )
+    return BlockPair(target.ring, block(0, s), block(s, s))
+
+
+def _stage_one(a: Multivector, spec: RepSpec) -> list[list[Multivector]]:
+    """A periodic recipe's sandwich, each entry read back over the outer
+    generators' products as an element of the reduced signature."""
+    node = spec.node
+    outer = node.basis.outer
+    blades = [outer.product(m) for m in range(1 << len(outer))]
+    grid = spec.transform.conjugate(spec.replication.diagonal_for(a))
+    coords = [[_read(x, blades, "the outer products") for x in row] for row in grid.rows]
+    return [[Multivector(node.reduced, dict(enumerate(c))) for c in row] for row in coords]
+
+
+def _inner_oracle(spec: RepSpec, stage1: list[list[Multivector]]) -> RingMatrix | BlockPair:
+    """The inner recipe's oracle on every stage-one entry, pasted together."""
+    inner = spec.node.inner
+    images = [[oracle_represent(x, inner) for x in row] for row in stage1]
+    return assemble_entry_images(spec.target, images, inner.target.size)
 
 
 def oracle_represent(a: Multivector, spec: RepSpec) -> RingMatrix | BlockPair:
     """Image by direct symbolic conjugation of the diagonal argument.
 
     Independent of the structural fast path; entries outside the spanned
-    ring units raise EqualityViolationError.
+    ring units (or, on a periodic recipe, outside the outer products) raise
+    EqualityViolationError.
     """
     if isinstance(spec.node, PeriodicNode):
-        return _oracle_periodic(a, spec)
-    diag = spec.replication.diagonal_for(a)
-    grid = spec.transform.conjugate(diag)
+        return _inner_oracle(spec, _stage_one(a, spec))
+    grid = spec.transform.conjugate(spec.replication.diagonal_for(a))
     return _matrix_from_mv(grid, spec)
-
-
-def _oracle_periodic(a: Multivector, spec: RepSpec) -> RingMatrix | BlockPair:
-    node = spec.node
-    diag = spec.replication.diagonal_for(a)
-    grid = spec.transform.conjugate(diag)
-    entry_elems = _stage1_from_grid(grid, node)
-    inner_imgs = [[oracle_represent(x, node.inner) for x in row] for row in entry_elems]
-    return assemble_entry_images(spec.target, inner_imgs, node.inner.target.size)
-
-
-def _stage1_from_grid(grid: MvMatrix, node) -> list[list[Multivector]]:
-    """Read conjugated entries back as reduced-signature elements."""
-    reduced = node.reduced
-    outer = node.basis.outer
-    rows = []
-    for r in range(grid.nrows):
-        row = []
-        for c in range(grid.ncols):
-            entry = grid.rows[r][c]
-            comps: dict[int, Fraction] = {}
-            residue = entry
-            for amask in range(1 << len(outer)):
-                prod = outer.product(amask)
-                mask, factor = next(iter(prod.terms()))
-                coeff = residue.coefficient(mask) / factor
-                if coeff:
-                    comps[amask] = coeff
-                    residue = residue - prod * coeff
-            if not residue.is_zero:
-                raise EqualityViolationError(
-                    f"stage-one entry ({r},{c}) has residue outside the outer products"
-                )
-            row.append(Multivector(reduced, comps))
-        rows.append(row)
-    return rows
 
 
 # ---------------------------------------------------------------------------
 # random elements
 
 
-def random_multivector(sig: Signature, rng: random.Random, dense_limit: int = 6) -> Multivector:
-    """Dense over all blades up to dense_limit generators, else 64 sparse blades."""
+_DENSE_LIMIT = 6
+
+
+def random_multivector(sig: Signature, rng: random.Random) -> Multivector:
+    """Dense over all blades up to _DENSE_LIMIT generators, else 64 sparse blades."""
     terms: dict[int, Fraction] = {}
-    if sig.n <= dense_limit:
+    if sig.n <= _DENSE_LIMIT:
         masks: Iterable[int] = range(sig.dim)
     else:
         masks = {rng.randrange(sig.dim) for _ in range(64)}
@@ -233,21 +195,16 @@ def check_transform_pair(spec: RepSpec) -> CheckReport:
 
 def _similarity_once(spec: RepSpec, a: Multivector) -> str | None:
     """None when the direct sandwich and the fast path agree on ``a``; else
-    a witness.  On a periodic recipe the sandwich must equal the fast
-    path's stage one, lifted into the host, before the inner oracle runs."""
+    a witness.  On a periodic recipe the sandwich, read back over the outer
+    products, must equal the fast path's stage one before the inner oracle
+    runs."""
     fast = represent_with(spec, a)
     try:
         if isinstance(spec.node, PeriodicNode):
-            node = spec.node
-            stage1 = periodic_stage1(node, a)
-            lifted = MvMatrix(
-                spec.signature,
-                [[reindex(x, node.basis.outer) for x in row] for row in stage1],
-            )
-            if spec.transform.conjugate(spec.replication.diagonal_for(a)) != lifted:
+            stage1 = _stage_one(a, spec)
+            if stage1 != periodic_stage1(spec.node, a):
                 return "stage-one sandwich differs from the fast path's stage one"
-            inner_imgs = [[oracle_represent(x, node.inner) for x in row] for row in stage1]
-            oracle = assemble_entry_images(spec.target, inner_imgs, node.inner.target.size)
+            oracle = _inner_oracle(spec, stage1)
         else:
             oracle = oracle_represent(a, spec)
     except EqualityViolationError as exc:

@@ -177,6 +177,16 @@ def test_route_listing_is_pinned():
     assert digest == "15aafcd3c19a426df1a3c176294feee4f578c6390a49a2e3d5e6473066c0efad"
 
 
+def test_catalog_outputs_are_pinned():
+    # the `cliffrep catalog` and `cliffrep catalog --corrections` texts, as
+    # printed before the oracle's readers were merged
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert sha(catalog_text()) == "f6323986376600cb0a29cc0b73db68e3f7739e9221d9bce29399dec9fc108913"
+    assert sha(corrections_markdown()) == "c9e91b525eefcb4ea17f2df6012855023981b79835341576d046ee79c6e5d751"
+
+
 def test_double_periodicity_chain():
     # (17,0) reduces through (9,0) down to (1,0)
     from cliffrep.represent import represent_with

@@ -147,6 +147,10 @@ def test_verify_records_format(capsys):
 def test_verify_unknown_signature(capsys):
     code, _, err = run_cli(capsys, "verify", "--sig", "3,4")
     assert code == 3 and "catalog miss" in err
+    # the catalog's own miss message: the mirror hint, and the bound past it
+    assert "its mirror (4,3)" in err
+    code, _, err = run_cli(capsys, "verify", "--sig", "18,0")
+    assert code == 3 and "17 generators" in err
 
 
 def test_verify_needs_exactly_one_scope(capsys):

@@ -221,3 +221,25 @@ def test_periodicity_extends_beyond_the_catalog():
         rng = random.Random(2)
         a, b = random_multivector(sig, rng), random_multivector(sig, rng)
         assert represent_with(spec, a * b) == represent_with(spec, a) * represent_with(spec, b)
+
+
+def test_periodic_similarity_fails_on_a_swapped_core(monkeypatch):
+    # negative control for the periodic two-stage check: carry the (8,0) core
+    # transform in through e2, e1, e3..e8; the pair is still invertible, but
+    # its sandwich no longer matches the fast path's stage one
+    import cliffrep.catalog as catalog_mod
+    from cliffrep.algebra import GeneratorList
+
+    sig = Signature(9, 0)
+    spec = get_spec(sig, "periodic")
+    gens = GeneratorList(sig, [Multivector.generator(sig, g) for g in (2, 1, 3, 4, 5, 6, 7, 8)])
+    swapped = dataclasses.replace(
+        spec,
+        route="swapped-core",
+        transform=TransformPair.reindexed(spec.node.core.transform, gens, "(9,0) swapped core"),
+    )
+    assert check_transform_pair(swapped).passed
+    monkeypatch.setitem(catalog_mod._SPECS, (9, 0, "swapped-core"), swapped)
+    report = check_similarity(sig, "swapped-core", trials=1)
+    assert not report.passed
+    assert "stage-one" in report.counterexample
