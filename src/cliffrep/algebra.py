@@ -88,9 +88,6 @@ class Signature:
             raise BladeWidthError(f"generator {index} outside 1..{self.n}")
         return 1 if index <= self.p else -1
 
-    def generator_name(self, index: int) -> str:
-        return f"e{index}" if index <= self.p else f"eps{index - self.p}"
-
     def __str__(self) -> str:
         return f"({self.p},{self.q})"
 
@@ -275,15 +272,8 @@ class Multivector:
     def is_zero(self) -> bool:
         return not self._num
 
-    @property
-    def is_scalar(self) -> bool:
-        return not self._num or set(self._num) == {0}
-
     def coefficient(self, mask: int) -> Fraction:
         return Fraction(self._num.get(mask, 0), self._den)
-
-    def scalar_part(self) -> Fraction:
-        return self.coefficient(0)
 
     def terms(self) -> list[tuple[int, Fraction]]:
         """(mask, coefficient) pairs in ascending mask order."""

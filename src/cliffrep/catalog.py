@@ -23,9 +23,11 @@ periodicity step when its reduced signature has a route; nothing past
 seventeen generators is listed.  ``routes_for``, ``default_route`` and
 ``get_spec`` all read that list, so only a listed route is ever built, and a
 new explicit route is one table entry.  A recipe's transform keeps the same
-step structure as data (a leaf, a reindexed or a doubled sub-transform), so
-its identity check and the oracle's sandwich run one step at a time, and the
-dense P is multiplied out only when something reads it.  The compiled blade
+step structure as data (a leaf, a reindexed or a doubled sub-transform).  A
+leaf is a plain pair of at most 4x4, checked when the catalog makes it; one
+recursion carries the steps and the leaf into the host, so the identity
+check and the oracle's sandwich run one step at a time, and the dense P is
+multiplied out only when something reads it.  The compiled blade
 images (the represent module) never read the transform at all.  Printed
 source formulas that fail the machine checks are rebuilt from the step
 patterns and recorded in the corrections registry, each with an executable
@@ -209,7 +211,6 @@ class Target:
 
 
 _UNCHECKED = object()
-QUARTER = Fraction(1, 4)
 
 
 class TransformPair:
@@ -222,40 +223,35 @@ class TransformPair:
     A pair is immutable and takes one of three forms, mirroring the recipe
     steps:
 
-    * a leaf: P, Pinv and scale given densely, or made by ``deferred`` on
-      first use;
+    * a leaf: P, Pinv and scale given densely (the catalog checks its leaves
+      as it makes them);
     * a reindexed sub-pair (``reindexed``): the sub-transform S carried into
       the host through the generators ``gens``, with S's scale;
     * a doubled sub-pair (``doubled``): with 2x2 blocks L and R of host
       elements, P = [[l_rc * S]] / 2 and Pinv = [[Sinv * r_rc]] / 2.
 
-    The identity check and the sandwich run through the steps.  Since
-    P * scale * Pinv = L * diag(S * scale * Sinv, S * scale * Sinv) * R / 4,
-    a doubled pair passes when its sub-pair passes and L * R = 4 I, and a
-    reindexed pair passes when its sub-pair does; only a failure multiplies
-    the pair out, to name the first bad cell.  Likewise
-    P * D * (scale * Pinv) = L * [[conj_S(D_kj)]] * R / 4 over the 2x2
-    blocks D_kj of D.  The dense P and Pinv are built only when something
-    reads ``P``, ``Pinv`` or ``scale``.  A deferred or stepped pair passes
-    its identity check before any of those reads or ``conjugate`` is
-    served, and raises TransformCheckError on each of them otherwise.
+    One recursion, ``_carried_steps``, carries the doubling blocks and the
+    leaf into the host; the identity check, the sandwich and the dense P all
+    read it.  Since P * scale * Pinv = L * diag(S * scale * Sinv, ...) * R / 4
+    at every step, a pair passes when its carried leaf passes and L * R = 4 I
+    at every carried step; only a failure multiplies the pair out, to name
+    the first bad cell.  Likewise P * D * (scale * Pinv) =
+    L * [[conj_S(D_kj)]] * R / 4 over the 2x2 blocks D_kj of D.  The dense P
+    and Pinv are built only when something reads ``P``, ``Pinv`` or
+    ``scale``.  A stepped pair passes its identity check before any of those
+    reads or ``conjugate`` is served, and raises TransformCheckError on each
+    of them otherwise.
     """
 
-    __slots__ = ("size", "_where", "_build", "_step", "_parts", "_defect", "_carried")
+    __slots__ = ("size", "_where", "_step", "_parts", "_defect", "_carried")
 
     def __init__(self, P: MvMatrix, Pinv: MvMatrix, scale: Fraction):
-        self._init(P.nrows, None, None, None, (P, Pinv, scale))
-
-    @classmethod
-    def deferred(cls, size: int, where: str, build: Callable[[], "TransformPair"]) -> "TransformPair":
-        """Leaf pair of the given size whose transform ``build`` makes on first
-        use; ``where`` names it in a failed check."""
-        return cls._made(size, where, build, None)
+        self._init(P.nrows, None, None, ((), P, Pinv, scale))
 
     @classmethod
     def reindexed(cls, sub: "TransformPair", gens: GeneratorList, where: str) -> "TransformPair":
         """``sub`` carried into the host through ``gens``."""
-        return cls._made(sub.size, where, None, (sub, gens, None, None))
+        return cls._made(sub.size, where, (sub, gens, None, None))
 
     @classmethod
     def doubled(
@@ -269,54 +265,38 @@ class TransformPair:
         """Doubling step with 2x2 blocks ``left``/``right`` around ``sub``
         carried into the host through ``gens``."""
         step = (sub, gens, MvMatrix(gens.sig, left), MvMatrix(gens.sig, right))
-        return cls._made(2 * sub.size, where, None, step)
+        return cls._made(2 * sub.size, where, step)
 
     @classmethod
-    def _made(cls, size, where, build, step) -> "TransformPair":
+    def _made(cls, size, where, step) -> "TransformPair":
         pair = object.__new__(cls)
-        pair._init(size, where, build, step, None)
+        pair._init(size, where, step, None)
         return pair
 
-    def _init(self, size, where, build, step, parts) -> None:
+    def _init(self, size, where, step, carried) -> None:
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "_where", where)
-        object.__setattr__(self, "_build", build)
         object.__setattr__(self, "_step", step)
-        object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "_parts", None)
         object.__setattr__(self, "_defect", _UNCHECKED)
-        object.__setattr__(self, "_carried", None)
+        object.__setattr__(self, "_carried", carried)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("TransformPair is immutable")
 
     def _materialized(self) -> tuple[MvMatrix, MvMatrix, Fraction]:
         if self._parts is None:
-            if self._build is not None:
-                built = self._build()
-                if built.size != self.size:
-                    raise TransformCheckError(
-                        f"{self._where}: built transform has size {built.size}, not {self.size}"
-                    )
-                _check_transform(built, self._where)
-                object.__setattr__(self, "_defect", built._defect)
-                object.__setattr__(self, "_parts", built._materialized())
-                object.__setattr__(self, "_build", None)
-            else:
+            if self._step is not None:
                 _check_transform(self, self._where)
-                object.__setattr__(self, "_parts", self._multiplied())
+            object.__setattr__(self, "_parts", self._multiplied())
         return self._parts
 
     def _multiplied(self) -> tuple[MvMatrix, MvMatrix, Fraction]:
-        """P, Pinv and scale multiplied out through the steps, unchecked."""
-        if self._step is None or self._parts is not None:
-            return self._materialized()
-        sub, gens, left, right = self._step
-        sub_P, sub_Pinv, scale = sub._multiplied()
-        P, Pinv = reindex_matrix(sub_P, gens), reindex_matrix(sub_Pinv, gens)
-        if left is not None:
-            P = MvMatrix.block2([[P.left_mul(f) for f in row] for row in left.rows])
-            Pinv = MvMatrix.block2([[Pinv.right_mul(f) for f in row] for row in right.rows])
-            P, Pinv = P.scale(HALF), Pinv.scale(HALF)
+        """P, Pinv and scale multiplied out through the carried steps, unchecked."""
+        blocks, P, Pinv, scale = self._carried_steps()
+        for left, right in reversed(blocks):
+            P = MvMatrix.block2([[P.left_mul(f) for f in row] for row in left.rows]).scale(HALF)
+            Pinv = MvMatrix.block2([[Pinv.right_mul(f) for f in row] for row in right.rows]).scale(HALF)
         return P, Pinv, scale
 
     @property
@@ -331,14 +311,6 @@ class TransformPair:
     def scale(self) -> Fraction:
         return self._materialized()[2]
 
-    def __eq__(self, other):
-        if not isinstance(other, TransformPair):
-            return NotImplemented
-        return self._materialized() == other._materialized()
-
-    def __hash__(self):
-        return hash(self._materialized())
-
     def conjugate(self, diag: MvMatrix) -> MvMatrix:
         """P * diag * (scale * Pinv), taken one recipe step at a time."""
         if (diag.nrows, diag.ncols) != (self.size, self.size):
@@ -351,16 +323,12 @@ class TransformPair:
         """The doubling blocks (L, R) from the outermost step inward, then the
         leaf's P, Pinv and scale, all carried into this pair's algebra."""
         if self._carried is None:
-            if self._step is None:
-                carried = ((), *self._materialized())
-            else:
-                sub, gens, left, right = self._step
-                blocks, P, Pinv, scale = sub._carried_steps()
-                blocks = tuple((reindex_matrix(L, gens), reindex_matrix(R, gens))
-                               for L, R in blocks)
-                if left is not None:
-                    blocks = ((left, right),) + blocks
-                carried = (blocks, reindex_matrix(P, gens), reindex_matrix(Pinv, gens), scale)
+            sub, gens, left, right = self._step
+            blocks, P, Pinv, scale = sub._carried_steps()
+            blocks = tuple((reindex_matrix(L, gens), reindex_matrix(R, gens)) for L, R in blocks)
+            if left is not None:
+                blocks = ((left, right),) + blocks
+            carried = (blocks, reindex_matrix(P, gens), reindex_matrix(Pinv, gens), scale)
             object.__setattr__(self, "_carried", carried)
         return self._carried
 
@@ -369,30 +337,30 @@ class TransformPair:
 
         Computed once per pair: the pair is immutable.
         """
-        if self._build is not None:
-            self._materialized()
         if self._defect is _UNCHECKED:
             object.__setattr__(self, "_defect", self._first_defect())
         return self._defect
 
     def _first_defect(self) -> tuple[int, int] | None:
-        if self._step is not None:
-            sub, _gens, left, right = self._step
-            if sub.identity_defect() is None and (
-                left is None or (left * right).scale(QUARTER) == MvMatrix.identity(left.sig, 2)
-            ):
-                return None
-        P, Pinv, scale = self._multiplied()
-        prod = (P * Pinv).scale(scale)
-        size = prod.nrows
-        one = Multivector.scalar(prod.sig, 1)
-        zero = Multivector.zero(prod.sig)
-        for r in range(size):
-            for c in range(size):
-                want = one if r == c else zero
-                if prod.rows[r][c] != want:
-                    return (r, c)
-        return None
+        blocks, P, Pinv, scale = self._carried_steps()
+        leaf = _first_bad_cell(P, Pinv, scale)
+        if not blocks:
+            return leaf
+        four = MvMatrix.identity(P.sig, 2).scale(4)
+        if leaf is None and all(left * right == four for left, right in blocks):
+            return None
+        return _first_bad_cell(*self._multiplied())
+
+
+def _first_bad_cell(P: MvMatrix, Pinv: MvMatrix, scale: Fraction) -> tuple[int, int] | None:
+    """First cell where P * (scale * Pinv) differs from I, or None."""
+    prod = (P * Pinv).scale(scale)
+    one, zero = Multivector.scalar(prod.sig, 1), Multivector.zero(prod.sig)
+    for r, row in enumerate(prod.rows):
+        for c, x in enumerate(row):
+            if x != (one if r == c else zero):
+                return (r, c)
+    return None
 
 
 def _quadrant(matrix: MvMatrix, k: int, j: int) -> MvMatrix | None:
@@ -483,29 +451,15 @@ class ReplicationSpec:
 
 
 @dataclass(frozen=True)
-class RingUnitsNode:
-    """Scalar-sized target: decompose over 0..2 unit blades (R, C or H)."""
+class LeafNode:
+    """A leaf recipe: its blades split over the basis's outer generators, and
+    ``kind`` names the image pattern of each outer product: "units" (a
+    scalar-sized R, C or H target), "real_pair" (the size-2 real image of
+    (0,1)), "complex_pair" and "real_quad" (the size-2 complex and size-4
+    real images of the quaternions)."""
 
     basis: SplitBasis
-
-
-@dataclass(frozen=True)
-class RealPairLeaf:
-    """Size-2 real image of the one-negative-generator algebra."""
-
-
-@dataclass(frozen=True)
-class ComplexPairLeaf:
-    """Size-2 complex image of the quaternion algebra."""
-
-    basis: SplitBasis
-
-
-@dataclass(frozen=True)
-class RealQuadLeaf:
-    """Size-4 real image of the quaternion algebra."""
-
-    basis: SplitBasis
+    kind: str
 
 
 @dataclass(frozen=True)
@@ -617,6 +571,13 @@ def _inherit_units(sub: RepSpec, gens: GeneratorList) -> dict[str, Multivector]:
     return {name: reindex(mv, gens) for name, mv in sub.unit_blades.items()}
 
 
+def _leaf_pair(P: MvMatrix, Pinv: MvMatrix, scale: Fraction, where: str) -> TransformPair:
+    """A leaf transform, checked as the catalog makes it."""
+    tp = TransformPair(P, Pinv, scale)
+    _check_transform(tp, where)
+    return tp
+
+
 def _spec_ring_units(sig: Signature, route: str, unit_masks: Sequence[int]) -> RepSpec:
     units = _gens(sig, unit_masks)
     if any(s != -1 for s in units.squares):
@@ -624,7 +585,6 @@ def _spec_ring_units(sig: Signature, route: str, unit_masks: Sequence[int]) -> R
     basis = SplitBasis(_empty_gens(sig), units)
     ring = {0: "R", 1: "C", 2: "H"}[len(unit_masks)]
     identity = MvMatrix.identity(sig, 1)
-    tp = TransformPair.deferred(1, f"{sig} {route}", lambda: TransformPair(identity, identity, Fraction(1)))
     names = {}
     if len(unit_masks) >= 1:
         names["i"] = units.elements[0]
@@ -634,10 +594,10 @@ def _spec_ring_units(sig: Signature, route: str, unit_masks: Sequence[int]) -> R
         signature=sig,
         route=route,
         target=Target(ring, 1),
-        transform=tp,
+        transform=_leaf_pair(identity, identity, Fraction(1), f"{sig} {route}"),
         replication=ReplicationSpec(PLAIN, 1),
         unit_blades=names,
-        node=RingUnitsNode(basis),
+        node=LeafNode(basis, "units"),
     )
 
 
@@ -646,15 +606,14 @@ def _spec_real_pair(sig: Signature) -> RepSpec:
     one = Multivector.scalar(sig, 1)
     u = Multivector.generator(sig, 1)
     P = MvMatrix(sig, [[one, u], [-u, -one]])
-    tp = TransformPair.deferred(2, "(0,1) real pair", lambda: TransformPair(P, P, HALF))
     return RepSpec(
         signature=sig,
         route="real2",
         target=Target("R", 2),
-        transform=tp,
+        transform=_leaf_pair(P, P, HALF, "(0,1) real pair"),
         replication=ReplicationSpec(CONJUGATE_PAIRS, 2, u=u, sub=_empty_gens(sig)),
         unit_blades={},
-        node=RealPairLeaf(),
+        node=LeafNode(SplitBasis(_empty_gens(sig), _gens(sig, [1])), "real_pair"),
     )
 
 
@@ -671,16 +630,14 @@ def _spec_complex_pair(sig: Signature) -> RepSpec:
     i12 = i1 * i2
     P = MvMatrix(sig, [[one, -i1], [-i2, i12]])
     Pinv = MvMatrix(sig, [[one, i2], [i1, -i12]])
-    tp = TransformPair.deferred(2, "(0,2) complex pair", lambda: TransformPair(P, Pinv, HALF))
-    basis = SplitBasis(_empty_gens(sig), _gens(sig, [1, 2]))
     return RepSpec(
         signature=sig,
         route="complex2",
         target=Target("C", 2),
-        transform=tp,
+        transform=_leaf_pair(P, Pinv, HALF, "(0,2) complex pair"),
         replication=ReplicationSpec(PLAIN, 2),
         unit_blades={"i": i1},
-        node=ComplexPairLeaf(basis),
+        node=LeafNode(SplitBasis(_empty_gens(sig), _gens(sig, [1, 2])), "complex_pair"),
     )
 
 
@@ -697,16 +654,14 @@ def _spec_real_quad(sig: Signature) -> RepSpec:
         [-i12, i2, -i1, one],
     ]
     P = MvMatrix(sig, rows).scale(HALF)
-    tp = TransformPair.deferred(4, "(0,2) real quad", lambda: TransformPair(P, P, Fraction(1)))
-    basis = SplitBasis(_empty_gens(sig), _gens(sig, [1, 2]))
     return RepSpec(
         signature=sig,
         route="real4",
         target=Target("R", 4),
-        transform=tp,
+        transform=_leaf_pair(P, P, Fraction(1), "(0,2) real quad"),
         replication=ReplicationSpec(PLAIN, 4),
         unit_blades={},
-        node=RealQuadLeaf(basis),
+        node=LeafNode(SplitBasis(_empty_gens(sig), _gens(sig, [1, 2])), "real_quad"),
     )
 
 
@@ -1159,15 +1114,19 @@ def build_explicit(sig: Signature, route: str | None = None) -> RepSpec:
     return get_spec(sig, route)
 
 
-def catalog_signatures(max_total: int = 10) -> list[tuple[Signature, tuple[str, ...]]]:
+# the diagonal families are listed up to this many generators
+_CATALOG_MAX_TOTAL = 10
+
+
+def catalog_signatures() -> list[tuple[Signature, tuple[str, ...]]]:
     """All cataloged signatures with their routes, ordered by (n, p)."""
     seen: dict[tuple[int, int], Signature] = {}
     for (p, q) in _EXPLICIT_RECIPES:
         seen[(p, q)] = Signature(p, q)
-    for n in range(1, max_total // 2 + 1):
+    for n in range(1, _CATALOG_MAX_TOTAL // 2 + 1):
         for k in range(0, 7):
             p, q = n + k, n
-            if p + q <= max_total:
+            if p + q <= _CATALOG_MAX_TOTAL:
                 seen.setdefault((p, q), Signature(p, q))
     for extra in ((9, 0), (0, 9)):
         seen.setdefault(extra, Signature(*extra))
@@ -1175,10 +1134,10 @@ def catalog_signatures(max_total: int = 10) -> list[tuple[Signature, tuple[str, 
     return [(s, routes_for(s)) for s in sigs]
 
 
-def catalog_text(max_total: int = 10) -> str:
+def catalog_text() -> str:
     """One line per supported signature: (p,q), route, ring, size, replication."""
     lines = []
-    for sig, _names in catalog_signatures(max_total):
+    for sig, _names in catalog_signatures():
         spec = get_spec(sig)
         lines.append(
             f"({sig.p},{sig.q}) route={spec.route} target={spec.target.ring}"

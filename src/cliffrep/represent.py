@@ -25,14 +25,11 @@ from .algebra import (
 from .catalog import (
     CatalogError,
     CatalogMissError,
-    ComplexPairLeaf,
     ExtendNode,
+    LeafNode,
     PeriodicNode,
     QuadNode,
-    RealPairLeaf,
-    RealQuadLeaf,
     RepSpec,
-    RingUnitsNode,
     SplitNode,
     Target,
     default_route,
@@ -91,13 +88,17 @@ class RepImage:
 _XOR = [bytes(c ^ k for c in range(256)) for k in range(8)]
 _BLOCK_RING = {DOUBLE_REAL: REAL, DOUBLE_QUATERNION: QUATERNION}
 
-# leaf patterns indexed by outer mask (by the blade itself for the real pair)
-_REAL_PAIR = tuple(map(bytes, [(0, 1, 0, 0), (1, 0, 1, 0)]))
-_COMPLEX_PAIR = tuple(map(bytes, [(0, 1, 0, 0), (0, 1, 2, 3), (1, 0, 1, 0), (1, 0, 3, 3)]))
-_REAL_QUAD = tuple(map(bytes, [
-    (0, 1, 2, 3, 0, 0, 0, 0), (1, 0, 3, 2, 1, 0, 1, 0),
-    (2, 3, 0, 1, 1, 0, 0, 1), (3, 2, 1, 0, 1, 1, 0, 0),
-]))
+# leaf images by kind, indexed by outer mask: a ring unit 1, i, j or k, then
+# the real pair (0,1), the complex pair and the real quad (0,2)
+_LEAVES = {
+    "units": tuple(bytes((0, 2 * unit)) for unit in range(4)),
+    "real_pair": tuple(map(bytes, [(0, 1, 0, 0), (1, 0, 1, 0)])),
+    "complex_pair": tuple(map(bytes, [(0, 1, 0, 0), (0, 1, 2, 3), (1, 0, 1, 0), (1, 0, 3, 3)])),
+    "real_quad": tuple(map(bytes, [
+        (0, 1, 2, 3, 0, 0, 0, 0), (1, 0, 3, 2, 1, 0, 1, 0),
+        (2, 3, 0, 1, 1, 0, 0, 1), (3, 2, 1, 0, 1, 1, 0, 0),
+    ])),
+}
 
 
 def _xor_codes(block: bytes, k: int) -> bytes:
@@ -149,15 +150,9 @@ def blade_image(spec: RepSpec, mask: int) -> bytes | tuple[bytes, bytes]:
 
 
 def _compile_blade(node, mask: int) -> bytes | tuple[bytes, bytes]:
-    if isinstance(node, RealPairLeaf):
-        return _REAL_PAIR[mask]
     outer, sub, neg = _step(node, mask)
-    if isinstance(node, RingUnitsNode):
-        return bytes((0, outer * 2 + neg))
-    if isinstance(node, ComplexPairLeaf):
-        return _xor_codes(_COMPLEX_PAIR[outer], neg)
-    if isinstance(node, RealQuadLeaf):
-        return _xor_codes(_REAL_QUAD[outer], neg)
+    if isinstance(node, LeafNode):
+        return _xor_codes(_LEAVES[node.kind][outer], neg)
     if isinstance(node, ExtendNode):
         return _xor_codes(blade_image(node.sub, sub), outer * 2 + neg)
     if isinstance(node, QuadNode):

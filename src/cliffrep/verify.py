@@ -16,7 +16,10 @@ without a dense P.  The harness cross-checks the oracle against the
 structural fast path on every trial (on a periodic recipe, the read-back
 stage one against the fast path's first, then the inner oracle), plus the
 homomorphism, faithfulness, unit, inverse-pullback, round-trip and
-characteristic-polynomial properties, deterministically under a seed.
+characteristic-polynomial properties, deterministically under a seed.  The
+sampled checks share one seeded trial loop, every report is built by one
+helper, and a recipe's typed failures (images that are not independent, a
+wrong pulled-back inverse) come back as a failing report's witness.
 """
 
 from __future__ import annotations
@@ -24,11 +27,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import Multivector, Signature
 from .catalog import MvMatrix, PeriodicNode, RepSpec, TransformCheckError, get_spec
 from .represent import (
+    InversePullbackError,
     NotInImageError,
     RepImage,
     assemble_entry_images,
@@ -180,17 +184,28 @@ def random_multivector(sig: Signature, rng: random.Random) -> Multivector:
 # checks
 
 
+def _report(spec: RepSpec, name: str, witness: str | None, seed: int | None = None) -> CheckReport:
+    """The named check's report on ``spec``; it passes when there is no witness."""
+    return CheckReport(spec.signature, spec.route, name, witness is None, seed, witness)
+
+
+def _sampled(
+    spec: RepSpec, name: str, trials: int, seed: int, trial: Callable[[random.Random], str | None]
+) -> CheckReport:
+    """Run ``trial`` up to ``trials`` times on one generator seeded with
+    ``seed``; the first witness it returns fails the check."""
+    rng = random.Random(seed)
+    for i in range(trials):
+        witness = trial(rng)
+        if witness is not None:
+            return _report(spec, name, f"trial {i}: {witness}", seed)
+    return _report(spec, name, None, seed)
+
+
 def check_transform_pair(spec: RepSpec) -> CheckReport:
     defect = spec.transform.identity_defect()
-    if defect is None:
-        return CheckReport(spec.signature, spec.route, "transform", True)
-    return CheckReport(
-        spec.signature,
-        spec.route,
-        "transform",
-        False,
-        counterexample=f"product differs from the identity at cell {defect}",
-    )
+    witness = None if defect is None else f"product differs from the identity at cell {defect}"
+    return _report(spec, "transform", witness)
 
 
 def _similarity_once(spec: RepSpec, a: Multivector) -> str | None:
@@ -224,58 +239,41 @@ def check_similarity(
 ) -> CheckReport:
     """The direct sandwich equals the fast-path image on seeded random elements."""
     spec = get_spec(sig, route)
-    rng = random.Random(seed)
-    for trial in range(trials):
+
+    def trial(rng: random.Random) -> str | None:
         a = random_multivector(sig, rng)
         witness = _similarity_once(spec, a)
-        if witness is not None:
-            return CheckReport(
-                sig,
-                spec.route,
-                "similarity",
-                False,
-                seed=seed,
-                counterexample=f"trial {trial}: a = {a}; {witness}",
-            )
-    return CheckReport(sig, spec.route, "similarity", True, seed=seed)
+        return None if witness is None else f"a = {a}; {witness}"
+
+    return _sampled(spec, "similarity", trials, seed, trial)
 
 
 def check_homomorphism(
     sig: Signature, route: str | None = None, trials: int = 100, seed: int = 0
 ) -> CheckReport:
     spec = get_spec(sig, route)
-    rng = random.Random(seed)
-    for trial in range(trials):
+
+    def trial(rng: random.Random) -> str | None:
         a = random_multivector(sig, rng)
         b = random_multivector(sig, rng)
         lam = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
         fa, fb = represent_with(spec, a), represent_with(spec, b)
         if represent_with(spec, a * b) != fa * fb:
-            return CheckReport(
-                sig, spec.route, "homomorphism", False, seed=seed,
-                counterexample=f"trial {trial}: product image mismatch for a={a}, b={b}",
-            )
+            return f"product image mismatch for a={a}, b={b}"
         if represent_with(spec, a + b) != fa + fb:
-            return CheckReport(
-                sig, spec.route, "homomorphism", False, seed=seed,
-                counterexample=f"trial {trial}: sum image mismatch",
-            )
+            return "sum image mismatch"
         if represent_with(spec, a * lam) != fa * lam:
-            return CheckReport(
-                sig, spec.route, "homomorphism", False, seed=seed,
-                counterexample=f"trial {trial}: scalar image mismatch",
-            )
-    return CheckReport(sig, spec.route, "homomorphism", True, seed=seed)
+            return "scalar image mismatch"
+        return None
+
+    return _sampled(spec, "homomorphism", trials, seed, trial)
 
 
 def check_unit(sig: Signature, route: str | None = None) -> CheckReport:
     spec = get_spec(sig, route)
     image = represent_with(spec, Multivector.scalar(sig, 1))
     ok = image == ring_identity(spec.target.ring, spec.target.size)
-    return CheckReport(
-        sig, spec.route, "unit", ok,
-        counterexample=None if ok else "image of 1 is not the identity matrix",
-    )
+    return _report(spec, "unit", None if ok else "image of 1 is not the identity matrix")
 
 
 def check_faithfulness(sig: Signature, route: str | None = None) -> CheckReport:
@@ -285,58 +283,54 @@ def check_faithfulness(sig: Signature, route: str | None = None) -> CheckReport:
     try:
         basis_table(sig, spec.route)
     except NotInImageError as exc:
-        return CheckReport(sig, spec.route, "faithfulness", False, counterexample=str(exc))
-    return CheckReport(sig, spec.route, "faithfulness", True)
+        return _report(spec, "faithfulness", str(exc))
+    return _report(spec, "faithfulness", None)
 
 
 def check_round_trip(
     sig: Signature, route: str | None = None, trials: int = 20, seed: int = 0
 ) -> CheckReport:
+    """Every basis blade, then seeded random elements, come back unchanged
+    from their images; a recipe without a certified basis table fails."""
     spec = get_spec(sig, route)
-    rng = random.Random(seed)
-    for mask in range(sig.dim):
-        mv = Multivector.blade(sig, mask)
-        if reconstruct(RepImage(sig, spec.route, represent_with(spec, mv))) != mv:
-            return CheckReport(
-                sig, spec.route, "round_trip", False, seed=seed,
-                counterexample=f"basis blade {mask:#x}",
-            )
-    for trial in range(trials):
-        mv = random_multivector(sig, rng)
-        if reconstruct(RepImage(sig, spec.route, represent_with(spec, mv))) != mv:
-            return CheckReport(
-                sig, spec.route, "round_trip", False, seed=seed,
-                counterexample=f"trial {trial}: a = {mv}",
-            )
-    return CheckReport(sig, spec.route, "round_trip", True, seed=seed)
+
+    def comes_back(mv: Multivector) -> bool:
+        return reconstruct(RepImage(sig, spec.route, represent_with(spec, mv))) == mv
+
+    def trial(rng: random.Random) -> str | None:
+        a = random_multivector(sig, rng)
+        return None if comes_back(a) else f"a = {a}"
+
+    try:
+        for mask in range(sig.dim):
+            if not comes_back(Multivector.blade(sig, mask)):
+                return _report(spec, "round_trip", f"basis blade {mask:#x}", seed)
+        return _sampled(spec, "round_trip", trials, seed, trial)
+    except NotInImageError as exc:
+        return _report(spec, "round_trip", str(exc), seed)
 
 
 def check_inverse_pullback(
     sig: Signature, route: str | None = None, trials: int = 50, seed: int = 0
 ) -> CheckReport:
+    """Seeded invertible elements pull their matrix inverses back to
+    two-sided inverses; ``element_inverse`` checks both products, and its
+    typed failures are the witness."""
     spec = get_spec(sig, route)
     rng = random.Random(seed)
-    one = Multivector.scalar(sig, 1)
     found = 0
     attempts = 0
     while found < trials and attempts < trials * 40:
         attempts += 1
         a = random_multivector(sig, rng)
-        inv = element_inverse(a, spec.route)
-        if inv is None:
-            continue
-        found += 1
-        if a * inv != one or inv * a != one:
-            return CheckReport(
-                sig, spec.route, "inverse_pullback", False, seed=seed,
-                counterexample=f"a = {a}",
-            )
-    if found < trials:
-        return CheckReport(
-            sig, spec.route, "inverse_pullback", False, seed=seed,
-            counterexample=f"only {found} invertible samples in {attempts} attempts",
-        )
-    return CheckReport(sig, spec.route, "inverse_pullback", True, seed=seed)
+        try:
+            inv = element_inverse(a, spec.route)
+        except (NotInImageError, InversePullbackError) as exc:
+            return _report(spec, "inverse_pullback", f"a = {a}; {exc}", seed)
+        if inv is not None:
+            found += 1
+    witness = None if found == trials else f"only {found} invertible samples in {attempts} attempts"
+    return _report(spec, "inverse_pullback", witness, seed)
 
 
 def check_cayley_hamilton(
@@ -344,16 +338,12 @@ def check_cayley_hamilton(
 ) -> CheckReport:
     """The image's characteristic polynomial annihilates the element itself."""
     spec = get_spec(sig, route)
-    rng = random.Random(seed)
-    for trial in range(trials):
+
+    def trial(rng: random.Random) -> str | None:
         a = random_multivector(sig, rng)
-        coeffs = element_charpoly(a, spec.route)
-        if not charpoly_evaluate(coeffs, a).is_zero:
-            return CheckReport(
-                sig, spec.route, "cayley_hamilton", False, seed=seed,
-                counterexample=f"trial {trial}: a = {a}",
-            )
-    return CheckReport(sig, spec.route, "cayley_hamilton", True, seed=seed)
+        return None if charpoly_evaluate(element_charpoly(a, spec.route), a).is_zero else f"a = {a}"
+
+    return _sampled(spec, "cayley_hamilton", trials, seed, trial)
 
 
 def check_suite(

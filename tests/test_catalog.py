@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import cliffrep.catalog as catalog_mod
-from cliffrep.algebra import Multivector, Signature
+from cliffrep.algebra import GeneratorList, Multivector, Signature
 from cliffrep.catalog import (
     CONJUGATE_PAIRS,
     PLAIN,
@@ -403,24 +403,28 @@ def test_recipes_and_images_leave_transforms_unbuilt(monkeypatch):
     assert get_spec(Signature(5, 5), "diagonal").transform.size == 32
 
 
+def _reindexed_copy(leaf: TransformPair, where: str) -> TransformPair:
+    """A (2,0) leaf carried into (2,0) through e1, e2."""
+    sig = Signature(2, 0)
+    gens = GeneratorList(sig, [Multivector.generator(sig, g) for g in (1, 2)])
+    return TransformPair.reindexed(leaf, gens, where)
+
+
 def test_deferred_transform_checked_before_use():
     bad = _corrupted_two_zero()
     assert bad.identity_defect() is not None
-    pair = TransformPair.deferred(2, "corrupted (2,0)", lambda: bad)
+    pair = _reindexed_copy(bad, "corrupted (2,0)")
     reads = [
         lambda: pair.P,
         lambda: pair.Pinv,
         lambda: pair.scale,
-        lambda: pair.identity_defect(),
         lambda: pair.conjugate(MvMatrix.identity(bad.P.sig, 2)),
     ]
     for read in reads:
         with pytest.raises(TransformCheckError, match="corrupted"):
             read()
+    assert pair.identity_defect() == bad.identity_defect()
     assert pair._parts is None
-    wrong_size = TransformPair.deferred(4, "resized (2,0)", lambda: get_spec(Signature(2, 0)).transform)
-    with pytest.raises(TransformCheckError, match="size"):
-        wrong_size.P
 
 
 def test_deferred_transforms_match_recorded_digests():
@@ -443,8 +447,8 @@ def test_identity_defect_computed_once_per_pair(monkeypatch):
     parts = (good.P, good.Pinv, good.scale)
     bad = _corrupted_two_zero()
     monkeypatch.setattr(MvMatrix, "__mul__", counted)
-    # the check at first materialization and later reads share one product
-    pair = TransformPair.deferred(2, "(2,0) copy", lambda: TransformPair(*parts))
+    # a reindexed pair's check and its later reads share one product
+    pair = _reindexed_copy(TransformPair(*parts), "(2,0) copy")
     assert pair.identity_defect() is None
     assert pair.identity_defect() is None
     assert len(products) == 1

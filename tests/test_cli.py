@@ -1,5 +1,6 @@
 """Command-line behaviour: output shapes, exit codes, stdin, formats."""
 
+import hashlib
 import io
 import random
 from fractions import Fraction
@@ -197,6 +198,24 @@ def test_verify_exit_one_on_failing_check(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--sig", "1,1")
     assert code == 1
     assert "FAIL" in out and "failing check" in err
+
+
+# SHA-256 and record count of short seeded `verify --format records` runs:
+# the check names, their order, seeds and pass states
+_VERIFY_RECORDS = {
+    ("--sig", "0,2", "--seed", "7", "--trials", "2"):
+        (22, "c305b84c4a551e80247ac77d2d85893ca0693c919162f8b5664073b2cf884ff0"),
+    ("--sig", "9,0", "--seed", "7", "--trials", "1"):
+        (4, "c377865e7cfd3a42a593fb8f638f07163941c01df5eb7a315be02b4511d1ee00"),
+}
+
+
+def test_short_verify_records_are_pinned(capsys):
+    for args, (count, digest) in _VERIFY_RECORDS.items():
+        code, out, _ = run_cli(capsys, "verify", *args, "--format", "records")
+        assert code == 0, args
+        assert len(out.splitlines()) == count, args
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
 
 
 def test_catalog_and_corrections(capsys):

@@ -15,7 +15,7 @@ from cliffrep.algebra import (
     SignatureMismatchError,
     SplitBasis,
 )
-from cliffrep.catalog import CatalogMissError, RingUnitsNode, catalog_signatures, get_spec
+from cliffrep.catalog import CatalogMissError, LeafNode, catalog_signatures, get_spec
 from cliffrep.represent import (
     BasisImageTable,
     InversePullbackError,
@@ -527,7 +527,7 @@ def test_non_blade_step_basis_is_rejected():
     sig = Signature(3, 0)
     h = Multivector(sig, {0b001: Fraction(3, 5), 0b010: Fraction(4, 5)})
     basis = SplitBasis(GeneratorList(sig, [h]), GeneratorList(sig, [Multivector.pseudoscalar(sig)]))
-    spec = dataclasses.replace(get_spec(sig), node=RingUnitsNode(basis))
+    spec = dataclasses.replace(get_spec(sig), node=LeafNode(basis, "units"))
     with pytest.raises(NonMonomialStepError):
         represent_with(spec, Multivector.generator(sig, 1))
 

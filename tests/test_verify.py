@@ -1,10 +1,12 @@
 """Oracle conjugation, check reports, determinism and negative controls."""
 
 import dataclasses
+import importlib
 import random
 
 import pytest
 
+import cliffrep.catalog as catalog_mod
 from cliffrep.algebra import Multivector, Signature
 from cliffrep.catalog import (
     MvMatrix,
@@ -12,15 +14,18 @@ from cliffrep.catalog import (
     TransformPair,
     get_spec,
 )
-from cliffrep.represent import represent_with
+from cliffrep.cli import main
+from cliffrep.represent import _xor_codes, blade_image, represent_with
 from cliffrep.rings import REAL, RingMatrix
 from cliffrep.verify import (
     CheckReport,
     EqualityViolationError,
     check_homomorphism,
+    check_inverse_pullback,
     check_similarity,
     check_suite,
     check_transform_pair,
+    check_unit,
     emit_records,
     emit_text,
     oracle_represent,
@@ -243,3 +248,56 @@ def test_periodic_similarity_fails_on_a_swapped_core(monkeypatch):
     report = check_similarity(sig, "swapped-core", trials=1)
     assert not report.passed
     assert "stage-one" in report.counterexample
+
+
+# -- negative controls on tampered blade images
+
+
+def _registered_copy(monkeypatch, sig: Signature, route: str, images: dict) -> RepSpec:
+    """A copy of the signature's default recipe, registered under ``route``,
+    with the given compiled blade images in place of its own."""
+    copy = dataclasses.replace(get_spec(sig), route=route)
+    copy.blade_images.update(images)
+    monkeypatch.setitem(catalog_mod._SPECS, (sig.p, sig.q, route), copy)
+    return copy
+
+
+def test_dependent_blade_images_fail_checks_without_raising(monkeypatch, capsys):
+    sig = Signature(2, 0)
+    _registered_copy(monkeypatch, sig, "e1-as-e2", {1: blade_image(get_spec(sig), 2)})
+    reports = {r.name: r for r in check_suite(sig, "e1-as-e2", trials=2)}
+    for name in ("faithfulness", "round_trip", "inverse_pullback"):
+        assert not reports[name].passed, name
+        assert "Gram matrix" in reports[name].counterexample, name
+    assert main(["verify", "--sig", "2,0", "--route", "e1-as-e2"]) == 1
+    err = capsys.readouterr().err
+    assert "failing check" in err and "Traceback" not in err
+
+
+def test_inverse_pullback_check_reports_a_wrong_inverse(monkeypatch):
+    # the package re-exports a function named represent over the module name
+    represent_module = importlib.import_module("cliffrep.represent")
+    monkeypatch.setattr(represent_module, "reconstruct", lambda image: Multivector.scalar(image.signature, 2))
+    report = check_inverse_pullback(Signature(0, 2), trials=2)
+    assert not report.passed
+    assert report.counterexample.startswith("a = ") and "does not invert it" in report.counterexample
+
+
+def test_negated_generator_image_fails_homomorphism_and_similarity(monkeypatch):
+    sig = Signature(2, 0)
+    _registered_copy(monkeypatch, sig, "negated-e1", {1: _xor_codes(blade_image(get_spec(sig), 1), 1)})
+    report = check_homomorphism(sig, "negated-e1", trials=3, seed=0)
+    assert not report.passed
+    assert report.counterexample.startswith("trial 0: product image mismatch for a=")
+    report = check_similarity(sig, "negated-e1", trials=3, seed=0)
+    assert not report.passed
+    assert report.counterexample.startswith("trial 0: a = ")
+    assert report.counterexample.endswith("; oracle and fast path disagree")
+
+
+def test_negated_unit_image_fails_unit_check(monkeypatch):
+    sig = Signature(2, 0)
+    _registered_copy(monkeypatch, sig, "negated-unit", {0: _xor_codes(blade_image(get_spec(sig), 0), 1)})
+    report = check_unit(sig, "negated-unit")
+    assert not report.passed
+    assert report.counterexample == "image of 1 is not the identity matrix"
