@@ -27,10 +27,7 @@ from .catalog import (
     CatalogMissError,
     CORRECTIONS,
     RepSpec,
-    build_diagonal_family,
-    build_explicit,
     build_from_matrix_units,
-    build_periodic,
     catalog_signatures,
     catalog_text,
     classify,
@@ -77,10 +74,7 @@ __all__ = [
     "SignatureMismatchError",
     "StructureError",
     "blade_product",
-    "build_diagonal_family",
-    "build_explicit",
     "build_from_matrix_units",
-    "build_periodic",
     "catalog_signatures",
     "catalog_text",
     "check_similarity",

@@ -20,9 +20,12 @@ sixteen-fold periodicity step.  A signature's routes are listed in one
 place, ``_routes``: the entries of the explicit route table (keyed by
 (p, q), then by route, default first), then the diagonal family, then the
 periodicity step when its reduced signature has a route; nothing past
-seventeen generators is listed.  ``routes_for``, ``default_route`` and
-``get_spec`` all read that list, so only a listed route is ever built, and a
-new explicit route is one table entry.  A recipe's transform keeps the same
+seventeen generators is listed.  The explicit table holds only signatures
+the diagonal family (n+k, n), k <= 6, does not reach, so that family is
+the one route of the split signatures (1,1) to (3,3) the source prints.
+``routes_for``, ``default_route`` and ``get_spec`` all read that list, so
+only a listed route is ever built, and a new explicit route is one table
+entry.  A recipe's transform keeps the same
 step structure as data (a leaf, a reindexed or a doubled sub-transform).  A
 leaf is a plain pair of at most 4x4, checked when the catalog makes it; one
 recursion carries the steps and the leaf into the host, so the identity
@@ -797,7 +800,8 @@ def _sub(p: int, q: int) -> RepSpec:
 # builder of one route: (host signature, route name) -> recipe
 Builder = Callable[[Signature, str], RepSpec]
 
-# The explicit recipes by (p, q), then by route, default route first.
+# The explicit recipes by (p, q), then by route, default route first; only
+# signatures outside the diagonal family are listed here.
 _EXPLICIT_RECIPES: dict[tuple[int, int], dict[str, Builder]] = {
     (0, 0): {"scalar": lambda s, r: _spec_ring_units(s, r, [])},
     (1, 0): {"explicit": lambda s, r: _spec_split(s, r, _sub(0, 0), [], _mask([1]))},
@@ -806,33 +810,23 @@ _EXPLICIT_RECIPES: dict[tuple[int, int], dict[str, Builder]] = {
         "complex1": lambda s, r: _spec_ring_units(s, r, _ids(1)),
     },
     (2, 0): {"explicit": lambda s, r: _spec_quad(s, r, _sub(0, 0), [], _mask([1]), _mask([2]))},
-    (1, 1): {"explicit": lambda s, r: _spec_quad(s, r, _sub(0, 0), [], _mask([1]), _mask([2]))},
     (0, 2): {
         "quaternion": lambda s, r: _spec_ring_units(s, r, _ids(1, 2)),
         "complex2": lambda s, r: _spec_complex_pair(s),
         "real4": lambda s, r: _spec_real_quad(s),
     },
     (3, 0): {"explicit": lambda s, r: _spec_extend(s, r, _sub(2, 0), _ids(1, 2), [_e_range(s, 3)])},
-    (2, 1): {"explicit": lambda s, r: _spec_split(s, r, _sub(1, 1), _ids(1, 3), _mask([1, 2, 3]))},
     (1, 2): {"explicit": lambda s, r: _spec_extend(
         s, r, _sub(1, 1), _ids(1, 2), [_mask([1, 2, 3])])},
     (0, 3): {"explicit": lambda s, r: _spec_split(s, r, _sub(0, 2), _ids(1, 2), _mask([1, 2, 3]))},
     (4, 0): {"explicit": lambda s, r: _spec_extend(
         s, r, _sub(2, 0), _ids(1, 2), [_mask([1, 2, 3]), _mask([1, 2, 4])])},
-    (3, 1): {"explicit": lambda s, r: _spec_quad(
-        s, r, _sub(2, 0), _ids(1, 2), _mask([1, 2, 4]), _mask([1, 2, 3]))},
-    (2, 2): {"explicit": lambda s, r: _spec_quad(
-        s, r, _sub(1, 1), _ids(1, 3), _mask([1, 2, 3]), _mask([1, 3, 4]))},
     (1, 3): {"explicit": lambda s, r: _spec_quad(
         s, r, _sub(0, 2), _ids(2, 3), _mask([2, 3, 4]), _mask([1, 2, 3]))},
     (0, 4): {"explicit": lambda s, r: _spec_quad(
         s, r, _sub(0, 2), _ids(1, 2), _mask([1, 2, 3]), _mask([1, 2, 4]))},
     (5, 0): {"explicit": lambda s, r: _spec_split(
         s, r, _sub(4, 0), _ids(1, 2, 3, 4), _e_range(s, 5))},
-    (4, 1): {"explicit": lambda s, r: _spec_extend(
-        s, r, _sub(3, 1), _ids(1, 2, 3, 5), [_mask([1, 2, 3, 4, 5])])},
-    (3, 2): {"explicit": lambda s, r: _spec_split(
-        s, r, _sub(2, 2), _ids(1, 2, 4, 5), _mask([1, 2, 3, 4, 5]))},
     (2, 3): {"explicit": lambda s, r: _spec_extend(
         s, r, _sub(2, 2), _ids(1, 2, 3, 4), [_mask([1, 2, 3, 4, 5])])},
     (1, 4): {"explicit": lambda s, r: _spec_split(
@@ -842,12 +836,6 @@ _EXPLICIT_RECIPES: dict[tuple[int, int], dict[str, Builder]] = {
         [_mask([1, 2, 3, 4, 5])])},
     (6, 0): {"explicit": lambda s, r: _spec_quad(
         s, r, _sub(4, 0), _ids(1, 2, 3, 4), _mask([1, 2, 3, 4, 5]), _mask([1, 2, 3, 4, 6]))},
-    (5, 1): {"explicit": lambda s, r: _spec_quad(
-        s, r, _sub(4, 0), _ids(1, 2, 3, 4), _e_range(s, 5), _mask([1, 2, 3, 4, 6]))},
-    (4, 2): {"explicit": lambda s, r: _spec_quad(
-        s, r, _sub(3, 1), _ids(1, 2, 3, 5), _mask([1, 2, 3, 5, 6]), _mask([1, 2, 3, 4, 5]))},
-    (3, 3): {"explicit": lambda s, r: _spec_quad(
-        s, r, _sub(2, 2), _ids(1, 2, 4, 5), _mask([1, 2, 3, 4, 5]), _mask([1, 2, 4, 5, 6]))},
     (2, 4): {"explicit": lambda s, r: _spec_quad(
         s, r, _sub(1, 3), _ids(1, 3, 4, 5), _mask([1, 3, 4, 5, 6]), _mask([1, 2, 3, 4, 5]))},
     (1, 5): {"explicit": lambda s, r: _spec_quad(
@@ -879,51 +867,25 @@ def _diagonal_covered(sig: Signature) -> bool:
     return sig.q >= 1 and 0 <= sig.p - sig.q <= 6
 
 
-def build_diagonal_family(sig: Signature) -> RepSpec:
+def _diagonal_spec(sig: Signature, route: str) -> RepSpec:
     """Recipe for (n+k, n), k in 0..6, by recursion over the step patterns.
 
-    Recursions bottom out at the explicit recipes for (0,0), (2,0), (4,0)
-    and (6,0).
+    This family is the default route of every signature it covers; the
+    recursions bottom out at the explicit recipes for (0,0), (2,0), (4,0)
+    and (6,0).  An odd k splits along (k = 1, 5) or adjoins (k = 3) the
+    pseudoscalar over (p-1, q).  An even k doubles (p-1, q-1) with the pair
+    e_1..e_p eps_1..eps_(q-1) and e_1..e_(p-1) eps_1..eps_q, in that order
+    for k = 0, 4 and swapped for k = 2, 6.
     """
-    return get_spec(sig, "diagonal")
-
-
-def _diagonal_spec(sig: Signature, route: str) -> RepSpec:
-    n, k = sig.q, sig.p - sig.q
-
-    def sub(p2: int, q2: int) -> RepSpec:
-        s = Signature(p2, q2)
-        if q2 == 0:
-            return get_spec(s)  # explicit base case
-        return get_spec(s, "diagonal")
-
-    idm = _range_masks  # identity presentation helper
-    E = lambda upto: _e_range(sig, upto)  # noqa: E731
-    EPS = lambda upto: _eps_range(sig, upto)  # noqa: E731
-
-    if k == 0:
-        sub_masks = idm(sig, n - 1, n - 1)
-        return _spec_quad(sig, route, sub(n - 1, n - 1), sub_masks, E(n) | EPS(n - 1), E(n - 1) | EPS(n))
-    if k == 1:
-        return _spec_split(sig, route, sub(n, n), idm(sig, n, n), E(n + 1) | EPS(n))
-    if k == 2:
-        sub_masks = idm(sig, n + 1, n - 1)
-        return _spec_quad(
-            sig, route, sub(n + 1, n - 1), sub_masks, E(n + 1) | EPS(n), E(n + 2) | EPS(n - 1)
-        )
-    if k == 3:
-        return _spec_extend(sig, route, sub(n + 2, n), idm(sig, n + 2, n), [E(n + 3) | EPS(n)])
-    if k == 4:
-        sub_masks = idm(sig, n + 3, n - 1)
-        return _spec_quad(
-            sig, route, sub(n + 3, n - 1), sub_masks, E(n + 4) | EPS(n - 1), E(n + 3) | EPS(n)
-        )
-    if k == 5:
-        return _spec_split(sig, route, sub(n + 4, n), idm(sig, n + 4, n), E(n + 5) | EPS(n))
-    sub_masks = idm(sig, n + 5, n - 1)
-    return _spec_quad(
-        sig, route, sub(n + 5, n - 1), sub_masks, E(n + 5) | EPS(n), E(n + 6) | EPS(n - 1)
-    )
+    p, n, k = sig.p, sig.q, sig.p - sig.q
+    if k % 2:
+        sub, sub_masks = _sub(p - 1, n), _range_masks(sig, p - 1, n)
+        if k == 3:
+            return _spec_extend(sig, route, sub, sub_masks, [sig.full_mask])
+        return _spec_split(sig, route, sub, sub_masks, sig.full_mask)
+    pair = (_e_range(sig, p) | _eps_range(sig, n - 1), _e_range(sig, p - 1) | _eps_range(sig, n))
+    u, v = pair if k % 4 == 0 else pair[::-1]
+    return _spec_quad(sig, route, _sub(p - 1, n - 1), _range_masks(sig, p - 1, n - 1), u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -940,17 +902,13 @@ def _periodic_reduction(sig: Signature) -> Signature | None:
     return None
 
 
-def build_periodic(sig: Signature) -> RepSpec:
+def _periodic_spec(sig: Signature, route: str) -> RepSpec:
     """Sixteen-fold reduction: conjugate with the widest explicit transform,
     then apply the reduced signature's recipe entrywise.
 
     The empty-subset outer product is the unit element, not the core
     pseudoscalar the source text prints (see corrections).
     """
-    return get_spec(sig, "periodic")
-
-
-def _periodic_spec(sig: Signature, route: str) -> RepSpec:
     from .algebra import reindex
 
     reduced = _periodic_reduction(sig)
@@ -1057,7 +1015,16 @@ def default_route(sig: Signature) -> str:
 
 
 def canonical_route(sig: Signature) -> str:
-    """Route whose target matches the classification table exactly."""
+    """Route whose target matches the classification table exactly.
+
+    It is the default route everywhere but (0,1).  There the default,
+    ``real2``, is the source's Eq. (1.1): conjugating diag(a, conj(a))
+    gives the real 2x2 form [[x, -y], [y, x]] of a = x + y*eps1, so its
+    target is R(2), while ``classify`` names the algebra itself, C(1),
+    which ``complex1`` builds.  The periodicity step and the
+    classification checks need the classified ring, so they take this
+    route.
+    """
     if (sig.p, sig.q) == (0, 1):
         return "complex1"
     return default_route(sig)
@@ -1069,19 +1036,17 @@ def _miss_message(sig: Signature) -> str:
             f"no catalog route for {sig}: recipes are built for at most "
             f"{_MAX_CONSTRUCTION_GENERATORS} generators"
         )
-    candidates: list[tuple[int, Signature, str]] = []
+    hints = []
     mirror = Signature(sig.q, sig.p)
     if routes_for(mirror):
-        candidates.append((0, mirror, "its mirror"))
-    best = None
-    for (p, q) in _EXPLICIT_RECIPES:
-        d = abs(p - sig.p) + abs(q - sig.q)
-        if best is None or d < best[0]:
-            best = (d, Signature(p, q), "the nearest covered signature")
-    if best:
-        candidates.append(best)
-    hints = "; ".join(f"{c[2]} {c[1]} is covered" for c in candidates)
-    return f"no catalog route for {sig} ({hints})"
+        hints.append(f"its mirror {mirror} is covered")
+    # min keeps the first of equally near signatures, in catalog order
+    sigs = (Signature(p, n - p) for n in range(_MAX_CONSTRUCTION_GENERATORS + 1)
+            for p in range(n, -1, -1))
+    covered = (c for c in sigs if routes_for(c))
+    nearest = min(covered, key=lambda c: abs(c.p - sig.p) + abs(c.q - sig.q))
+    hints.append(f"the nearest covered signature {nearest} is covered")
+    return f"no catalog route for {sig} ({'; '.join(hints)})"
 
 
 def get_spec(sig: Signature, route: str | None = None) -> RepSpec:
@@ -1105,13 +1070,6 @@ def get_spec(sig: Signature, route: str | None = None) -> RepSpec:
         raise CatalogMissError(_miss_message(sig))
     _SPECS.setdefault(key, builders[route](sig, route))
     return _SPECS[key]
-
-
-def build_explicit(sig: Signature, route: str | None = None) -> RepSpec:
-    """Explicit small-signature recipe (p+q <= 6 plus the extremal wide ones)."""
-    if (sig.p, sig.q) not in _EXPLICIT_RECIPES:
-        raise CatalogMissError(_miss_message(sig))
-    return get_spec(sig, route)
 
 
 # the diagonal families are listed up to this many generators

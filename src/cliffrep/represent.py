@@ -36,10 +36,9 @@ from .catalog import (
     get_spec,
 )
 from .rings import (
+    BLOCK_RING,
     COMPLEX,
-    DOUBLE_QUATERNION,
     DOUBLE_REAL,
-    QUATERNION,
     REAL,
     BlockPair,
     RingMatrix,
@@ -86,7 +85,6 @@ class RepImage:
 # (plus, minus) pair.  Each step kind has one rule over its child's images.
 
 _XOR = [bytes(c ^ k for c in range(256)) for k in range(8)]
-_BLOCK_RING = {DOUBLE_REAL: REAL, DOUBLE_QUATERNION: QUATERNION}
 
 # leaf images by kind, indexed by outer mask: a ring unit 1, i, j or k, then
 # the real pair (0,1), the complex pair and the real quad (0,2)
@@ -174,7 +172,7 @@ def _blocks(image):
 def _counters(spec: RepSpec, num: dict[int, int]) -> list[list[int]]:
     """Flat numerators of sum(num[m] * rho(e_m)): index row*4*size + 4*col + unit."""
     size = spec.target.size
-    blocks = 2 if spec.target.ring in _BLOCK_RING else 1
+    blocks = 2 if spec.target.ring in BLOCK_RING else 1
     counters = [[0] * (4 * size * size) for _ in range(blocks)]
     row_base = range(0, 4 * size * size, 4 * size)
     for mask, x in num.items():
@@ -187,7 +185,7 @@ def _counters(spec: RepSpec, num: dict[int, int]) -> list[list[int]]:
 def _image(spec: RepSpec, a: Multivector) -> RingMatrix | BlockPair:
     """Sum the numerators of ``a`` along its blades' compiled images."""
     ring, size = spec.target.ring, spec.target.size
-    inner = _BLOCK_RING.get(ring)
+    inner = BLOCK_RING.get(ring)
     blocks = [_ring_matrix(inner or ring, size, c, a._den) for c in _counters(spec, a._num)]
     return BlockPair(ring, *blocks) if inner else blocks[0]
 
@@ -216,7 +214,7 @@ def assemble_entry_images(
     target: Target, images: Sequence[Sequence[RingMatrix | BlockPair]], t: int
 ) -> RingMatrix | BlockPair:
     """Paste a grid of equal-size entry images into the composed matrix."""
-    if target.ring in (DOUBLE_REAL, DOUBLE_QUATERNION):
+    if target.ring in BLOCK_RING:
         plus = _paste_grid([[m.plus for m in row] for row in images], t)
         minus = _paste_grid([[m.minus for m in row] for row in images], t)
         return BlockPair(target.ring, plus, minus)
@@ -292,7 +290,7 @@ class BasisImageTable:
     def __init__(self, spec: RepSpec):
         self.spec = spec
         target = spec.target
-        self.norm = target.size * (2 if target.ring in _BLOCK_RING else 1)
+        self.norm = target.size * (2 if target.ring in BLOCK_RING else 1)
         entries = spec.signature.dim * self.norm
         if entries > _CERTIFICATE_MAX_ENTRIES:
             raise CatalogMissError(

@@ -20,7 +20,8 @@ DOUBLE_REAL = "2R"
 DOUBLE_QUATERNION = "2H"
 
 PLAIN_RINGS = (REAL, COMPLEX, QUATERNION)
-DOUBLED_RINGS = (DOUBLE_REAL, DOUBLE_QUATERNION)
+# each doubled ring and the ring of its two blocks
+BLOCK_RING = {DOUBLE_REAL: REAL, DOUBLE_QUATERNION: QUATERNION}
 
 _COMPONENTS = {REAL: 1, COMPLEX: 2, QUATERNION: 4}
 
@@ -339,9 +340,9 @@ class BlockPair:
     __slots__ = ("ring", "plus", "minus")
 
     def __init__(self, ring: str, plus: RingMatrix, minus: RingMatrix):
-        if ring not in DOUBLED_RINGS:
+        inner = BLOCK_RING.get(ring)
+        if inner is None:
             raise UnsupportedRingError(f"BlockPair does not hold ring {ring!r}")
-        inner = REAL if ring == DOUBLE_REAL else QUATERNION
         for block in (plus, minus):
             if block.ring != inner:
                 raise RingMismatchError(f"{ring} blocks must be over {inner}")
@@ -356,8 +357,8 @@ class BlockPair:
 
     @classmethod
     def identity(cls, ring: str, size: int) -> "BlockPair":
-        inner = REAL if ring == DOUBLE_REAL else QUATERNION
-        eye = RingMatrix.identity(inner, size)
+        # any other ring reaches the typed refusal in __init__
+        eye = RingMatrix.identity(BLOCK_RING.get(ring, REAL), size)
         return cls(ring, eye, eye)
 
     @property
@@ -417,7 +418,7 @@ RingElement = RingMatrix | BlockPair
 
 
 def ring_identity(ring: str, size: int) -> RingElement:
-    if ring in DOUBLED_RINGS:
+    if ring in BLOCK_RING:
         return BlockPair.identity(ring, size)
     return RingMatrix.identity(ring, size)
 

@@ -45,9 +45,8 @@ from .represent import (
     represent_with,
 )
 from .rings import (
-    DOUBLE_QUATERNION,
+    BLOCK_RING,
     DOUBLE_REAL,
-    QUATERNION,
     REAL,
     BlockPair,
     RingMatrix,
@@ -109,14 +108,14 @@ def _matrix_from_mv(grid: MvMatrix, spec: RepSpec) -> RingMatrix | BlockPair:
     if "j" in named:
         units.append(named["i"] * named["j"])
     target = spec.target
-    ring = {DOUBLE_REAL: REAL, DOUBLE_QUATERNION: QUATERNION}.get(target.ring, target.ring)
+    ring = BLOCK_RING.get(target.ring, target.ring)
 
     def block(start: int, size: int) -> RingMatrix:
         cells = range(start, start + size)
         rows = [[_read(grid.rows[r][c], units, "the ring units") for c in cells] for r in cells]
         return RingMatrix(ring, [[RingScalar(ring, *x) for x in row] for row in rows])
 
-    if target.ring not in (DOUBLE_REAL, DOUBLE_QUATERNION):
+    if target.ring not in BLOCK_RING:
         return block(0, grid.nrows)
     s = target.size
     for r in range(2 * s):

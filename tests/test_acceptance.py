@@ -26,7 +26,7 @@ from cliffrep.represent import (
     reconstruct,
     represent_with,
 )
-from cliffrep.rings import ring_identity
+from cliffrep.rings import RingMatrix, RingScalar, ring_embed_real, ring_identity
 from cliffrep.verify import (
     check_faithfulness,
     check_homomorphism,
@@ -206,17 +206,36 @@ def test_criterion_8_inverse_pullback():
     assert not failures, failures
 
 
+def _embed_h_in_c2(value: RingMatrix) -> RingMatrix:
+    """z + w*j -> [[z, -w], [conj(w), conj(z)]] entrywise, for z, w in C."""
+    rows = []
+    for row in value.rows:
+        top, bottom = [], []
+        for x in row:
+            z, w = RingScalar.complex_parts(x.r, x.i), RingScalar.complex_parts(x.j, x.k)
+            top += [z, -w]
+            bottom += [w.conjugate(), z.conjugate()]
+        rows += [top, bottom]
+    return RingMatrix("C", rows)
+
+
 def test_criterion_9_route_agreement():
+    # the routes of one signature differ in their target ring, and a fixed
+    # embedding of that ring carries one image onto the other on every blade
     t0 = time.time()
     failures = []
-    for p, q in [(1, 1), (2, 2), (3, 3), (2, 1)]:
+    cases = [
+        ((0, 1), "real2", "complex1", ring_embed_real),
+        ((0, 2), "real4", "quaternion", ring_embed_real),
+        ((0, 2), "complex2", "quaternion", _embed_h_in_c2),
+    ]
+    for (p, q), route, base, embed in cases:
         sig = Signature(p, q)
-        explicit = get_spec(sig, "explicit")
-        diagonal = get_spec(sig, "diagonal")
+        spec, base_spec = get_spec(sig, route), get_spec(sig, base)
         for mask in range(sig.dim):
             mv = Multivector.blade(sig, mask)
-            if represent_with(explicit, mv) != represent_with(diagonal, mv):
-                failures.append(f"{sig} blade {mask:#x}")
+            if represent_with(spec, mv) != embed(represent_with(base_spec, mv)):
+                failures.append(f"{sig} {route} blade {mask:#x}")
     _report(9, "route agreement", not failures, t0)
     assert not failures, failures
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,10 +19,7 @@ from cliffrep.catalog import (
     MvMatrix,
     TransformCheckError,
     TransformPair,
-    build_diagonal_family,
-    build_explicit,
     build_from_matrix_units,
-    build_periodic,
     catalog_signatures,
     catalog_text,
     classify,
@@ -53,7 +51,7 @@ def test_classify_periodicity_size_rule():
 
 
 def test_explicit_zero_one_recipe():
-    spec = build_explicit(Signature(0, 1), "real2")
+    spec = get_spec(Signature(0, 1), "real2")
     sig = spec.signature
     one = Multivector.scalar(sig, 1)
     eps = Multivector.generator(sig, 1)
@@ -64,7 +62,7 @@ def test_explicit_zero_one_recipe():
 
 
 def test_explicit_two_zero_recipe():
-    spec = build_explicit(Signature(2, 0))
+    spec = get_spec(Signature(2, 0))
     sig = spec.signature
     one = Multivector.scalar(sig, 1)
     e1 = Multivector.generator(sig, 1)
@@ -78,7 +76,7 @@ def test_explicit_two_zero_recipe():
 
 
 def test_quaternion_real4_recipe():
-    spec = build_explicit(Signature(0, 2), "real4")
+    spec = get_spec(Signature(0, 2), "real4")
     assert spec.target.ring == "R" and spec.target.size == 4
     assert spec.replication.copies == 4
     assert spec.transform.P == spec.transform.Pinv
@@ -107,7 +105,7 @@ def test_unit_blade_relations():
 def test_route_listing_and_defaults():
     assert routes_for(Signature(0, 2)) == ("quaternion", "complex2", "real4")
     assert routes_for(Signature(0, 1)) == ("real2", "complex1")
-    assert default_route(Signature(2, 2)) == "explicit"
+    assert default_route(Signature(2, 2)) == "diagonal"
     assert default_route(Signature(5, 4)) == "diagonal"
     assert default_route(Signature(9, 0)) == "periodic"
     with pytest.raises(CatalogMissError):
@@ -120,16 +118,51 @@ def test_catalog_miss_names_nearest_route():
     assert "(4,3)" in str(err.value)
 
 
+def test_catalog_miss_names_a_nearest_covered_signature():
+    # no signature with a route is strictly nearer than the one the hint names
+    sigs = [Signature(p, n - p) for n in range(18) for p in range(n + 1)]
+    covered = [c for c in sigs if routes_for(c)]
+    for sig in sigs:
+        if routes_for(sig):
+            continue
+        with pytest.raises(CatalogMissError) as err:
+            get_spec(sig)
+        named = re.search(r"nearest covered signature \((\d+),(\d+)\)", str(err.value))
+        p, q = map(int, named.groups())
+        nearest = min(abs(c.p - sig.p) + abs(c.q - sig.q) for c in covered)
+        assert routes_for(Signature(p, q)), (sig, str(err.value))
+        assert abs(p - sig.p) + abs(q - sig.q) == nearest, (sig, str(err.value))
+    # each has a covered signature one step away, far nearer than (8,0) or (0,8)
+    for (p, q), near in [((11, 4), "(11,3)"), ((1, 16), "(0,16)")]:
+        with pytest.raises(CatalogMissError) as err:
+            get_spec(Signature(p, q))
+        assert f"the nearest covered signature {near} is covered" in str(err.value)
+
+
+def test_listed_routes_compile_distinct_images():
+    # a second route with the same target and blade images as another one of
+    # its signature would be the same recipe listed twice
+    from cliffrep.represent import blade_image
+
+    for sig, routes in catalog_signatures():
+        specs = [get_spec(sig, route) for route in routes]
+        for i, a in enumerate(specs):
+            for b in specs[i + 1:]:
+                assert a.target != b.target or any(
+                    blade_image(a, m) != blade_image(b, m) for m in range(sig.dim)
+                ), (sig, a.route, b.route)
+
+
 def test_diagonal_route_requires_shape():
     with pytest.raises(CatalogMissError):
-        build_diagonal_family(Signature(1, 2))
+        get_spec(Signature(1, 2), "diagonal")
 
 
 def test_periodic_needs_covered_reduction():
-    spec = build_periodic(Signature(9, 0))
+    spec = get_spec(Signature(9, 0), "periodic")
     assert str(spec.target) == "2R(16)"
     with pytest.raises(CatalogMissError):
-        build_periodic(Signature(6, 2))
+        get_spec(Signature(6, 2), "periodic")
 
 
 def test_practical_construction_bound():
@@ -160,30 +193,28 @@ def test_unlisted_routes_are_never_built():
                 if route not in listed:
                     with pytest.raises(CatalogMissError):
                         get_spec(sig, route)
-    with pytest.raises(CatalogMissError):
-        build_periodic(Signature(18, 0))
-    with pytest.raises(CatalogMissError):
-        build_diagonal_family(Signature(9, 9))
 
 
 def test_route_listing_is_pinned():
     # every route of every signature with n <= 18, in order (so every
-    # default too), as listed before the route table was merged
+    # default too), as listed once the diagonal family became the one route
+    # of (1,1) to (3,3), which had an explicit twin each before
     listing = [
         (p, n - p, routes_for(Signature(p, n - p))) for n in range(19) for p in range(n + 1)
     ]
     assert sum(1 for _p, _q, routes in listing if routes) == 112
     digest = hashlib.sha256(repr(listing).encode()).hexdigest()
-    assert digest == "15aafcd3c19a426df1a3c176294feee4f578c6390a49a2e3d5e6473066c0efad"
+    assert digest == "a45334b5010b80368ce8d1f02c3ecebbf1b37951525bcf8488a3869861b0edd7"
 
 
 def test_catalog_outputs_are_pinned():
-    # the `cliffrep catalog` and `cliffrep catalog --corrections` texts, as
+    # the `cliffrep catalog` text, as printed once (1,1) to (3,3) default to
+    # the diagonal family, and the `cliffrep catalog --corrections` text, as
     # printed before the oracle's readers were merged
     def sha(text):
         return hashlib.sha256(text.encode()).hexdigest()
 
-    assert sha(catalog_text()) == "f6323986376600cb0a29cc0b73db68e3f7739e9221d9bce29399dec9fc108913"
+    assert sha(catalog_text()) == "2330dace52857448e78e33383ff23fd9c092cc61a9e320c33481930659700100"
     assert sha(corrections_markdown()) == "c9e91b525eefcb4ea17f2df6012855023981b79835341576d046ee79c6e5d751"
 
 
@@ -324,37 +355,28 @@ _TRANSFORM_DIGESTS = {
     ((0, 1), "real2"): "9f60020fb50116d4bd62cde11bb669ae36bfe1c3a5e8d5d14a3553542fe82897",
     ((0, 1), "complex1"): "e8298705adddf050e93107df0ae22534fe678f6a38025d4ec2aefe4e463d337c",
     ((2, 0), "explicit"): "e23b3b75bfe63cde54c28da1221637b4ef8c263453a16a1ede963d48fa9ed393",
-    ((1, 1), "explicit"): "46cc6cd22ac50a0ad1d6fc0b2325821d55e1cd570ed6d20e95aea86ff29480c7",
     ((1, 1), "diagonal"): "46cc6cd22ac50a0ad1d6fc0b2325821d55e1cd570ed6d20e95aea86ff29480c7",
     ((0, 2), "quaternion"): "e8298705adddf050e93107df0ae22534fe678f6a38025d4ec2aefe4e463d337c",
     ((0, 2), "complex2"): "8def924855d49e88bdf05a901c5e7f2facebce09624276b7c89f7f8351cc759b",
     ((0, 2), "real4"): "b1b63a18a94fba0e15c63db2197efab6d0a4b68ec8cb88d0c818574820b5b9f9",
     ((3, 0), "explicit"): "e23b3b75bfe63cde54c28da1221637b4ef8c263453a16a1ede963d48fa9ed393",
-    ((2, 1), "explicit"): "117f6da2e05aeac1e865694e87a0ab8a970badbcfb4b39734dc4d98355985e41",
     ((2, 1), "diagonal"): "117f6da2e05aeac1e865694e87a0ab8a970badbcfb4b39734dc4d98355985e41",
     ((1, 2), "explicit"): "46cc6cd22ac50a0ad1d6fc0b2325821d55e1cd570ed6d20e95aea86ff29480c7",
     ((0, 3), "explicit"): "cb5cb5e9d8052cd7b5d63e8fdd7a8b88775b9853b7b95a5b7af3acfae670df4e",
     ((4, 0), "explicit"): "e23b3b75bfe63cde54c28da1221637b4ef8c263453a16a1ede963d48fa9ed393",
-    ((3, 1), "explicit"): "b8690fb10088a0a8ed0cd8c099ee140ce073ed673fc184a5eb96e6266bf88988",
     ((3, 1), "diagonal"): "b8690fb10088a0a8ed0cd8c099ee140ce073ed673fc184a5eb96e6266bf88988",
-    ((2, 2), "explicit"): "3d99347adb85386869aed6bf27f9dc77a2ce6abdfce88b796f8abfcab91477c5",
     ((2, 2), "diagonal"): "3d99347adb85386869aed6bf27f9dc77a2ce6abdfce88b796f8abfcab91477c5",
     ((1, 3), "explicit"): "b6c8ebc1d852e65bb379d7319d61ea1a248dd5ce80e318c65d7577b5df75487c",
     ((0, 4), "explicit"): "c6076f838160ede64f4c2c6a64132feffda30f3ce566866b8cfafe57173202d5",
     ((5, 0), "explicit"): "b8e700b913f4ed9c5c202ad5d4dcd318cfe6b43bf93936e79ff394efe9c0e317",
-    ((4, 1), "explicit"): "b8690fb10088a0a8ed0cd8c099ee140ce073ed673fc184a5eb96e6266bf88988",
     ((4, 1), "diagonal"): "b8690fb10088a0a8ed0cd8c099ee140ce073ed673fc184a5eb96e6266bf88988",
-    ((3, 2), "explicit"): "f3203a654fe4937a7551aeec210e3495be1c7864d38bb80813999c04089847ec",
     ((3, 2), "diagonal"): "f3203a654fe4937a7551aeec210e3495be1c7864d38bb80813999c04089847ec",
     ((2, 3), "explicit"): "3d99347adb85386869aed6bf27f9dc77a2ce6abdfce88b796f8abfcab91477c5",
     ((1, 4), "explicit"): "b1986432ecf244cb4ecc40d0a0fe5d038f9382238730ee504fc7bfd969b8b206",
     ((0, 5), "explicit"): "7ec272f0205a0e5f4e02fc859479e3b08316ccc33cf112b9a577e92df9c3b5cc",
     ((6, 0), "explicit"): "031794f46ab2331f0651c0ccda4b924147187138a395489493f8400d4c0299bc",
-    ((5, 1), "explicit"): "38f18af5f97a789fa76d169f0bab1b106d9bea1627e9fd9b3355a356a511c839",
     ((5, 1), "diagonal"): "38f18af5f97a789fa76d169f0bab1b106d9bea1627e9fd9b3355a356a511c839",
-    ((4, 2), "explicit"): "dc78aa3a7aee4c2ee9b7c53864932504aad24e9093870fd309b21e02d62cf323",
     ((4, 2), "diagonal"): "dc78aa3a7aee4c2ee9b7c53864932504aad24e9093870fd309b21e02d62cf323",
-    ((3, 3), "explicit"): "ed4affad3065036a97575ccd591950558a044895bec99ad27096ae98c0047f1e",
     ((3, 3), "diagonal"): "ed4affad3065036a97575ccd591950558a044895bec99ad27096ae98c0047f1e",
     ((2, 4), "explicit"): "e1416dc29a815f9dd190756d982b84c4788703148bc5346081da03a6d139a58d",
     ((1, 5), "explicit"): "0e7f6b21378eaab84debf2ba224a12a844a792a4857ee3ac8201381b041d5a25",
@@ -492,7 +514,7 @@ def test_stepwise_identity_matches_dense_product():
                 assert tp.identity_defect() is None, (sig, route)
                 assert _dense(tp).identity_defect() is None, (sig, route)
                 checked += 1
-    assert checked >= 50
+    assert checked >= 49
 
 
 def test_stepwise_sandwich_matches_dense_product():
@@ -509,7 +531,7 @@ def test_stepwise_sandwich_matches_dense_product():
             want = _dense(spec.transform).conjugate(diag)
             assert spec.transform.conjugate(diag) == want, (sig, route)
             checked += 1
-    assert checked >= 40
+    assert checked >= 36
     # any matrix, not only a diagonal one, conjugates block by block
     for sig in (Signature(3, 1), Signature(0, 3)):
         tp = get_spec(sig).transform

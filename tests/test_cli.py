@@ -1,13 +1,17 @@
 """Command-line behaviour: output shapes, exit codes, stdin, formats."""
 
+import contextlib
 import hashlib
 import io
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffrep.algebra import Multivector, Signature
+from cliffrep.catalog import catalog_signatures
 from cliffrep.cli import main
 from cliffrep.text import format_multivector, parse_multivector
 
@@ -175,7 +179,10 @@ def test_verify_trials_must_be_positive(capsys):
 def test_verify_unknown_route_names_the_routes(capsys):
     code, out, err = run_cli(capsys, "verify", "--sig", "2,1", "--route", "nosuch")
     assert code == 3 and out == ""
-    assert "'nosuch'" in err and "explicit, diagonal" in err and "is covered" not in err
+    assert "'nosuch'" in err and "routes are diagonal" in err and "is covered" not in err
+    # the diagonal family is the one route of (2,1)
+    code, out, err = run_cli(capsys, "verify", "--sig", "2,1", "--route", "explicit")
+    assert code == 3 and out == "" and "routes are diagonal" in err
 
 
 def test_verify_route_scoped(capsys):
@@ -233,3 +240,55 @@ def test_print_parse_round_trip_random():
             sig, {m: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for m in range(sig.dim)}
         )
         assert parse_multivector(sig, format_multivector(mv)) == mv
+
+
+# -- fuzzing the command line
+
+_ROUTE_NAMES = sorted({route for _sig, routes in catalog_signatures() for route in routes})
+# widest p + q per command, so that no case builds a wide recipe
+_MAX_N = {"rep": 8, "inverse": 4, "verify": 4, "classify": 40}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["rep", "inverse", "classify", "table", "verify"]))
+    if command == "table":
+        return ["table", "--max-n", str(draw(st.integers(-2, 34)))]
+    bound = _MAX_N[command]
+    pair = st.tuples(st.integers(0, bound), st.integers(0, bound))
+    junk = st.sampled_from(["-1,2", "1,-1", "1,2,3", "1;2"]) | st.text(alphabet=", -x", max_size=5)
+    sig = draw(pair.filter(lambda pq: sum(pq) <= bound).map(lambda pq: f"{pq[0]},{pq[1]}") | junk)
+    argv = [command, f"--sig={sig}"]
+    if command == "classify":
+        return argv
+    route = draw(st.one_of(
+        st.none(), st.sampled_from(_ROUTE_NAMES), st.text(alphabet="aelmprx0-", max_size=8)
+    ))
+    if route is not None:
+        argv.append(f"--route={route}")
+    if command == "verify":
+        return argv + ["--trials", "1", "--seed", str(draw(st.integers(0, 9)))]
+    term = st.sampled_from(
+        ["3", "1/2", "0", "1/0", "e1", "e2", "e12", "eps1", "eps12", "2*e1*eps1", "e9"]
+    )
+    expr = draw(st.one_of(
+        st.lists(term, min_size=1, max_size=4).flatmap(
+            lambda terms: st.sampled_from([" + ", "-", "+"]).map(lambda op: op.join(terms))
+        ),
+        st.text(alphabet="eps0123456789+-*/ ", max_size=16),
+    ).filter(lambda e: e != "-"))
+    # a leading space keeps an expression such as "-e1" from reading as an option
+    return argv + [" " + expr if expr.startswith("-") else expr]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_argv())
+def test_cli_fuzz_ends_in_documented_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects an argument
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -51,7 +51,7 @@ QUAD_CASES = [
 @pytest.mark.parametrize("pair,u_idx,v_idx,vsq", QUAD_CASES)
 def test_quad_basis_block_patterns(pair, u_idx, v_idx, vsq):
     sig = Signature(*pair)
-    spec = get_spec(sig, "explicit")
+    spec = get_spec(sig)
     u, v = _blade(sig, u_idx), _blade(sig, v_idx)
     assert u * u == 1
     assert v * v == vsq
@@ -85,7 +85,7 @@ SPLIT_CASES = [
 @pytest.mark.parametrize("pair,u_idx", SPLIT_CASES)
 def test_split_basis_block_patterns(pair, u_idx):
     sig = Signature(*pair)
-    spec = get_spec(sig, "explicit")
+    spec = get_spec(sig)
     u = _blade(sig, u_idx)
     assert u * u == 1
     img = represent_with(spec, u)
@@ -105,7 +105,7 @@ def test_extension_units_map_to_ring_units():
     ]
     for pair, unit_sets, ring in cases:
         sig = Signature(*pair)
-        spec = get_spec(sig, "explicit")
+        spec = get_spec(sig)
         units = [RingScalar.complex_parts(0, 1)] if ring == "C" else [
             RingScalar.quaternion_parts(0, 1, 0, 0),
             RingScalar.quaternion_parts(0, 0, 1, 0),

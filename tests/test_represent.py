@@ -369,8 +369,6 @@ IMAGE_DIGESTS = {
     "0,1,complex1,sparse": "d6dba0d514242f4b36a7dde027092284caed1d0b0e0d6f77df5089f40efce531",
     "2,0,explicit,dense": "c1617f45836eb2cc01982a3084b219a08622dded520df301beca75f57d93c4d3",
     "2,0,explicit,sparse": "c014a7469a31edecd4ec21577a7ab238ef16339db8b2a2ab1f933ed9616bd4c7",
-    "1,1,explicit,dense": "a48df773693ae61700f73f0fcc81cc33fb789ae544e43dd5c461d2284ae357d5",
-    "1,1,explicit,sparse": "38d1a71b48a301c65eed23afaa9b6e29a9409e09bd1bdec4b4f09a6f43ffaaf2",
     "1,1,diagonal,dense": "2e1eec3a2c5fd0bbe3a458e4fd8012a7f36a48c4d6f3eed099b5d776822455a0",
     "1,1,diagonal,sparse": "ec9b985faab51d35b492cb1b1ae013110b3c32391890f4dbfca0fc248cba9ddc",
     "0,2,quaternion,dense": "0fa4510b98a0906d6226a35e29e5cae3e90a9988cdc5fbb63354dcd35b660409",
@@ -381,8 +379,6 @@ IMAGE_DIGESTS = {
     "0,2,real4,sparse": "d88762a2bea095b3c0c5deb1504c7551ff2624d4ea11c7ac55c31cae8da9e37d",
     "3,0,explicit,dense": "2e0ea34cebf76938b48bb5eea34b654843edf1f3bf37069aa4992ea7114c8c56",
     "3,0,explicit,sparse": "87e8dcb7ffca6e8185b5c988935b1ecbe5c49e6161abfb23ed08afe456c2448b",
-    "2,1,explicit,dense": "3e1585e679cb68e643b24c2ea183cef2e3bd7982dfd6d7b0e492bfb8b9c3235e",
-    "2,1,explicit,sparse": "5c2e211f10738f3ebbc1cbdcc88030b237d258162670a6dced7ecf3c649858cd",
     "2,1,diagonal,dense": "b8bd83574d66c2638e1e2556124611cbc2f1d68f209fd84d07d79ad8a4847cbc",
     "2,1,diagonal,sparse": "46cb116247740bda971c6eea7a1e96e50bff3723776ef3a09489b2486f6fb806",
     "1,2,explicit,dense": "15867014fd95e4a308e7389ced8f6cf9845af483a03788bb4e03a1c42cea4cf0",
@@ -391,12 +387,8 @@ IMAGE_DIGESTS = {
     "0,3,explicit,sparse": "e5ad9d55a5210464f74fe15402438b19c6acf9051e9dc7f4efcac1555a688e98",
     "4,0,explicit,dense": "ce8c1dcc6ca3c265b6dd99b9a0b2762ab4c688cd42e1f9dae39d932f30811670",
     "4,0,explicit,sparse": "00886e77df3c73fa0e766e948726a0a4a823c97ba30651181e52b4d27debb06a",
-    "3,1,explicit,dense": "b08987ef8936779694911ddd095780167ccfd759b6ec615bddb7a92e9b90c771",
-    "3,1,explicit,sparse": "90560278dfc86307bc83aba88202fed864d42d082a154d65c85dd85049745dab",
     "3,1,diagonal,dense": "48c47ecbe395e738ff05ebb0718c0153a072f2413f45a5fe74dce21b783f12d6",
     "3,1,diagonal,sparse": "a49cce3fadd8a7970f51e789e2637625331eaba810bb1f58983a3a7138a95787",
-    "2,2,explicit,dense": "3557227db87cc7222549b3c1c46c3241b3d9c248caced4d700d54c3b8c90df76",
-    "2,2,explicit,sparse": "8a4e1065608d0367f260f9b12db9dd239d4f0c03244e871da22642f2bf81d936",
     "2,2,diagonal,dense": "897d1289a718d1c434507228fb716c1ff9190837847e6e207c85299dd945583f",
     "2,2,diagonal,sparse": "a4d85f04106caa4835d707663dbde59a09e970721f9bf804af724dc7e9363b14",
     "1,3,explicit,dense": "1391aa7266b70a1b089f2804b4868bbb526befedc64657715c8b2a7e099e1443",
@@ -405,12 +397,8 @@ IMAGE_DIGESTS = {
     "0,4,explicit,sparse": "d52eae5c5b6ec7840901ac73be5ba776a7e45f257a44735f612c08a4d232f9cd",
     "5,0,explicit,dense": "a58db6097ef4df2e857c5a862211fa3c3d22773702cd9e959026b89e4ce02bc8",
     "5,0,explicit,sparse": "e0b0e8024c05917467307d1d3d362b7c52314c06e87703ba804b569cf676f58b",
-    "4,1,explicit,dense": "e7659e12b5f2fa5515d6934e01e1010bb032c9356d681334b8abb20dc36cc2f5",
-    "4,1,explicit,sparse": "b4c5082625f16bdaed2a838600e24701742b97007c0c1fe6bd1146aa034c8119",
     "4,1,diagonal,dense": "141a09b443615a44ff55b938e142f2b29f483b2a536074c6aeaee1cc31f14839",
     "4,1,diagonal,sparse": "17effce09646e6b58682a5c783dcae25d3ecac395f0067c9f41b604f3dac2b09",
-    "3,2,explicit,dense": "7bd4343f5c7a09007d35d75fed9fd81aad7f69578d928606584f746c32d2e7b0",
-    "3,2,explicit,sparse": "1598733aa6d25306a60bb921341679480224b8c5c19a4984cf6497b10976a4e9",
     "3,2,diagonal,dense": "9f5d24fd6bcc23b62bb1a2c8a4dee7ff65d38de86b723903ee02503d007e5529",
     "3,2,diagonal,sparse": "827114e161503a2101d8e91863046d07a2b76d9f21e33357bb85f4543922392f",
     "2,3,explicit,dense": "306738c1595289c373daa701f2a7a10de243bd24173fd66e134c4df97a9765b0",
@@ -421,16 +409,10 @@ IMAGE_DIGESTS = {
     "0,5,explicit,sparse": "e7d4da31cfc6f91766b5b6faac9f6bb91aa6dccbd48f090234deb31333926c2b",
     "6,0,explicit,dense": "85b2a610e9ff7561de460b132c75645f01bca18ca4982296494b6ca873979bf9",
     "6,0,explicit,sparse": "eebf9631d7ecdcf59ec4849cd10c5ca802e9c0effcea86405565a4e039c39c6a",
-    "5,1,explicit,dense": "65ffe2774f6adec069e9763d7a3700c83ffbac1956553e5455201e9b71fa65a5",
-    "5,1,explicit,sparse": "076dd71e54be4a39d6a139f22c8e815f085266b6be7e13d20c1dda480465a629",
     "5,1,diagonal,dense": "92d80f15bf5680231b527ff96d5a54626e68c1b96cdeb7b3d265c84d07f7fc99",
     "5,1,diagonal,sparse": "7953fb8fb44be524338bc3574b2923672767704573376cd49d8e2faf6ab55be3",
-    "4,2,explicit,dense": "fb3d98d0107f1eb094d3d29cfca6239917b340ec47a59dfa0dcdef0be2aac547",
-    "4,2,explicit,sparse": "df0a1e7282e6537f5d1595400e354b45a51848cf3e04a5bed6fcf9a572f8885e",
     "4,2,diagonal,dense": "ffc4d051242a0f10f107927765dd19709f560d8044a04f058704ec5c0bd2ce05",
     "4,2,diagonal,sparse": "294a24a4d5219bfac289623d8ce482ced5deccf9f4f1bbe40d05cadc219b9514",
-    "3,3,explicit,dense": "fc8612769b37e4d815983c36e4c0cec6145f13118977c299cf688e7d95c07557",
-    "3,3,explicit,sparse": "0f8fa0d68b80e458adcb616752687fa0be1d51b089f7cdc8c37ca1a9d812ca55",
     "3,3,diagonal,dense": "f0ade79ea57d24ab1432b0929f828815d6e0949c81793f9d9b46b7c9a4cbe9dc",
     "3,3,diagonal,sparse": "9d937205367e9bc932658dcd6da8c26e03e13f399d88a04c1b61eb9ec477a1eb",
     "2,4,explicit,dense": "b3a3c46f84836475076796a962a7c369c89331ec1d5f3ae84a6162811e0802bf",
