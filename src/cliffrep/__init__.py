@@ -27,7 +27,6 @@ from .catalog import (
     CatalogMissError,
     CORRECTIONS,
     RepSpec,
-    build_from_matrix_units,
     catalog_signatures,
     catalog_text,
     classify,
@@ -74,7 +73,6 @@ __all__ = [
     "SignatureMismatchError",
     "StructureError",
     "blade_product",
-    "build_from_matrix_units",
     "catalog_signatures",
     "catalog_text",
     "check_similarity",

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .algebra import (
     GeneratorList,
@@ -63,10 +63,6 @@ class CatalogError(Exception):
 
 class CatalogMissError(CatalogError):
     """The signature/route pair has no recipe in the catalog."""
-
-
-class BasisChangeError(CatalogError):
-    """A supplied matrix-unit family violates the product laws."""
 
 
 class TransformCheckError(CatalogError):
@@ -106,14 +102,6 @@ class MvMatrix:
     def identity(cls, sig: Signature, size: int) -> "MvMatrix":
         one, zero = Multivector.scalar(sig, 1), Multivector.zero(sig)
         return cls(sig, [[one if r == c else zero for c in range(size)] for r in range(size)])
-
-    @classmethod
-    def diagonal(cls, sig: Signature, elements: Sequence[Multivector]) -> "MvMatrix":
-        zero = Multivector.zero(sig)
-        size = len(elements)
-        return cls(
-            sig, [[elements[r] if r == c else zero for c in range(size)] for r in range(size)]
-        )
 
     @classmethod
     def block2(cls, blocks: Sequence[Sequence["MvMatrix"]]) -> "MvMatrix":
@@ -187,9 +175,6 @@ class MvMatrix:
             return NotImplemented
         return self.sig == other.sig and self.rows == other.rows
 
-    def __hash__(self):
-        return hash((self.sig, self.rows))
-
     def __repr__(self):
         return f"<MvMatrix {self.nrows}x{self.ncols} over {self.sig}>"
 
@@ -238,12 +223,13 @@ class TransformPair:
     read it.  Since P * scale * Pinv = L * diag(S * scale * Sinv, ...) * R / 4
     at every step, a pair passes when its carried leaf passes and L * R = 4 I
     at every carried step; only a failure multiplies the pair out, to name
-    the first bad cell.  Likewise P * D * (scale * Pinv) =
-    L * [[conj_S(D_kj)]] * R / 4 over the 2x2 blocks D_kj of D.  The dense P
-    and Pinv are built only when something reads ``P``, ``Pinv`` or
-    ``scale``.  A stepped pair passes its identity check before any of those
-    reads or ``conjugate`` is served, and raises TransformCheckError on each
-    of them otherwise.
+    the first bad cell.  Likewise ``conjugate`` takes the elements of a
+    diagonal D = diag(D0, D1), split into halves, and P * D * (scale * Pinv) =
+    L * diag(conj_S(D0), conj_S(D1)) * R / 4, with equal halves conjugated
+    once.  The dense P and Pinv are built only when something reads ``P``,
+    ``Pinv`` or ``scale``.  A stepped pair passes its identity check before
+    any of those reads or ``conjugate`` is served, and raises
+    TransformCheckError on each of them otherwise.
     """
 
     __slots__ = ("size", "_where", "_step", "_parts", "_defect", "_carried")
@@ -314,10 +300,10 @@ class TransformPair:
     def scale(self) -> Fraction:
         return self._materialized()[2]
 
-    def conjugate(self, diag: MvMatrix) -> MvMatrix:
-        """P * diag * (scale * Pinv), taken one recipe step at a time."""
-        if (diag.nrows, diag.ncols) != (self.size, self.size):
-            raise ValueError("shape mismatch in conjugation")
+    def conjugate(self, diag: Sequence[Multivector]) -> MvMatrix:
+        """P * diag(diag) * (scale * Pinv), taken one recipe step at a time."""
+        if len(diag) != self.size:
+            raise ValueError(f"conjugation needs {self.size} diagonal elements, not {len(diag)}")
         if self._step is not None:
             _check_transform(self, self._where)
         return _sandwich(*self._carried_steps(), diag)
@@ -366,47 +352,34 @@ def _first_bad_cell(P: MvMatrix, Pinv: MvMatrix, scale: Fraction) -> tuple[int, 
     return None
 
 
-def _quadrant(matrix: MvMatrix, k: int, j: int) -> MvMatrix | None:
-    """Block (k, j) of a 2x2 split of ``matrix``, or None when it is zero."""
-    h = matrix.nrows // 2
-    rows = [row[j * h : (j + 1) * h] for row in matrix.rows[k * h : (k + 1) * h]]
-    if all(x.is_zero for row in rows for x in row):
-        return None
-    return MvMatrix(matrix.sig, rows)
-
-
-def _sandwich(steps, P: MvMatrix, Pinv: MvMatrix, scale: Fraction, matrix: MvMatrix) -> MvMatrix:
-    """P * matrix * (scale * Pinv) with P factored into doubling steps
-    (outermost first) around a leaf; equal blocks are conjugated once."""
+def _sandwich(
+    steps, P: MvMatrix, Pinv: MvMatrix, scale: Fraction, diag: Sequence[Multivector]
+) -> MvMatrix:
+    """P * diag(diag) * (scale * Pinv) with P factored into doubling steps
+    (outermost first) around a leaf; equal halves are conjugated once."""
     if not steps:
-        return ((P * matrix) * Pinv).scale(scale)
-    done: dict[MvMatrix, MvMatrix] = {}
-    conj = {}
-    for k in (0, 1):
-        for j in (0, 1):
-            block = _quadrant(matrix, k, j)
-            if block is not None:
-                if block not in done:
-                    done[block] = _sandwich(steps[1:], P, Pinv, scale, block)
-                conj[k, j] = done[block]
-    return _doubling_step(*steps[0], conj, matrix.sig, matrix.nrows // 2)
+        scaled = MvMatrix(P.sig, [[x * d for x, d in zip(row, diag)] for row in P.rows])
+        return (scaled * Pinv).scale(scale)
+    h = len(diag) // 2
+    top = _sandwich(steps[1:], P, Pinv, scale, diag[:h])
+    bottom = top if diag[:h] == diag[h:] else _sandwich(steps[1:], P, Pinv, scale, diag[h:])
+    return _doubling_step(*steps[0], (top, bottom))
 
 
-def _doubling_step(left: MvMatrix, right: MvMatrix, conj: dict, sig: Signature, h: int) -> MvMatrix:
-    """L * [[C_kj]] * R / 4 for the conjugated blocks C_kj (absent ones are
-    zero), summed on integer numerators over one denominator."""
+def _doubling_step(left: MvMatrix, right: MvMatrix, blocks: tuple[MvMatrix, MvMatrix]) -> MvMatrix:
+    """L * diag(C0, C1) * R / 4 for the conjugated halves C0, C1, summed on
+    integer numerators over one denominator."""
+    sig, h = left.sig, blocks[0].nrows
     dl, lrows = left._lifted()
     dr, rrows = right._lifted()
-    den = 1
-    for value in conj.values():
-        den = lcm(den, value._lifted()[0])
-    grids = {}
-    for kj, value in conj.items():
-        d, grid = value._lifted()
+    lifted = [block._lifted() for block in blocks]
+    den = lcm(*(d for d, _grid in lifted))
+    grids = []
+    for d, grid in lifted:
         f = den // d
         if f != 1:
             grid = [[{m: x * f for m, x in cell.items()} for cell in row] for row in grid]
-        grids[kj] = grid
+        grids.append(grid)
     out_den = 4 * dl * dr * den
     rows = []
     for r in (0, 1):
@@ -414,13 +387,13 @@ def _doubling_step(left: MvMatrix, right: MvMatrix, conj: dict, sig: Signature, 
             halves: tuple[list, list] = ([], [])
             for col in range(h):
                 accs: tuple[dict[int, int], dict[int, int]] = ({}, {})
-                for (k, j), grid in grids.items():
+                for k, grid in enumerate(grids):
                     cell = grid[i][col]
                     if cell:
                         part: dict[int, int] = {}
                         _mul_accumulate(sig, part, lrows[r][k], cell)
-                        _mul_accumulate(sig, accs[0], part, rrows[j][0])
-                        _mul_accumulate(sig, accs[1], part, rrows[j][1])
+                        _mul_accumulate(sig, accs[0], part, rrows[k][0])
+                        _mul_accumulate(sig, accs[1], part, rrows[k][1])
                 for half, acc in zip(halves, accs):
                     half.append(Multivector._raw(sig, acc, out_den))
             rows.append(halves[0] + halves[1])
@@ -440,14 +413,16 @@ class ReplicationSpec:
     u: Multivector | None = None
     sub: GeneratorList | None = None
 
-    def diagonal_for(self, a: Multivector) -> MvMatrix:
+    def diagonal_for(self, a: Multivector) -> list[Multivector]:
+        """The diagonal elements: ``a`` on every copy, or ``a`` then its
+        conjugate along ``u`` on the two halves of a conjugate pair."""
         from .algebra import conjugate_along
 
         if self.kind == PLAIN:
-            return MvMatrix.diagonal(a.sig, [a] * self.copies)
+            return [a] * self.copies
         half = self.copies // 2
         bar = conjugate_along(a, self.u, self.sub)
-        return MvMatrix.diagonal(a.sig, [a] * half + [bar] * half)
+        return [a] * half + [bar] * half
 
 
 # node kinds for the structural fast path ----------------------------------
@@ -930,48 +905,6 @@ def _periodic_spec(sig: Signature, route: str) -> RepSpec:
         unit_blades=units,
         node=PeriodicNode(core, basis, reduced, inner),
     )
-
-
-# ---------------------------------------------------------------------------
-# generic matrix-unit construction
-
-
-def build_from_matrix_units(
-    sig: Signature, taus: Mapping[tuple[int, int], Multivector], size: int
-) -> TransformPair:
-    """Transform built from a matrix-unit family t[i][j].
-
-    The family must satisfy t_ij * t_st = t_it when j == s and 0 otherwise,
-    and the diagonal must sum to 1; the resulting P is its own inverse.
-    Used as the correction oracle when a printed transform fails.
-    """
-    zero = Multivector.zero(sig)
-    one = Multivector.scalar(sig, 1)
-    for i in range(1, size + 1):
-        for j in range(1, size + 1):
-            if (i, j) not in taus:
-                raise BasisChangeError(f"missing matrix unit ({i}, {j})")
-    diag = zero
-    for i in range(1, size + 1):
-        diag = diag + taus[(i, i)]
-    if diag != one:
-        raise BasisChangeError("matrix units do not sum to the identity on the diagonal")
-    for i in range(1, size + 1):
-        for j in range(1, size + 1):
-            for s in range(1, size + 1):
-                for t in range(1, size + 1):
-                    want = taus[(i, t)] if j == s else zero
-                    if taus[(i, j)] * taus[(s, t)] != want:
-                        raise BasisChangeError(
-                            f"product law fails at t[{i}{j}] * t[{s}{t}]"
-                        )
-    rows = [[taus[(j + 1, i + 1)] for j in range(size)] for i in range(size)]
-    P = MvMatrix(sig, rows)
-    tp = TransformPair(P, P, Fraction(1))
-    defect = tp.identity_defect()
-    if defect is not None:
-        raise BasisChangeError(f"matrix-unit transform is not involutive at {defect}")
-    return tp
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from typing import Callable, Sequence
 from .algebra import MAX_GENERATORS, BladeWidthError, Signature
 from .catalog import (
     CatalogMissError,
-    catalog_signatures,
     catalog_text,
     classify,
     corrections_markdown,
@@ -26,8 +25,8 @@ from .catalog import (
 )
 from .represent import element_inverse, represent
 from .rings import NumberTooLongError, format_matrix
-from .text import ParseError, format_multivector, parse_multivector
-from .verify import check_suite, emit_records, emit_text
+from .text import ParseError, ascii_digits, format_multivector, parse_multivector
+from .verify import emit_records, emit_text, run_catalog_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -36,12 +35,12 @@ EXIT_CATALOG_MISS = 3
 
 
 def _parse_sig(text: str) -> Signature:
+    parts = [part.strip() for part in text.split(",")]
+    if len(parts) != 2 or not all(map(ascii_digits, parts)):
+        raise argparse.ArgumentTypeError(f"signature must look like 'p,q' in ASCII digits: {text!r}")
     try:
-        p_str, q_str = text.split(",")
-        return Signature(int(p_str), int(q_str))
-    except (ValueError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(f"signature must look like 'p,q': {exc}")
-    except BladeWidthError as exc:
+        return Signature(*map(int, parts))
+    except (ValueError, BladeWidthError) as exc:  # ValueError: past int()'s digit limit
         raise argparse.ArgumentTypeError(str(exc))
 
 
@@ -122,23 +121,17 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.all:
-        pairs = []
-        for sig, routes in catalog_signatures():
-            for route in routes:
-                pairs.append((sig, route))
-    else:
+    pairs = None  # --all: every listed route of the catalog
+    if not args.all:
         # a signature with no route reaches get_spec through its default
         # route, which raises the catalog's own miss message
         routes = [args.route] if args.route else routes_for(args.sig) or [None]
         pairs = [(args.sig, route) for route in routes]
-    reports = []
-    for sig, route in pairs:
-        try:
-            reports.extend(check_suite(sig, route, seed=args.seed, trials=args.trials))
-        except CatalogMissError as exc:
-            print(f"catalog miss: {exc}", file=sys.stderr)
-            return EXIT_CATALOG_MISS
+    try:
+        reports = run_catalog_suite(pairs, seed=args.seed, trials=args.trials)
+    except CatalogMissError as exc:
+        print(f"catalog miss: {exc}", file=sys.stderr)
+        return EXIT_CATALOG_MISS
     reports.sort(key=lambda r: (r.signature.p, r.signature.q, r.route, r.name))
     out = emit_records(reports) if args.format == "records" else emit_text(reports)
     print(out, end="")

@@ -5,8 +5,9 @@ joined by ``+`` and ``-``.  Generator names are ``e1..e<p>`` for the +1
 generators and ``eps1..eps<q>`` for the -1 generators.  A digit run after a
 family letter first tries to name a single generator of that family; when it
 is not one (e.g. ``e12`` with p = 2) it is read as a product of single-digit
-generators in ascending order.  The printer emits blades in ascending mask
-order and sticks to forms the parser accepts.
+generators in ascending order.  Numbers and indices are runs of the ASCII
+digits 0-9 only.  The printer emits blades in ascending mask order and
+sticks to forms the parser accepts.
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+def ascii_digits(text: str) -> bool:
+    """True when ``text`` is a non-empty run of the digits 0-9; ``str.isdigit``
+    and ``str.isdecimal`` also take other scripts' digits and superscripts."""
+    return text.isascii() and text.isdigit()
 
 
 class _Scanner:
@@ -44,7 +51,7 @@ class _Scanner:
 
     def take_digits(self) -> str:
         start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
+        while self.pos < len(self.src) and ascii_digits(self.src[self.pos]):
             self.pos += 1
         return self.src[start : self.pos]
 
@@ -108,7 +115,7 @@ def _parse_term(scanner: _Scanner, sig: Signature) -> tuple[int, Fraction]:
     coeff = Fraction(1)
     mask = 0
     need_factor = True
-    if scanner.peek().isdigit():
+    if ascii_digits(scanner.peek()):
         coeff = _parse_rational(scanner)
         scanner.skip_ws()
         need_factor = False

@@ -8,11 +8,11 @@ inner recipe's oracle takes.  Any residue outside those blades is an
 equality violation, which is what flags misprinted source formulas.  The
 sandwich is taken one recipe step at a time, reading each step's 2x2
 blocks L and R from the transform pair (never from the fast path's nodes
-or blade images): a doubling step maps D = [[D_kj]] to
-L * [[conj_S(D_kj)]] * R / 4 with conj_S the sub-recipe's sandwich, a
-reindexing step only carries the sub-recipe into the host, and equal
-diagonal blocks are conjugated once.  That is the dense product exactly,
-without a dense P.  The harness cross-checks the oracle against the
+or blade images): a doubling step maps the diagonal D = diag(D0, D1),
+split into halves, to L * diag(conj_S(D0), conj_S(D1)) * R / 4 with conj_S
+the sub-recipe's sandwich, a reindexing step only carries the sub-recipe
+into the host, and equal halves are conjugated once.  That is the dense
+product exactly, without a dense P.  The harness cross-checks the oracle against the
 structural fast path on every trial (on a periodic recipe, the read-back
 stage one against the fast path's first, then the inner oracle), plus the
 homomorphism, faithfulness, unit, inverse-pullback, round-trip and
@@ -193,6 +193,8 @@ def _sampled(
 ) -> CheckReport:
     """Run ``trial`` up to ``trials`` times on one generator seeded with
     ``seed``; the first witness it returns fails the check."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, not {trials}")
     rng = random.Random(seed)
     for i in range(trials):
         witness = trial(rng)
@@ -315,6 +317,8 @@ def check_inverse_pullback(
     """Seeded invertible elements pull their matrix inverses back to
     two-sided inverses; ``element_inverse`` checks both products, and its
     typed failures are the witness."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, not {trials}")
     spec = get_spec(sig, route)
     rng = random.Random(seed)
     found = 0
@@ -355,8 +359,6 @@ def check_suite(
 
     Reports come back sorted by check name so concurrent runs merge stably.
     """
-    if trials is not None and trials < 1:
-        raise ValueError(f"trials must be at least 1, not {trials}")
     spec = get_spec(sig, route)
     n = sig.n
     if trials is None:
@@ -386,12 +388,12 @@ def run_catalog_suite(
     seed: int = 0,
     trials: int | None = None,
 ) -> list[CheckReport]:
-    """Suites over (signature, route) pairs; defaults to the default routes
-    of the whole catalog."""
+    """Suites over (signature, route) pairs; defaults to every listed route
+    of the whole catalog, which is what ``cliffrep verify --all`` runs."""
     from .catalog import catalog_signatures
 
     if signatures is None:
-        signatures = [(sig, None) for sig, _ in catalog_signatures()]
+        signatures = [(sig, route) for sig, routes in catalog_signatures() for route in routes]
     reports: list[CheckReport] = []
     for sig, route in signatures:
         reports.extend(check_suite(sig, route, seed=seed, trials=trials))

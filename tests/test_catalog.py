@@ -13,13 +13,11 @@ from cliffrep.algebra import GeneratorList, Multivector, Signature
 from cliffrep.catalog import (
     CONJUGATE_PAIRS,
     PLAIN,
-    BasisChangeError,
     CatalogMissError,
     CORRECTIONS,
     MvMatrix,
     TransformCheckError,
     TransformPair,
-    build_from_matrix_units,
     catalog_signatures,
     catalog_text,
     classify,
@@ -258,55 +256,6 @@ def test_catalog_text_lists_signatures():
     assert "(9,0) route=periodic target=2R(16)" in text
 
 
-# -- matrix-unit construction
-
-
-def _tau_two_zero(sig):
-    one = Multivector.scalar(sig, 1)
-    e1 = Multivector.generator(sig, 1)
-    e2 = Multivector.generator(sig, 2)
-    e12 = e1 * e2
-    return {
-        (1, 1): (one + e1) * HALF,
-        (1, 2): (e2 + e12) * HALF,
-        (2, 1): (e2 - e12) * HALF,
-        (2, 2): (one - e1) * HALF,
-    }
-
-
-def test_matrix_units_reproduce_two_zero():
-    sig = Signature(2, 0)
-    tp = build_from_matrix_units(sig, _tau_two_zero(sig), 2)
-    spec = get_spec(sig)
-    assert tp.P == spec.transform.P
-    assert tp.Pinv == spec.transform.Pinv
-
-
-def test_matrix_units_reproduce_one_one():
-    sig = Signature(1, 1)
-    one = Multivector.scalar(sig, 1)
-    e1 = Multivector.generator(sig, 1)
-    eps1 = Multivector.generator(sig, 2)
-    prod = e1 * eps1
-    taus = {
-        (1, 1): (one + e1) * HALF,
-        (1, 2): (eps1 + prod) * Fraction(-1, 2),
-        (2, 1): (eps1 - prod) * HALF,
-        (2, 2): (one - e1) * HALF,
-    }
-    tp = build_from_matrix_units(sig, taus, 2)
-    spec = get_spec(sig)
-    assert tp.P == spec.transform.P
-
-
-def test_matrix_units_reject_bad_family():
-    sig = Signature(2, 0)
-    taus = _tau_two_zero(sig)
-    taus[(1, 2)] = taus[(1, 2)] * 2  # violates the product law
-    with pytest.raises(BasisChangeError):
-        build_from_matrix_units(sig, taus, 2)
-
-
 # -- corrections registry
 
 
@@ -440,7 +389,7 @@ def test_deferred_transform_checked_before_use():
         lambda: pair.P,
         lambda: pair.Pinv,
         lambda: pair.scale,
-        lambda: pair.conjugate(MvMatrix.identity(bad.P.sig, 2)),
+        lambda: pair.conjugate([Multivector.scalar(bad.P.sig, 1)] * 2),
     ]
     for read in reads:
         with pytest.raises(TransformCheckError, match="corrupted"):
@@ -532,12 +481,15 @@ def test_stepwise_sandwich_matches_dense_product():
             assert spec.transform.conjugate(diag) == want, (sig, route)
             checked += 1
     assert checked >= 36
-    # any matrix, not only a diagonal one, conjugates block by block
-    for sig in (Signature(3, 1), Signature(0, 3)):
-        tp = get_spec(sig).transform
-        rows = [[random_multivector(sig, rng) for _ in range(tp.size)] for _ in range(tp.size)]
-        full = MvMatrix(sig, rows)
-        assert tp.conjugate(full) == _dense(tp).conjugate(full)
+
+
+def test_conjugate_needs_one_element_per_row():
+    for sig, route in ((Signature(3, 1), None), (Signature(0, 2), "real4")):
+        tp = get_spec(sig, route).transform
+        one = Multivector.scalar(sig, 1)
+        for count in (0, tp.size - 1, tp.size + 1, 2 * tp.size):
+            with pytest.raises(ValueError, match=f"needs {tp.size} diagonal elements, not {count}"):
+                tp.conjugate([one] * count)
 
 
 @pytest.mark.parametrize("depth", [0, 2])
@@ -558,7 +510,7 @@ def test_corrupted_doubling_step_fails_checks(monkeypatch, depth):
 
     report = check_transform_pair(dataclasses.replace(spec, transform=bad))
     assert not report.passed and "cell (" in report.counterexample
-    for read in (lambda: bad.P, lambda: bad.conjugate(MvMatrix.identity(sig, 8))):
+    for read in (lambda: bad.P, lambda: bad.conjugate([Multivector.scalar(sig, 1)] * 8)):
         with pytest.raises(TransformCheckError):
             read()
 
@@ -570,7 +522,7 @@ def test_corrupted_doubling_step_fails_checks(monkeypatch, depth):
 
     # the step-wise sandwich is the dense one even for a pair that fails its
     # identity, so the oracle does not lean on the check to be exact
-    diag = MvMatrix.diagonal(sig, [Multivector.generator(sig, 1)] * 8)
+    diag = [Multivector.generator(sig, 1)] * 8
     unchecked = TransformPair(*bad._multiplied())
     assert _sandwich(*bad._carried_steps(), diag) == unchecked.conjugate(diag)
     registry[(3, 3, "corrupted")] = dataclasses.replace(registry[(3, 3, "corrupted")], transform=unchecked)

@@ -201,10 +201,40 @@ def test_verify_exit_one_on_failing_check(capsys, monkeypatch):
         return [CheckReport(Signature(1, 1), "explicit", "similarity", False, seed=seed,
                             counterexample="injected failure")]
 
-    monkeypatch.setattr("cliffrep.cli.check_suite", fake_suite)
+    monkeypatch.setattr("cliffrep.verify.check_suite", fake_suite)
     code, out, err = run_cli(capsys, "verify", "--sig", "1,1")
     assert code == 1
     assert "FAIL" in out and "failing check" in err
+
+
+def test_verify_all_visits_every_listed_route(capsys, monkeypatch):
+    from cliffrep.verify import run_catalog_suite
+
+    visited = []
+
+    def fake_suite(sig, route=None, seed=0, trials=None):
+        visited.append((sig, route))
+        return []
+
+    monkeypatch.setattr("cliffrep.verify.check_suite", fake_suite)
+    every = [(sig, route) for sig, routes in catalog_signatures() for route in routes]
+    assert run_catalog_suite() == []
+    assert visited == every
+    visited.clear()
+    code, out, _ = run_cli(capsys, "verify", "--all")
+    assert code == 0 and out == ""
+    assert visited == every
+
+
+def test_signature_argument_takes_only_ascii_digits(capsys):
+    for text in ("1_0,0", "\u0663,1", "3,\u00b9", "+3,1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--sig", text])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2, text
+        assert "ASCII digits" in err and "Traceback" not in err
+    code, out, _ = run_cli(capsys, "classify", "--sig", " 3 , 1 ")
+    assert code == 0 and out == "(3,1) -> R(4)\n"
 
 
 # SHA-256 and record count of short seeded `verify --format records` runs:

@@ -95,3 +95,18 @@ def test_oversized_numbers_raise_parse_error():
         with pytest.raises(ParseError) as err:
             parse_multivector(S21, source)
         assert err.value.position == position
+
+
+def test_only_ascii_digits_are_digits():
+    # other scripts' digits and superscripts pass str.isdigit (and the
+    # Arabic-Indic ones str.isdecimal) but are not part of the grammar
+    for text, message in (
+        ("\u00b2", "expected a generator name (at position 0)"),
+        ("e\u0663", "expected generator indices (at position 1)"),
+        ("2\u00b2", "unexpected character '\u00b2' (at position 1)"),
+        ("eps1\u0663", "unexpected character '\u0663' (at position 4)"),
+        ("1/\u0663", "expected a non-zero denominator (at position 2)"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_multivector(Signature(3, 1), text)
+        assert str(err.value) == message, text

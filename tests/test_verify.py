@@ -20,8 +20,10 @@ from cliffrep.rings import REAL, RingMatrix
 from cliffrep.verify import (
     CheckReport,
     EqualityViolationError,
+    check_cayley_hamilton,
     check_homomorphism,
     check_inverse_pullback,
+    check_round_trip,
     check_similarity,
     check_suite,
     check_transform_pair,
@@ -178,6 +180,16 @@ def test_check_suite_rejects_nonpositive_trials():
     for trials in (0, -1):
         with pytest.raises(ValueError, match="at least 1"):
             check_suite(Signature(2, 1), trials=trials)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize(
+    "check", [check_similarity, check_homomorphism, check_round_trip, check_inverse_pullback,
+              check_cayley_hamilton],
+)
+def test_sampled_checks_reject_nonpositive_trials(check, trials):
+    with pytest.raises(ValueError, match=f"trials must be at least 1, not {trials}"):
+        check(Signature(1, 1), trials=trials)
 
 
 def test_check_suite_periodic_reduced_trials():
