@@ -18,10 +18,8 @@ from .algebra import (
     SignatureMismatchError,
     StructureError,
     blade_product,
-    conjugate_along,
     pseudoscalar_square,
     reindex,
-    split_along,
 )
 from .catalog import (
     CatalogMissError,
@@ -78,7 +76,6 @@ __all__ = [
     "check_similarity",
     "check_suite",
     "classify",
-    "conjugate_along",
     "corrections_markdown",
     "element_charpoly",
     "element_det",
@@ -94,5 +91,4 @@ __all__ = [
     "represent",
     "routes_for",
     "run_catalog_suite",
-    "split_along",
 ]

@@ -421,12 +421,7 @@ class GeneratorList:
     list presents.  Subset products (ascending position order) are cached.
     """
 
-    def __init__(
-        self,
-        sig: Signature,
-        elements: Sequence[Multivector],
-        squares: Sequence[int] | None = None,
-    ):
+    def __init__(self, sig: Signature, elements: Sequence[Multivector]):
         self.sig = sig
         self.elements = tuple(elements)
         for g in self.elements:
@@ -441,8 +436,6 @@ class GeneratorList:
                 computed.append(-1)
             else:
                 raise StructureError(f"generator {idx} squares to {sq}, not +1 or -1")
-        if squares is not None and list(squares) != computed:
-            raise StructureError(f"declared squares {list(squares)} != computed {computed}")
         for i in range(len(self.elements)):
             for j in range(i + 1, len(self.elements)):
                 gi, gj = self.elements[i], self.elements[j]
@@ -648,29 +641,6 @@ class LinearSolver:
             if transformed[r]:
                 return None
         return x
-
-
-def split_along(
-    a: Multivector, u: Multivector, sub: GeneratorList
-) -> tuple[Multivector, Multivector]:
-    """Write ``a = a0 + a1*u`` with both parts in the subalgebra of ``sub``.
-
-    ``u`` must square to +1 or -1 and commute with everything ``sub``
-    generates; the decomposition is unique when it exists.
-    """
-    outer = GeneratorList(a.sig, [u])
-    basis = SplitBasis(sub, outer)
-    comps = basis.decompose(a)
-    zero = Multivector.zero(a.sig)
-    a0 = reindex(comps[0], sub) if 0 in comps else zero
-    a1 = reindex(comps[1], sub) if 1 in comps else zero
-    return a0, a1
-
-
-def conjugate_along(a: Multivector, u: Multivector, sub: GeneratorList) -> Multivector:
-    """The involution a0 + a1*u -> a0 - a1*u over the split along ``u``."""
-    a0, a1 = split_along(a, u, sub)
-    return a0 - a1 * u
 
 
 def reindex(a_abstract: Multivector, gens: GeneratorList) -> Multivector:

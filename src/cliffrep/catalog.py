@@ -406,23 +406,29 @@ CONJUGATE_PAIRS = "conjugate_pairs"
 
 @dataclass(frozen=True)
 class ReplicationSpec:
-    """Shape of the diagonal argument the transform conjugates."""
+    """Shape of the diagonal argument the transform conjugates: ``copies``
+    copies of ``a``, or conjugate pairs along the recipe step's own blade
+    ``split`` (its node's SplitBasis, whose one outer generator is ``u``)."""
 
-    kind: str
     copies: int
-    u: Multivector | None = None
-    sub: GeneratorList | None = None
+    split: SplitBasis | None = None
+
+    @property
+    def kind(self) -> str:
+        return PLAIN if self.split is None else CONJUGATE_PAIRS
 
     def diagonal_for(self, a: Multivector) -> list[Multivector]:
         """The diagonal elements: ``a`` on every copy, or ``a`` then its
-        conjugate along ``u`` on the two halves of a conjugate pair."""
-        from .algebra import conjugate_along
-
-        if self.kind == PLAIN:
+        conjugate ``a0 + a1*u -> a0 - a1*u`` on the two halves of a
+        conjugate pair, which negates the blades the split puts on ``u``."""
+        if self.split is None:
             return [a] * self.copies
+        if a.sig != self.split.sig:
+            raise SignatureMismatchError("element from a different algebra")
+        lookup = self.split._lookup
+        bar_num = {m: -c if lookup[m][0] else c for m, c in a._num.items()}
         half = self.copies // 2
-        bar = conjugate_along(a, self.u, self.sub)
-        return [a] * half + [bar] * half
+        return [a] * half + [Multivector._raw(a.sig, bar_num, a._den)] * half
 
 
 # node kinds for the structural fast path ----------------------------------
@@ -573,7 +579,7 @@ def _spec_ring_units(sig: Signature, route: str, unit_masks: Sequence[int]) -> R
         route=route,
         target=Target(ring, 1),
         transform=_leaf_pair(identity, identity, Fraction(1), f"{sig} {route}"),
-        replication=ReplicationSpec(PLAIN, 1),
+        replication=ReplicationSpec(1),
         unit_blades=names,
         node=LeafNode(basis, "units"),
     )
@@ -584,14 +590,15 @@ def _spec_real_pair(sig: Signature) -> RepSpec:
     one = Multivector.scalar(sig, 1)
     u = Multivector.generator(sig, 1)
     P = MvMatrix(sig, [[one, u], [-u, -one]])
+    basis = SplitBasis(_empty_gens(sig), _gens(sig, [1]))
     return RepSpec(
         signature=sig,
         route="real2",
         target=Target("R", 2),
         transform=_leaf_pair(P, P, HALF, "(0,1) real pair"),
-        replication=ReplicationSpec(CONJUGATE_PAIRS, 2, u=u, sub=_empty_gens(sig)),
+        replication=ReplicationSpec(2, basis),
         unit_blades={},
-        node=LeafNode(SplitBasis(_empty_gens(sig), _gens(sig, [1])), "real_pair"),
+        node=LeafNode(basis, "real_pair"),
     )
 
 
@@ -613,7 +620,7 @@ def _spec_complex_pair(sig: Signature) -> RepSpec:
         route="complex2",
         target=Target("C", 2),
         transform=_leaf_pair(P, Pinv, HALF, "(0,2) complex pair"),
-        replication=ReplicationSpec(PLAIN, 2),
+        replication=ReplicationSpec(2),
         unit_blades={"i": i1},
         node=LeafNode(SplitBasis(_empty_gens(sig), _gens(sig, [1, 2])), "complex_pair"),
     )
@@ -637,7 +644,7 @@ def _spec_real_quad(sig: Signature) -> RepSpec:
         route="real4",
         target=Target("R", 4),
         transform=_leaf_pair(P, P, Fraction(1), "(0,2) real quad"),
-        replication=ReplicationSpec(PLAIN, 4),
+        replication=ReplicationSpec(4),
         unit_blades={},
         node=LeafNode(SplitBasis(_empty_gens(sig), _gens(sig, [1, 2])), "real_quad"),
     )
@@ -669,7 +676,7 @@ def _spec_extend(
         route=route,
         target=Target(ring, sub_spec.target.size),
         transform=tp,
-        replication=ReplicationSpec(PLAIN, tp.size),
+        replication=ReplicationSpec(tp.size),
         unit_blades=names,
         node=ExtendNode(sub_spec, basis),
     )
@@ -705,7 +712,7 @@ def _spec_quad(
         route=route,
         target=Target(sub_spec.target.ring, 2 * sub_spec.target.size),
         transform=tp,
-        replication=ReplicationSpec(PLAIN, tp.size),
+        replication=ReplicationSpec(tp.size),
         unit_blades=_inherit_units(sub_spec, sub_gens),
         node=QuadNode(sub_spec, basis, sgn),
     )
@@ -738,7 +745,7 @@ def _spec_split(
         route=route,
         target=Target(ring, sub_spec.target.size),
         transform=tp,
-        replication=ReplicationSpec(CONJUGATE_PAIRS, tp.size, u=u, sub=sub_gens),
+        replication=ReplicationSpec(tp.size, basis),
         unit_blades=_inherit_units(sub_spec, sub_gens),
         node=SplitNode(sub_spec, basis),
     )
@@ -901,7 +908,7 @@ def _periodic_spec(sig: Signature, route: str) -> RepSpec:
         route=route,
         target=Target(inner.target.ring, 16 * inner.target.size),
         transform=tp,
-        replication=ReplicationSpec(PLAIN, 16),
+        replication=ReplicationSpec(16),
         unit_blades=units,
         node=PeriodicNode(core, basis, reduced, inner),
     )

@@ -44,11 +44,20 @@ def _parse_sig(text: str) -> Signature:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _positive_int(text: str) -> int:
+def _ascii_int(text: str) -> int:
+    """An integer in ASCII digits with an optional leading '-', surrounding
+    spaces allowed; ``int()`` also takes other scripts' digits and '_'."""
+    body = text.strip()
+    if not ascii_digits(body.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"not an integer in ASCII digits: {text!r}")
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        return int(body)
+    except ValueError as exc:  # past int()'s digit limit
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _positive_int(text: str) -> int:
+    value = _ascii_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
     return value
@@ -60,9 +69,20 @@ def _read_expr(expr: str) -> str:
     return expr
 
 
-def _print_result(render: Callable[[], str]) -> int:
+def _element_command(args, compute: Callable, render: Callable[[object], str]) -> int:
+    """Parse the element, compute on its route, print the rendered result."""
     try:
-        text = render()
+        a = parse_multivector(args.sig, _read_expr(args.expr))
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    try:
+        result = compute(a, args.route)
+    except CatalogMissError as exc:
+        print(f"catalog miss: {exc}", file=sys.stderr)
+        return EXIT_CATALOG_MISS
+    try:
+        text = render(result)
     except NumberTooLongError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
@@ -71,33 +91,15 @@ def _print_result(render: Callable[[], str]) -> int:
 
 
 def _cmd_rep(args) -> int:
-    sig = args.sig
-    try:
-        a = parse_multivector(sig, _read_expr(args.expr))
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    try:
-        image = represent(a, args.route)
-    except CatalogMissError as exc:
-        print(f"catalog miss: {exc}", file=sys.stderr)
-        return EXIT_CATALOG_MISS
-    return _print_result(lambda: format_matrix(image.value))
+    return _element_command(args, represent, lambda image: format_matrix(image.value))
 
 
 def _cmd_inverse(args) -> int:
-    sig = args.sig
-    try:
-        a = parse_multivector(sig, _read_expr(args.expr))
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    try:
-        inv = element_inverse(a, args.route)
-    except CatalogMissError as exc:
-        print(f"catalog miss: {exc}", file=sys.stderr)
-        return EXIT_CATALOG_MISS
-    return _print_result(lambda: "non-invertible" if inv is None else format_multivector(inv))
+    return _element_command(
+        args,
+        element_inverse,
+        lambda inv: "non-invertible" if inv is None else format_multivector(inv),
+    )
 
 
 def _cmd_classify(args) -> int:
@@ -174,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     cls.set_defaults(fn=_cmd_classify)
 
     table = sub.add_parser("table", help="classification grid")
-    table.add_argument("--max-n", type=int, default=10, dest="max_n", metavar="N",
+    table.add_argument("--max-n", type=_ascii_int, default=10, dest="max_n", metavar="N",
                        choices=range(MAX_GENERATORS + 1))
     table.set_defaults(fn=_cmd_table)
 
@@ -183,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     scope.add_argument("--sig", type=_parse_sig, default=None, metavar="p,q")
     scope.add_argument("--all", action="store_true", help="whole catalog, all routes")
     ver.add_argument("--route", default=None)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=_ascii_int, default=0)
     ver.add_argument("--trials", type=_positive_int, default=None, metavar="N")
     ver.add_argument("--format", choices=("text", "records"), default="text")
     ver.set_defaults(fn=_cmd_verify)

@@ -12,14 +12,17 @@ or blade images): a doubling step maps the diagonal D = diag(D0, D1),
 split into halves, to L * diag(conj_S(D0), conj_S(D1)) * R / 4 with conj_S
 the sub-recipe's sandwich, a reindexing step only carries the sub-recipe
 into the host, and equal halves are conjugated once.  That is the dense
-product exactly, without a dense P.  The harness cross-checks the oracle against the
-structural fast path on every trial (on a periodic recipe, the read-back
-stage one against the fast path's first, then the inner oracle), plus the
-homomorphism, faithfulness, unit, inverse-pullback, round-trip and
-characteristic-polynomial properties, deterministically under a seed.  The
-sampled checks share one seeded trial loop, every report is built by one
-helper, and a recipe's typed failures (images that are not independent, a
-wrong pulled-back inverse) come back as a failing report's witness.
+product exactly, without a dense P.  On a conjugate-pair recipe the bottom
+half holds a0 - a1*u for a = a0 + a1*u, read off the recipe step's own
+split along u, the SplitBasis its node holds.  The harness cross-checks
+the oracle against the structural fast path on every trial (on a periodic
+recipe, the read-back stage one against the fast path's first, then the
+inner oracle), plus the homomorphism, faithfulness, unit, inverse-pullback,
+round-trip and characteristic-polynomial properties, deterministically
+under a seed.  The sampled checks share one seeded trial loop, every
+report is built by one helper, and a recipe's typed failures (images that
+are not independent, a wrong pulled-back inverse) come back as a failing
+report's witness.
 """
 
 from __future__ import annotations

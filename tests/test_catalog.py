@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import cliffrep.catalog as catalog_mod
-from cliffrep.algebra import GeneratorList, Multivector, Signature
+from cliffrep.algebra import GeneratorList, Multivector, Signature, SignatureMismatchError
 from cliffrep.catalog import (
     CONJUGATE_PAIRS,
     PLAIN,
@@ -481,6 +481,44 @@ def test_stepwise_sandwich_matches_dense_product():
             assert spec.transform.conjugate(diag) == want, (sig, route)
             checked += 1
     assert checked >= 36
+
+
+def _bottom_half(replication, x):
+    """The conjugate ``diagonal_for`` puts on the bottom half, after checking
+    that ``x`` fills the top half."""
+    diag = replication.diagonal_for(x)
+    half = replication.copies // 2
+    assert diag == [x] * half + [diag[-1]] * half
+    return diag[-1]
+
+
+def test_conjugate_pair_properties():
+    # along the step's own split, a0 + a1*u -> a0 - a1*u fixes the sub
+    # generators, negates u, and is a linear, multiplicative involution
+    from cliffrep.verify import random_multivector
+
+    rng = random.Random(77)
+    routes = 0
+    for sig, names in catalog_signatures():
+        for route in names:
+            replication = get_spec(sig, route).replication
+            if replication.kind != CONJUGATE_PAIRS:
+                continue
+            routes += 1
+            split = replication.split
+            for g in split.sub.elements:
+                assert _bottom_half(replication, g) == g, (sig, route)
+            (u,) = split.outer.elements
+            assert _bottom_half(replication, u) == -u, (sig, route)
+            for _ in range(5):
+                a, b = random_multivector(sig, rng), random_multivector(sig, rng)
+                ca, cb = _bottom_half(replication, a), _bottom_half(replication, b)
+                assert _bottom_half(replication, ca) == a, (sig, route)
+                assert _bottom_half(replication, a + b * 3) == ca + cb * 3, (sig, route)
+                assert _bottom_half(replication, a * b) == ca * cb, (sig, route)
+    assert routes == 12
+    with pytest.raises(SignatureMismatchError):
+        get_spec(Signature(2, 1)).replication.diagonal_for(Multivector.scalar(Signature(3, 0), 1))
 
 
 def test_conjugate_needs_one_element_per_row():

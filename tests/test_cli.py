@@ -237,6 +237,29 @@ def test_signature_argument_takes_only_ascii_digits(capsys):
     assert code == 0 and out == "(3,1) -> R(4)\n"
 
 
+def test_numeric_options_take_only_ascii_digits(capsys):
+    cases = (
+        ["verify", "--sig", "1,0", "--trials", "\u0663", "--seed", "1"],
+        ["verify", "--sig", "1,0", "--trials", "1", "--seed", "\u0661"],
+        ["verify", "--sig", "1,0", "--trials", "1_0"],
+        ["verify", "--sig", "1,0", "--seed", "+3"],
+        ["verify", "--sig", "1,0", "--seed", "-"],
+        ["verify", "--sig", "1,0", "--seed", "9" * 5000],
+        ["table", "--max-n", "\u0662"],
+        ["table", "--max-n", "1_0"],
+    )
+    for argv in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2, argv
+        assert "Traceback" not in err, argv
+    code, out, _ = run_cli(capsys, "verify", "--sig", "1,0", "--trials", " 2 ", "--seed", "-3")
+    assert code == 0 and "seed=-3" in out
+    code, out, _ = run_cli(capsys, "table", "--max-n", " 2 ")
+    assert code == 0 and out.count("n=") == 3
+
+
 # SHA-256 and record count of short seeded `verify --format records` runs:
 # the check names, their order, seeds and pass states
 _VERIFY_RECORDS = {

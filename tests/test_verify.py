@@ -9,7 +9,9 @@ import pytest
 import cliffrep.catalog as catalog_mod
 from cliffrep.algebra import Multivector, Signature
 from cliffrep.catalog import (
+    CONJUGATE_PAIRS,
     MvMatrix,
+    ReplicationSpec,
     RepSpec,
     TransformPair,
     get_spec,
@@ -260,6 +262,22 @@ def test_periodic_similarity_fails_on_a_swapped_core(monkeypatch):
     report = check_similarity(sig, "swapped-core", trials=1)
     assert not report.passed
     assert "stage-one" in report.counterexample
+
+
+def test_plain_copies_fail_similarity_on_conjugate_pair_routes(monkeypatch):
+    # a conjugate-pair recipe fed diag(a, ..., a) instead of diag(a I, conj(a) I)
+    # leaves entries outside the target ring's units
+    for p, q, route in ((2, 1, "diagonal"), (0, 1, "real2"), (5, 0, "explicit")):
+        sig = Signature(p, q)
+        spec = get_spec(sig, route)
+        assert spec.replication.kind == CONJUGATE_PAIRS
+        plain = dataclasses.replace(
+            spec, route="plain-copies", replication=ReplicationSpec(spec.replication.copies)
+        )
+        monkeypatch.setitem(catalog_mod._SPECS, (p, q, "plain-copies"), plain)
+        report = check_similarity(sig, "plain-copies", trials=1)
+        assert not report.passed, sig
+        assert "oracle violation" in report.counterexample, sig
 
 
 # -- negative controls on tampered blade images
