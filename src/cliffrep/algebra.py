@@ -24,6 +24,9 @@ MAX_GENERATORS = 32
 
 # Sign tables take 4**n bytes; beyond this width compute signs pairwise.
 _TABLE_MAX_N = 12
+# The sign-table cache holds at most this many bytes (four tables at n = 12)
+# and evicts the oldest tables first.
+_SIGN_TABLES_MAX_BYTES = 1 << 26
 
 
 class AlgebraError(Exception):
@@ -140,7 +143,11 @@ def _sign_table(sig: Signature) -> bytes:
     table = _sign_tables.get(key)
     if table is None:
         table = _build_sign_table(sig.n, sig.neg_mask)
-        _sign_tables[key] = table
+        held = sum(map(len, _sign_tables.values()))
+        while _sign_tables and held + len(table) > _SIGN_TABLES_MAX_BYTES:
+            held -= len(_sign_tables.pop(next(iter(_sign_tables))))
+        if len(table) <= _SIGN_TABLES_MAX_BYTES:
+            _sign_tables[key] = table
     return table
 
 

@@ -38,6 +38,7 @@ from .catalog import (
 from .rings import (
     BLOCK_RING,
     COMPLEX,
+    COMPONENTS,
     DOUBLE_REAL,
     REAL,
     BlockPair,
@@ -45,8 +46,10 @@ from .rings import (
     RingScalar,
     UnsupportedRingError,
     char_poly,
+    from_numerators,
     mat_det,
     mat_inverse,
+    to_numerators,
 )
 
 
@@ -143,7 +146,15 @@ def blade_image(spec: RepSpec, mask: int) -> bytes | tuple[bytes, bytes]:
     """Compiled image of one basis blade, memoized on the spec."""
     image = spec.blade_images.get(mask)
     if image is None:
-        image = spec.blade_images[mask] = _compile_blade(spec.node, mask)
+        image = _compile_blade(spec.node, mask)
+        # a unit past the target ring's components would land on the next
+        # entry of the flat numerator layout
+        ring = spec.target.ring
+        if any(max(b[len(b) // 2 :]) >> 1 >= COMPONENTS[ring] for b in _blocks(image)):
+            raise CatalogError(
+                f"{spec.signature} route {spec.route}: blade {mask:#x} has a unit outside {ring}"
+            )
+        spec.blade_images[mask] = image
     return image
 
 
@@ -170,15 +181,16 @@ def _blocks(image):
 
 
 def _counters(spec: RepSpec, num: dict[int, int]) -> list[list[int]]:
-    """Flat numerators of sum(num[m] * rho(e_m)): index row*4*size + 4*col + unit."""
-    size = spec.target.size
+    """Flat numerators of sum(num[m] * rho(e_m)), one list per block, laid out
+    as rings.to_numerators reads a block: index (row*size + col)*rank + unit."""
+    size, rank = spec.target.size, COMPONENTS[spec.target.ring]
     blocks = 2 if spec.target.ring in BLOCK_RING else 1
-    counters = [[0] * (4 * size * size) for _ in range(blocks)]
-    row_base = range(0, 4 * size * size, 4 * size)
+    counters = [[0] * (rank * size * size) for _ in range(blocks)]
+    row_base = range(0, rank * size * size, rank * size)
     for mask, x in num.items():
         for counts, block in zip(counters, _blocks(blade_image(spec, mask))):
             for base, col, code in zip(row_base, block, block[size:]):
-                counts[base + 4 * col + (code >> 1)] += -x if code & 1 else x
+                counts[base + rank * col + (code >> 1)] += -x if code & 1 else x
     return counters
 
 
@@ -186,15 +198,8 @@ def _image(spec: RepSpec, a: Multivector) -> RingMatrix | BlockPair:
     """Sum the numerators of ``a`` along its blades' compiled images."""
     ring, size = spec.target.ring, spec.target.size
     inner = BLOCK_RING.get(ring)
-    blocks = [_ring_matrix(inner or ring, size, c, a._den) for c in _counters(spec, a._num)]
+    blocks = [from_numerators(inner or ring, size, c, a._den) for c in _counters(spec, a._num)]
     return BlockPair(ring, *blocks) if inner else blocks[0]
-
-
-def _ring_matrix(ring: str, size: int, counts: list[int], den: int) -> RingMatrix:
-    zero = RingScalar.zero(ring)
-    cells = [counts[i : i + 4] for i in range(0, 4 * size * size, 4)]
-    flat = [RingScalar(ring, *(Fraction(x, den) for x in c)) if any(c) else zero for c in cells]
-    return RingMatrix(ring, [flat[r : r + size] for r in range(0, size * size, size)])
 
 
 def periodic_stage1(node: PeriodicNode, a: Multivector) -> list[list[Multivector]]:
@@ -249,14 +254,14 @@ def represent_with(spec: RepSpec, a: Multivector) -> RingMatrix | BlockPair:
 def _trace_sums(spec: RepSpec, counters: list[list[int]]) -> list[int]:
     """Re tr(rho(e_m)* X), summed over blocks, for every mask m: on the flat
     numerators of X, a signed sum of one component per row of rho(e_m)."""
-    size = spec.target.size
-    row_base = range(0, 4 * size * size, 4 * size)
+    size, rank = spec.target.size, COMPONENTS[spec.target.ring]
+    row_base = range(0, rank * size * size, rank * size)
     sums = []
     for mask in range(spec.signature.dim):
         total = 0
         for counts, block in zip(counters, _blocks(blade_image(spec, mask))):
             for base, col, code in zip(row_base, block, block[size:]):
-                x = counts[base + 4 * col + (code >> 1)]
+                x = counts[base + rank * col + (code >> 1)]
                 total += -x if code & 1 else x
         sums.append(total)
     return sums
@@ -271,11 +276,12 @@ _CERTIFICATE_MAX_ENTRIES = 1 << 20
 def _signed_cells(spec: RepSpec, mask: int):
     """(cell, sign) of each row of a blade image; a cell numbers the block,
     row, column and unit as _counters indexes a block."""
-    size = spec.target.size
-    span = 4 * size * size
+    size, rank = spec.target.size, COMPONENTS[spec.target.ring]
+    span = rank * size * size
     for b, block in enumerate(_blocks(blade_image(spec, mask))):
-        for base, col, code in zip(range(b * span, (b + 1) * span, 4 * size), block, block[size:]):
-            yield base + 4 * col + (code >> 1), -1 if code & 1 else 1
+        row_base = range(b * span, (b + 1) * span, rank * size)
+        for base, col, code in zip(row_base, block, block[size:]):
+            yield base + rank * col + (code >> 1), -1 if code & 1 else 1
 
 
 class BasisImageTable:
@@ -324,9 +330,9 @@ class BasisImageTable:
         square = (target.size, target.size)
         if value.ring != target.ring or any((b.nrows, b.ncols) != square for b in blocks):
             raise NotInImageError(f"matrix does not fit the recipe target {target}")
-        flat = [[x for row in b.rows for s in row for x in (s.r, s.i, s.j, s.k)] for b in blocks]
-        den = lcm(*(x.denominator for xs in flat for x in xs))
-        counters = [[x.numerator * (den // x.denominator) for x in xs] for xs in flat]
+        parts = [to_numerators(b) for b in blocks]
+        den = lcm(*(d for _, d in parts))
+        counters = [[x * (den // d) for x in nums] for nums, d in parts]
         coeffs = {m: x for m, x in enumerate(_trace_sums(self.spec, counters)) if x}
         result = Multivector._raw(self.spec.signature, coeffs, den * self.norm)
         if represent_with(self.spec, result) != value:

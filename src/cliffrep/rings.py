@@ -5,12 +5,20 @@ quaternion products follow the usual unit laws (i^2 = j^2 = -1, ij = k =
 -ji).  Plain rings live in RingMatrix, the doubled rings in BlockPair, an
 ordered pair of same-size blocks composed entrywise.  Everything is
 immutable and exact.
+
+Matrix products (over R, C and H), determinants (fraction-free Bareiss
+elimination over R and over the Gaussian integers for C) and characteristic
+polynomials (Faddeev-LeVerrier) run on integers: the matrix is read as flat
+integer numerators over one common denominator, one to four components per
+entry.  Inversion, sums, scaling and equality stay on RingScalar.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 REAL = "R"
@@ -23,7 +31,8 @@ PLAIN_RINGS = (REAL, COMPLEX, QUATERNION)
 # each doubled ring and the ring of its two blocks
 BLOCK_RING = {DOUBLE_REAL: REAL, DOUBLE_QUATERNION: QUATERNION}
 
-_COMPONENTS = {REAL: 1, COMPLEX: 2, QUATERNION: 4}
+# rational components per matrix entry; a doubled ring counts its blocks' ring
+COMPONENTS = {REAL: 1, COMPLEX: 2, QUATERNION: 4, DOUBLE_REAL: 1, DOUBLE_QUATERNION: 4}
 
 
 class RingError(Exception):
@@ -40,6 +49,10 @@ class UnsupportedRingError(RingError):
 
 class NumberTooLongError(RingError):
     """A number has more digits than the interpreter converts to text."""
+
+
+class InexactDivisionError(RingError):
+    """A division the integer kernel proves exact left a remainder."""
 
 
 def _frac(value) -> Fraction:
@@ -59,7 +72,7 @@ class RingScalar:
         if ring not in PLAIN_RINGS:
             raise UnsupportedRingError(f"no scalar type for ring {ring!r}")
         r, i, j, k = _frac(r), _frac(i), _frac(j), _frac(k)
-        rank = _COMPONENTS[ring]
+        rank = COMPONENTS[ring]
         if rank < 4 and (j or k):
             raise RingMismatchError(f"{ring} scalar with j/k components")
         if rank < 2 and i:
@@ -96,7 +109,7 @@ class RingScalar:
         return cls(ring, 1)
 
     def components(self) -> tuple[Fraction, ...]:
-        return (self.r, self.i, self.j, self.k)[: _COMPONENTS[self.ring]]
+        return (self.r, self.i, self.j, self.k)[: COMPONENTS[self.ring]]
 
     @property
     def is_zero(self) -> bool:
@@ -231,7 +244,7 @@ class RingMatrix:
     @classmethod
     def from_components(cls, ring: str, rows) -> "RingMatrix":
         """Build from bare rationals (R), (r, i) pairs (C) or 4-tuples (H)."""
-        rank = _COMPONENTS[ring]
+        rank = COMPONENTS[ring]
         out = []
         for row in rows:
             line = []
@@ -294,19 +307,10 @@ class RingMatrix:
         self._check_ring(other)
         if self.ncols != other.nrows:
             raise RingMismatchError("shape mismatch in product")
-        zero = RingScalar.zero(self.ring)
-        cols = other.ncols
-        out = []
-        for ra in self.rows:
-            line = []
-            for c in range(cols):
-                acc = zero
-                for k, a in enumerate(ra):
-                    if not a.is_zero:
-                        acc = acc + a * other.rows[k][c]
-                line.append(acc)
-            out.append(line)
-        return RingMatrix(self.ring, out)
+        a, a_den = to_numerators(self)
+        b, b_den = to_numerators(other)
+        product = _product(self.ring, a, b, self.nrows, self.ncols, other.ncols)
+        return from_numerators(self.ring, other.ncols, product, a_den * b_den)
 
     def scale(self, factor) -> "RingMatrix":
         return RingMatrix(self.ring, [[a * factor for a in row] for row in self.rows])
@@ -414,6 +418,138 @@ class BlockPair:
         return f"<BlockPair {self.ring} {self.nrows}x{self.ncols} x2>"
 
 
+# ---------------------------------------------------------------------------
+# integer kernel
+#
+# A matrix is read as flat integer numerators over one common denominator:
+# entry (r, c) holds its COMPONENTS[ring] components at (r * ncols + c) * rank
+# onwards.  The components of one unit, nums[u::rank], form a real matrix
+# (a plane), so a product over C or H is a signed sum of real plane products.
+
+_ZERO = Fraction(0)
+
+# (s, t, u, sign): unit s times unit t is sign * unit u, for 1, i, j, k; the
+# entries with s, t < rank are the unit laws of R and C
+_UNIT_PRODUCTS = (
+    (0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, -1),
+    (0, 2, 2, 1), (0, 3, 3, 1), (1, 2, 3, 1), (1, 3, 2, -1),
+    (2, 0, 2, 1), (2, 1, 3, -1), (2, 2, 0, -1), (2, 3, 1, 1),
+    (3, 0, 3, 1), (3, 1, 2, 1), (3, 2, 1, -1), (3, 3, 0, -1),
+)
+
+
+def to_numerators(a: RingMatrix) -> tuple[list[int], int]:
+    """Flat integer numerators of ``a`` over their least common denominator."""
+    rank = COMPONENTS[a.ring]
+    if rank == 1:
+        parts = [s.r for row in a.rows for s in row]
+    else:
+        parts = [x for row in a.rows for s in row for x in (s.r, s.i, s.j, s.k)[:rank]]
+    den = lcm(*(x.denominator for x in parts))
+    if den == 1:
+        return [x.numerator for x in parts], 1
+    return [x.numerator * (den // x.denominator) for x in parts], den
+
+
+def from_numerators(ring: str, ncols: int, nums: Sequence[int], den: int) -> RingMatrix:
+    """The RingMatrix whose flat numerators over ``den`` are ``nums``."""
+    rank = COMPONENTS[ring]
+    zero = RingScalar.zero(ring)
+    cells = []
+    for i in range(0, len(nums), rank):
+        part = nums[i : i + rank]
+        if any(part):
+            cells.append(_kernel_scalar(ring, [Fraction(x, den) if x else _ZERO for x in part]))
+        else:
+            cells.append(zero)
+    return RingMatrix(ring, [cells[i : i + ncols] for i in range(0, len(cells), ncols)])
+
+
+def _kernel_scalar(ring: str, parts: list[Fraction]) -> RingScalar:
+    """A RingScalar from its ring's components as the kernel made them,
+    without RingScalar's checks and conversions."""
+    s = object.__new__(RingScalar)
+    put = object.__setattr__
+    r, i, j, k = (*parts, _ZERO, _ZERO, _ZERO)[:4]
+    put(s, "ring", ring)
+    put(s, "r", r)
+    put(s, "i", i)
+    put(s, "j", j)
+    put(s, "k", k)
+    return s
+
+
+def _product(ring: str, a: list[int], b: list[int], n: int, m: int, p: int) -> list[int]:
+    """Flat numerators of the (n x m)(m x p) product, as a signed sum of plane
+    products."""
+    rank = COMPONENTS[ring]
+    a_planes = [a[s::rank] for s in range(rank)]
+    b_planes = [b[t::rank] for t in range(rank)]
+    a_rows = [[plane[i : i + m] for i in range(0, n * m, m)] for plane in a_planes]
+    b_cols = [[plane[c::p] for c in range(p)] for plane in b_planes]
+    out = [0] * (n * p * rank)
+    for s, t, u, sign in _UNIT_PRODUCTS:
+        if s >= rank or t >= rank:
+            continue
+        plane = (sum(map(operator.mul, row, col)) for row in a_rows[s] for col in b_cols[t])
+        out[u::rank] = [x + sign * y for x, y in zip(out[u::rank], plane)]
+    return out
+
+
+def _divide_exact(x: int, d: int) -> int:
+    q, r = divmod(x, d)
+    if r:
+        raise InexactDivisionError(f"{x} is not a multiple of {d}")
+    return q
+
+
+def _gauss_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _gauss_sub(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _gauss_divide_exact(x: tuple[int, int], d: tuple[int, int]) -> tuple[int, int]:
+    """x / d in the Gaussian integers: x * conj(d) / |d|^2, both parts exact."""
+    norm = d[0] * d[0] + d[1] * d[1]
+    re, im = _gauss_mul(x, (d[0], -d[1]))
+    return _divide_exact(re, norm), _divide_exact(im, norm)
+
+
+# (zero, one, product, difference, exact quotient) of the integers, for R,
+# and of the Gaussian integers, as (re, im) pairs, for C
+_DOMAINS = {
+    REAL: (0, 1, operator.mul, operator.sub, _divide_exact),
+    COMPLEX: ((0, 0), (1, 0), _gauss_mul, _gauss_sub, _gauss_divide_exact),
+}
+
+
+def _bareiss(rows: list[list], ring: str) -> tuple[object, int]:
+    """Determinant of a square matrix over the ring's integral domain by
+    fraction-free elimination (Bareiss, Math. Comp. 1968): after step k each
+    remaining entry is a (k+1)-minor, so every division by the previous pivot
+    is exact.  Returns the determinant up to sign and the number of row swaps."""
+    zero, one, mul, sub, divide = _DOMAINS[ring]
+    n = len(rows)
+    swaps, prev = 0, one
+    for k in range(n - 1):
+        if rows[k][k] == zero:
+            pivot = next((r for r in range(k + 1, n) if rows[r][k] != zero), None)
+            if pivot is None:
+                return zero, 0
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            swaps += 1
+        head, pk = rows[k], rows[k][k]
+        for row in rows[k + 1 :]:
+            f = row[k]
+            tail = zip(row[k + 1 :], head[k + 1 :])
+            row[k + 1 :] = [divide(sub(mul(x, pk), mul(f, y)), prev) for x, y in tail]
+        prev = pk
+    return rows[n - 1][n - 1], swaps
+
+
 RingElement = RingMatrix | BlockPair
 
 
@@ -458,8 +594,8 @@ def mat_inverse(a: RingElement) -> RingElement | None:
 
 
 def mat_det(a: RingMatrix) -> RingScalar:
-    """Determinant over the commutative rings R and C by pivoted forward
-    elimination: the product of the pivots, negated once per row swap."""
+    """Determinant over the commutative rings R and C: Bareiss elimination on
+    the integer (R) or Gaussian-integer (C) numerators, over den^n."""
     if isinstance(a, BlockPair):
         raise UnsupportedRingError("determinant of a doubled-ring pair is taken blockwise")
     if a.ring == QUATERNION:
@@ -467,42 +603,35 @@ def mat_det(a: RingMatrix) -> RingScalar:
     if not a.is_square:
         raise RingMismatchError("determinant of a non-square matrix")
     n = a.size
-    work = [list(row) for row in a.rows]
-    det = RingScalar.one(a.ring)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not work[r][col].is_zero), None)
-        if pivot is None:
-            return RingScalar.zero(a.ring)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        pk = work[col][col]
-        det = det * pk
-        inv = pk.inverse()
-        for r in range(col + 1, n):
-            if not work[r][col].is_zero:
-                factor = work[r][col] * inv
-                tail = zip(work[r][col + 1 :], work[col][col + 1 :])
-                work[r][col + 1 :] = [v - factor * w for v, w in tail]
-    return det
+    nums, den = to_numerators(a)
+    entries = nums if a.ring == REAL else list(zip(nums[0::2], nums[1::2]))
+    det, swaps = _bareiss([entries[i : i + n] for i in range(0, n * n, n)], a.ring)
+    sign = -1 if swaps & 1 else 1
+    parts = (det,) if a.ring == REAL else det
+    return RingScalar(a.ring, *(Fraction(sign * x, den**n) for x in parts))
 
 
 def char_poly(a: RingMatrix) -> list[Fraction]:
-    """Monic characteristic polynomial coefficients [1, c1, ..., cn] over R."""
+    """Monic characteristic polynomial coefficients [1, c1, ..., cn] over R.
+
+    Faddeev-LeVerrier on the integer numerators N = den * a: M_0 = I, and
+    C_k = -tr(N M_(k-1)) / k, M_k = N M_(k-1) + C_k I.  The C_k are the
+    coefficients of N's characteristic polynomial, integers, so each division
+    by k is exact, and c_k = C_k / den^k.
+    """
     if isinstance(a, BlockPair) or a.ring != REAL:
         raise UnsupportedRingError("characteristic polynomial is computed over R")
     if not a.is_square:
         raise RingMismatchError("characteristic polynomial of a non-square matrix")
     n = a.size
+    nums, den = to_numerators(a)
     coeffs = [Fraction(1)]
-    m = RingMatrix.identity(REAL, n)
+    m = [1 if i % (n + 1) == 0 else 0 for i in range(n * n)]
     for k in range(1, n + 1):
-        m = a * m
-        trace = sum((m.rows[d][d].r for d in range(n)), Fraction(0))
-        ck = -trace / k
-        coeffs.append(ck)
-        if k < n:
-            m = m + RingMatrix.identity(REAL, n).scale(ck)
+        m = _product(REAL, nums, m, n, n, n)
+        c = _divide_exact(-sum(m[:: n + 1]), k)
+        coeffs.append(Fraction(c, den**k))
+        m[:: n + 1] = [x + c for x in m[:: n + 1]]
     return coeffs
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliffrep import algebra
 from cliffrep.algebra import (
     BladeWidthError,
     DecompositionError,
@@ -101,6 +102,24 @@ def test_add_scalar_mul():
     assert a / 2 == mv(S20, {0: Fraction(3, 2), 0b11: Fraction(1, 2)})
     s = Multivector.scalar(S10, 1) + Multivector.generator(S10, 1)
     assert s**3 == 4 * s and s**0 == Multivector.scalar(S10, 1)
+
+
+def test_sign_table_cache_is_bounded_in_bytes(monkeypatch):
+    # room for two 3-generator tables (64 bytes each)
+    monkeypatch.setattr(algebra, "_sign_tables", {})
+    monkeypatch.setattr(algebra, "_SIGN_TABLES_MAX_BYTES", 128)
+    for p in (3, 2, 1):
+        sig = Signature(p, 3 - p)
+        for i in range(1, 4):
+            g = Multivector.generator(sig, i)
+            assert g * g == sig.square_of(i)
+    assert list(algebra._sign_tables) == [(3, 0b100), (3, 0b110)]
+    # a table over the whole bound is built and used, not kept
+    sig = Signature(4, 0)
+    e1, e2 = Multivector.generator(sig, 1), Multivector.generator(sig, 2)
+    assert e1 * e2 == -(e2 * e1) and e1 * e1 == Multivector.scalar(sig, 1)
+    assert sum(map(len, algebra._sign_tables.values())) <= 128
+    assert (4, 0) not in algebra._sign_tables
 
 
 def test_wide_signature_beyond_sign_table():

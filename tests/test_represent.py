@@ -15,7 +15,14 @@ from cliffrep.algebra import (
     SignatureMismatchError,
     SplitBasis,
 )
-from cliffrep.catalog import CatalogMissError, LeafNode, catalog_signatures, get_spec
+from cliffrep.catalog import (
+    CatalogError,
+    CatalogMissError,
+    LeafNode,
+    Target,
+    catalog_signatures,
+    get_spec,
+)
 from cliffrep.represent import (
     BasisImageTable,
     InversePullbackError,
@@ -512,6 +519,14 @@ def test_non_blade_step_basis_is_rejected():
     spec = dataclasses.replace(get_spec(sig), node=LeafNode(basis, "units"))
     with pytest.raises(NonMonomialStepError):
         represent_with(spec, Multivector.generator(sig, 1))
+
+
+def test_blade_image_unit_outside_the_target_ring_raises():
+    # under a complex target the quaternion leaf's j would alias the next entry
+    spec = dataclasses.replace(get_spec(S02, "quaternion"), target=Target(COMPLEX, 1))
+    assert blade_image(spec, 0b01) == bytes((0, 2))
+    with pytest.raises(CatalogError, match="unit outside C"):
+        blade_image(spec, 0b10)
 
 
 # -- rectangular lifts

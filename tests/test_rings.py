@@ -12,6 +12,7 @@ from cliffrep.rings import (
     QUATERNION,
     REAL,
     BlockPair,
+    InexactDivisionError,
     NumberTooLongError,
     RingMatrix,
     RingMismatchError,
@@ -20,24 +21,27 @@ from cliffrep.rings import (
     char_poly,
     format_matrix,
     format_scalar,
+    from_numerators,
     mat_det,
     mat_inverse,
     poly_eval_matrix,
     ring_embed_real,
+    to_numerators,
 )
+from cliffrep.rings import _divide_exact, _gauss_divide_exact
 
 
 def _rand_frac(rng, lo=-9, hi=9):
     return Fraction(rng.randint(lo, hi), rng.choice((1, 2, 3)))
 
 
-def _rand_matrix(ring, size, rng):
+def _rand_matrix(ring, size, rng, ncols=None, frac=_rand_frac):
     rank = {REAL: 1, COMPLEX: 2, QUATERNION: 4}[ring]
     rows = []
     for _ in range(size):
         row = []
-        for _ in range(size):
-            comps = [_rand_frac(rng) for _ in range(rank)]
+        for _ in range(size if ncols is None else ncols):
+            comps = [frac(rng) for _ in range(rank)]
             if rank == 1:
                 row.append(RingScalar.real(comps[0]))
             elif rank == 2:
@@ -133,6 +137,80 @@ def test_complex_product_against_real_block_oracle():
         assert got == want
 
 
+def _mixed_frac(rng):
+    """Mostly zero, else over a denominator from a wide mixed set."""
+    if rng.random() < 0.3:
+        return Fraction(0)
+    return Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 4, 5, 7, 12, 35)))
+
+
+def _product_oracle(a, b):
+    """RingScalar triple loop, kept independent of the integer kernel."""
+    rows = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = RingScalar.zero(a.ring)
+            for t in range(a.ncols):
+                acc = acc + a.entry(i, t) * b.entry(t, j)
+            row.append(acc)
+        rows.append(row)
+    return RingMatrix(a.ring, rows)
+
+
+@pytest.mark.parametrize("ring", [REAL, COMPLEX, QUATERNION])
+def test_product_matches_scalar_triple_loop(ring):
+    rng = random.Random(f"product:{ring}")
+    for _ in range(40):
+        n, m, p = (rng.randint(1, 4) for _ in range(3))
+        a = _rand_matrix(ring, n, rng, m, _mixed_frac)
+        b = _rand_matrix(ring, m, rng, p, _mixed_frac)
+        assert a * b == _product_oracle(a, b)
+    one_by_one = _rand_matrix(ring, 1, rng, frac=_mixed_frac)
+    assert one_by_one * one_by_one == _product_oracle(one_by_one, one_by_one)
+    a = _rand_matrix(ring, 3, rng, 2, _mixed_frac)
+    assert a * RingMatrix.zeros(ring, 2, 4) == RingMatrix.zeros(ring, 3, 4)
+    assert RingMatrix.zeros(ring, 1, 3) * a == RingMatrix.zeros(ring, 1, 2)
+
+
+def test_product_with_zero_component_planes():
+    # a complex matrix with real entries only, times one with imaginary
+    # entries only: every product of a zero plane must vanish
+    rng = random.Random(5)
+    parts = [[_mixed_frac(rng) for _ in range(3)] for _ in range(6)]
+    re = RingMatrix.from_components(COMPLEX, [[(x, 0) for x in row] for row in parts[:3]])
+    im = RingMatrix.from_components(COMPLEX, [[(0, x) for x in row] for row in parts[3:]])
+    assert re * im == _product_oracle(re, im) and im * im == _product_oracle(im, im)
+    j = RingMatrix.from_components(QUATERNION, [[(0, 0, 1, 0)]])
+    k = RingMatrix.from_components(QUATERNION, [[(0, 0, 0, 1)]])
+    assert j * k == RingMatrix.from_components(QUATERNION, [[(0, 1, 0, 0)]])
+
+
+def test_product_mismatches_raise():
+    rng = random.Random(6)
+    a = _rand_matrix(REAL, 2, rng, 3)
+    with pytest.raises(RingMismatchError, match="shape"):
+        a * a
+    with pytest.raises(RingMismatchError, match="ring"):
+        a * _rand_matrix(COMPLEX, 3, rng)
+    with pytest.raises(RingMismatchError, match="ring"):
+        _rand_matrix(QUATERNION, 2, rng) * _rand_matrix(COMPLEX, 2, rng)
+
+
+@pytest.mark.parametrize("ring", [REAL, COMPLEX, QUATERNION])
+def test_numerator_round_trip(ring):
+    rng = random.Random(f"numerators:{ring}")
+    a = _rand_matrix(ring, 3, rng, 2, _mixed_frac)
+    nums, den = to_numerators(a)
+    rank = {REAL: 1, COMPLEX: 2, QUATERNION: 4}[ring]
+    assert len(nums) == 6 * rank and all(isinstance(x, int) for x in nums)
+    assert all((x * den).denominator == 1 for row in a.rows for s in row for x in s.components())
+    assert from_numerators(ring, 2, nums, den) == a
+    one = [1] + [0] * (rank - 1)
+    zero = [0] * rank
+    assert to_numerators(RingMatrix.identity(ring, 2)) == (one + zero + zero + one, 1)
+
+
 # -- inversion
 
 
@@ -147,14 +225,14 @@ def test_inverse_examples():
     )
 
 
-def _det_cofactor_oracle(rows):
+def _det_cofactor_oracle(rows, zero=Fraction(0)):
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    total = Fraction(0)
+    total = zero
     for c in range(n):
         minor = [r[:c] + r[c + 1 :] for r in rows[1:]]
-        term = rows[0][c] * _det_cofactor_oracle(minor)
+        term = rows[0][c] * _det_cofactor_oracle(minor, zero)
         total += term if c % 2 == 0 else -term
     return total
 
@@ -222,6 +300,74 @@ def test_det_identity_and_multiplicativity():
             a = _rand_matrix(ring, 3, rng)
             b = _rand_matrix(ring, 3, rng)
             assert mat_det(a * b) == mat_det(a) * mat_det(b)
+
+
+def _scalar_rows(m):
+    return [list(row) for row in m.rows]
+
+
+@pytest.mark.parametrize("ring", [REAL, COMPLEX])
+def test_det_matches_cofactor_oracle(ring):
+    rng = random.Random(f"det:{ring}")
+    zero = RingScalar.zero(ring)
+    for _ in range(30):
+        m = _rand_matrix(ring, rng.randint(1, 5), rng, frac=_mixed_frac)
+        assert mat_det(m) == _det_cofactor_oracle(_scalar_rows(m), zero)
+
+
+@pytest.mark.parametrize("ring", [REAL, COMPLEX])
+def test_det_singular_and_row_swap_cases(ring):
+    rng = random.Random(f"det-cases:{ring}")
+    zero = RingScalar.zero(ring)
+    lift = (lambda x: (x, 0)) if ring == COMPLEX else (lambda x: x)
+    cases = [
+        [[0, 1], [1, 0]],  # swap at the first column
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        [[1, 1, 0], [1, 1, 1], [0, 1, 1]],  # zero pivot after one step
+        [[1, 2], [2, 4]],  # singular
+        [[1, 2, 3], [0, 0, 0], [4, 5, 6]],  # zero row
+        [[0, 1, 2], [0, 3, 4], [0, 5, 6]],  # zero column: no pivot at all
+        [[1, 1, 1], [1, 1, 2], [1, 1, 3]],  # no pivot in the second column
+    ]
+    for rows in cases:
+        m = RingMatrix.from_components(ring, [[lift(x) for x in row] for row in rows])
+        assert mat_det(m) == _det_cofactor_oracle(_scalar_rows(m), zero)
+    # a dependent row, scaled by a random factor
+    for _ in range(10):
+        m = _rand_matrix(ring, 4, rng, frac=_mixed_frac)
+        factor = RingScalar(ring, *(_rand_frac(rng) for _ in range(2 if ring == COMPLEX else 1)))
+        rows = _scalar_rows(m)
+        rows[2] = [factor * x for x in rows[0]]
+        assert mat_det(RingMatrix(ring, rows)).is_zero
+    if ring == COMPLEX:
+        # 1 + i is no unit in the Gaussian integers: each step divides by it
+        g = RingMatrix.from_components(
+            COMPLEX, [[(1, 1), (2, 0), (0, 3)], [(0, 1), (1, 1), (1, 0)], [(3, 0), (0, 2), (1, 1)]]
+        )
+        assert mat_det(g) == _det_cofactor_oracle(_scalar_rows(g), zero)
+
+
+def test_charpoly_matches_det_at_integer_points():
+    rng = random.Random(23)
+    for size in (1, 2, 3, 4, 5):
+        for _ in range(4):
+            m = _rand_matrix(REAL, size, rng, frac=_mixed_frac)
+            coeffs = char_poly(m)
+            raw = [[s.r for s in row] for row in m.rows]
+            for x in range(size + 1):
+                shifted = [[(x if r == c else 0) - v for c, v in enumerate(row)]
+                           for r, row in enumerate(raw)]
+                value = sum(c * x ** (size - k) for k, c in enumerate(coeffs))
+                assert value == _det_cofactor_oracle(shifted)
+
+
+def test_kernel_division_checks_exactness():
+    assert _divide_exact(-12, 4) == -3
+    with pytest.raises(InexactDivisionError):
+        _divide_exact(7, 2)
+    assert _gauss_divide_exact((0, 2), (1, 1)) == (1, 1)
+    with pytest.raises(InexactDivisionError):
+        _gauss_divide_exact((1, 0), (1, 1))
 
 
 def test_det_unsupported_over_quaternions():
