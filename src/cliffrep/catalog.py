@@ -486,6 +486,8 @@ class RepSpec:
     node: object = field(compare=False)
     # compiled basis-blade images by mask, filled lazily by represent
     blade_images: dict = field(default_factory=dict, compare=False, init=False)
+    # the same images as flat signed cells by mask, filled lazily by represent
+    blade_cells: dict = field(default_factory=dict, compare=False, init=False)
     # certified table of all blade images, set once by represent
     basis_table: object = field(default=None, compare=False, init=False)
 

@@ -12,6 +12,8 @@ the algebra.
 
 from __future__ import annotations
 
+import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -180,26 +182,55 @@ def _blocks(image):
     return image if isinstance(image, tuple) else (image,)
 
 
-def _counters(spec: RepSpec, num: dict[int, int]) -> list[list[int]]:
-    """Flat numerators of sum(num[m] * rho(e_m)), one list per block, laid out
-    as rings.to_numerators reads a block: index (row*size + col)*rank + unit."""
-    size, rank = spec.target.size, COMPONENTS[spec.target.ring]
-    blocks = 2 if spec.target.ring in BLOCK_RING else 1
-    counters = [[0] * (rank * size * size) for _ in range(blocks)]
-    row_base = range(0, rank * size * size, rank * size)
+def _cell_count(target: Target) -> int:
+    """Flat numerators in an image: entries times components, both blocks."""
+    blocks = 2 if target.ring in BLOCK_RING else 1
+    return blocks * COMPONENTS[target.ring] * target.size * target.size
+
+
+def _blade_cells(spec: RepSpec, mask: int) -> array:
+    """The cells of a blade image's entries, memoized on the spec.  A cell
+    numbers the block, row, column and unit as the flat numerators of the
+    image's blocks laid end to end, ((block*size + row)*size + col)*rank +
+    unit; a -1 entry's cell is offset by _cell_count.  A spec keeps one per
+    blade it has represented, so they are arrays of 16-bit cells where the
+    doubled count fits."""
+    cells = spec.blade_cells.get(mask)
+    if cells is None:
+        size, rank = spec.target.size, COMPONENTS[spec.target.ring]
+        span, total = rank * size * size, _cell_count(spec.target)
+        cells = array("H" if 2 * total <= 1 << 16 else "i")
+        for b, block in enumerate(_blocks(blade_image(spec, mask))):
+            row_base = range(b * span, (b + 1) * span, rank * size)
+            cells.extend(
+                base + rank * col + (code >> 1) + (total if code & 1 else 0)
+                for base, col, code in zip(row_base, block, block[size:])
+            )
+        spec.blade_cells[mask] = cells
+    return cells
+
+
+def _counters(spec: RepSpec, num: dict[int, int]) -> list[int]:
+    """Flat numerators of sum(num[m] * rho(e_m)), its blocks end to end, each
+    laid out as rings.to_numerators reads a block."""
+    total = _cell_count(spec.target)
+    counts = [0] * (2 * total)  # the +1 entries' sums, then the -1 entries'
     for mask, x in num.items():
-        for counts, block in zip(counters, _blocks(blade_image(spec, mask))):
-            for base, col, code in zip(row_base, block, block[size:]):
-                counts[base + rank * col + (code >> 1)] += -x if code & 1 else x
-    return counters
+        for cell in _blade_cells(spec, mask):
+            counts[cell] += x
+    return list(map(operator.sub, counts[:total], counts[total:]))
 
 
 def _image(spec: RepSpec, a: Multivector) -> RingMatrix | BlockPair:
     """Sum the numerators of ``a`` along its blades' compiled images."""
     ring, size = spec.target.ring, spec.target.size
+    counts = _counters(spec, a._num)
     inner = BLOCK_RING.get(ring)
-    blocks = [from_numerators(inner or ring, size, c, a._den) for c in _counters(spec, a._num)]
-    return BlockPair(ring, *blocks) if inner else blocks[0]
+    if inner is None:
+        return from_numerators(ring, size, counts, a._den)
+    span = len(counts) // 2
+    plus = from_numerators(inner, size, counts[:span], a._den)
+    return BlockPair(ring, plus, from_numerators(inner, size, counts[span:], a._den))
 
 
 def periodic_stage1(node: PeriodicNode, a: Multivector) -> list[list[Multivector]]:
@@ -228,11 +259,16 @@ def assemble_entry_images(
 
 def _paste_grid(grid: Sequence[Sequence[RingMatrix]], t: int) -> RingMatrix:
     ring = grid[0][0].ring
-    rows = []
-    for block_row in grid:
-        for sub_r in range(t):
-            rows.append([entry for block in block_row for entry in block.rows[sub_r]])
-    return RingMatrix(ring, rows)
+    parts = [[to_numerators(block) for block in row] for row in grid]
+    den = lcm(*(d for row in parts for _, d in row))
+    width = t * COMPONENTS[ring]  # numerators in one row of a block
+    nums: list[int] = []
+    for row in parts:
+        scaled = [[x * (den // d) for x in block] for block, d in row]
+        for start in range(0, t * width, width):
+            for block in scaled:
+                nums += block[start : start + width]
+    return from_numerators(ring, t * len(grid[0]), nums, den)
 
 
 def represent(a: Multivector, route: str | None = None) -> RepImage:
@@ -251,20 +287,11 @@ def represent_with(spec: RepSpec, a: Multivector) -> RingMatrix | BlockPair:
 # reconstruction
 
 
-def _trace_sums(spec: RepSpec, counters: list[list[int]]) -> list[int]:
+def _trace_sums(spec: RepSpec, counts: list[int]) -> list[int]:
     """Re tr(rho(e_m)* X), summed over blocks, for every mask m: on the flat
     numerators of X, a signed sum of one component per row of rho(e_m)."""
-    size, rank = spec.target.size, COMPONENTS[spec.target.ring]
-    row_base = range(0, rank * size * size, rank * size)
-    sums = []
-    for mask in range(spec.signature.dim):
-        total = 0
-        for counts, block in zip(counters, _blocks(blade_image(spec, mask))):
-            for base, col, code in zip(row_base, block, block[size:]):
-                x = counts[base + rank * col + (code >> 1)]
-                total += -x if code & 1 else x
-        sums.append(total)
-    return sums
+    signed = counts + [-x for x in counts]
+    return [sum(map(signed.__getitem__, _blade_cells(spec, m))) for m in range(spec.signature.dim)]
 
 
 # The certificate holds one (cell, sign) entry per row of every blade image,
@@ -273,15 +300,10 @@ def _trace_sums(spec: RepSpec, counters: list[list[int]]) -> list[int]:
 _CERTIFICATE_MAX_ENTRIES = 1 << 20
 
 
-def _signed_cells(spec: RepSpec, mask: int):
-    """(cell, sign) of each row of a blade image; a cell numbers the block,
-    row, column and unit as _counters indexes a block."""
-    size, rank = spec.target.size, COMPONENTS[spec.target.ring]
-    span = rank * size * size
-    for b, block in enumerate(_blocks(blade_image(spec, mask))):
-        row_base = range(b * span, (b + 1) * span, rank * size)
-        for base, col, code in zip(row_base, block, block[size:]):
-            yield base + rank * col + (code >> 1), -1 if code & 1 else 1
+def _signed_cells(spec: RepSpec, mask: int) -> list[tuple[int, int]]:
+    """(cell, sign) of each non-zero entry of a blade image."""
+    total = _cell_count(spec.target)
+    return [(c, 1) if c < total else (c - total, -1) for c in _blade_cells(spec, mask)]
 
 
 class BasisImageTable:
@@ -306,7 +328,7 @@ class BasisImageTable:
         # Gram entry (m, m') is the signed count of cells (block, row, column,
         # unit) the two images share, so each row sums over its own cells'
         # partners only
-        images = [list(_signed_cells(spec, mask)) for mask in range(spec.signature.dim)]
+        images = [_signed_cells(spec, mask) for mask in range(spec.signature.dim)]
         partners: dict[int, list[tuple[int, int]]] = {}
         for mask, cells in enumerate(images):
             for cell, sign in cells:
@@ -332,8 +354,8 @@ class BasisImageTable:
             raise NotInImageError(f"matrix does not fit the recipe target {target}")
         parts = [to_numerators(b) for b in blocks]
         den = lcm(*(d for _, d in parts))
-        counters = [[x * (den // d) for x in nums] for nums, d in parts]
-        coeffs = {m: x for m, x in enumerate(_trace_sums(self.spec, counters)) if x}
+        counts = [x * (den // d) for nums, d in parts for x in nums]
+        coeffs = {m: x for m, x in enumerate(_trace_sums(self.spec, counts)) if x}
         result = Multivector._raw(self.spec.signature, coeffs, den * self.norm)
         if represent_with(self.spec, result) != value:
             raise NotInImageError("matrix lies outside the representation's image space")
@@ -380,12 +402,8 @@ def _as_real_block(value: RingMatrix | BlockPair) -> RingMatrix:
     if isinstance(value, BlockPair):
         if value.ring != DOUBLE_REAL:
             raise UnsupportedRingError("determinant over doubled quaternions is unsupported")
-        plus, minus = value.plus, value.minus
-        size = plus.nrows
-        zero = RingScalar.zero(REAL)
-        rows = [list(r) + [zero] * size for r in plus.rows]
-        rows += [[zero] * size + list(r) for r in minus.rows]
-        return RingMatrix(REAL, rows)
+        zero = RingMatrix.zeros(REAL, value.nrows)
+        return _paste_grid([[value.plus, zero], [zero, value.minus]], value.nrows)
     return value
 
 

@@ -6,11 +6,13 @@ quaternion products follow the usual unit laws (i^2 = j^2 = -1, ij = k =
 ordered pair of same-size blocks composed entrywise.  Everything is
 immutable and exact.
 
-Matrix products (over R, C and H), determinants (fraction-free Bareiss
-elimination over R and over the Gaussian integers for C) and characteristic
-polynomials (Faddeev-LeVerrier) run on integers: the matrix is read as flat
-integer numerators over one common denominator, one to four components per
-entry.  Inversion, sums, scaling and equality stay on RingScalar.
+A RingMatrix is stored as flat integer numerators over one common
+denominator, one to four components per entry, reduced so that each value
+has one stored form.  Products (over R, C and H), determinants (fraction-free
+Bareiss elimination over R and over the Gaussian integers for C),
+characteristic polynomials (Faddeev-LeVerrier), sums, scaling, equality and
+formatting all run on those integers.  ``rows`` and ``entry`` read a
+RingScalar view built on first use; inversion eliminates over that view.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import operator
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 REAL = "R"
@@ -195,10 +197,14 @@ def format_rational(value: Fraction) -> str:
     try:
         return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
     except ValueError:  # only raised past the limit, which then exists
-        raise NumberTooLongError(
-            f"a number passes the interpreter's {sys.get_int_max_str_digits()}-digit "
-            "limit on int-to-str conversion"
-        ) from None
+        raise _too_long() from None
+
+
+def _too_long() -> NumberTooLongError:
+    return NumberTooLongError(
+        f"a number passes the interpreter's {sys.get_int_max_str_digits()}-digit "
+        "limit on int-to-str conversion"
+    )
 
 
 def format_scalar(s: RingScalar) -> str:
@@ -215,14 +221,25 @@ def format_scalar(s: RingScalar) -> str:
     return "".join(parts) if parts else "0"
 
 
-class RingMatrix:
-    """Immutable dense matrix with entries sharing one plain ring tag."""
+def _plain_rank(ring: str) -> int:
+    if ring not in PLAIN_RINGS:
+        raise UnsupportedRingError(f"RingMatrix does not hold ring {ring!r}")
+    return COMPONENTS[ring]
 
-    __slots__ = ("ring", "nrows", "ncols", "rows")
+
+class RingMatrix:
+    """Immutable dense matrix with entries sharing one plain ring tag.
+
+    Stored as flat integer numerators over one positive denominator, in the
+    layout to_numerators describes, reduced so that the denominator and the
+    numerators have no common factor: equal matrices have one stored form.
+    ``rows`` is a RingScalar view built on first read.
+    """
+
+    __slots__ = ("ring", "nrows", "ncols", "_nums", "_den", "_rows")
 
     def __init__(self, ring: str, rows: Sequence[Sequence[RingScalar]]):
-        if ring not in PLAIN_RINGS:
-            raise UnsupportedRingError(f"RingMatrix does not hold ring {ring!r}")
+        rank = _plain_rank(ring)
         grid = tuple(tuple(row) for row in rows)
         if not grid or not grid[0]:
             raise RingMismatchError("empty matrix")
@@ -233,13 +250,19 @@ class RingMatrix:
             for entry in row:
                 if not isinstance(entry, RingScalar) or entry.ring != ring:
                     raise RingMismatchError("entry ring tag differs from the matrix tag")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "nrows", len(grid))
-        object.__setattr__(self, "ncols", width)
-        object.__setattr__(self, "rows", grid)
+        parts = [x for row in grid for s in row for x in (s.r, s.i, s.j, s.k)[:rank]]
+        den = lcm(*(x.denominator for x in parts))
+        nums = tuple(x.numerator * (den // x.denominator) for x in parts)
+        _init(self, ring, len(grid), width, nums, den, grid)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("RingMatrix is immutable")
+
+    @property
+    def rows(self) -> tuple[tuple[RingScalar, ...], ...]:
+        if self._rows is None:
+            object.__setattr__(self, "_rows", _scalar_rows(self))
+        return self._rows
 
     @classmethod
     def from_components(cls, ring: str, rows) -> "RingMatrix":
@@ -258,14 +281,15 @@ class RingMatrix:
 
     @classmethod
     def identity(cls, ring: str, size: int) -> "RingMatrix":
-        one, zero = RingScalar.one(ring), RingScalar.zero(ring)
-        return cls(ring, [[one if r == c else zero for c in range(size)] for r in range(size)])
+        rank = _plain_rank(ring)
+        one, zero = [1] + [0] * (rank - 1), [0] * rank
+        nums = [x for r in range(size) for c in range(size) for x in (one if r == c else zero)]
+        return from_numerators(ring, size, nums, 1)
 
     @classmethod
     def zeros(cls, ring: str, nrows: int, ncols: int | None = None) -> "RingMatrix":
         ncols = nrows if ncols is None else ncols
-        zero = RingScalar.zero(ring)
-        return cls(ring, [[zero] * ncols for _ in range(nrows)])
+        return from_numerators(ring, ncols, [0] * (nrows * ncols * _plain_rank(ring)), 1)
 
     @property
     def is_square(self) -> bool:
@@ -288,16 +312,16 @@ class RingMatrix:
         self._check_ring(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise RingMismatchError("shape mismatch in addition")
-        return RingMatrix(
-            self.ring,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        nums = [x * fa + y * fb for x, y in zip(self._nums, other._nums)]
+        return from_numerators(self.ring, self.ncols, nums, den)
 
     def __sub__(self, other: "RingMatrix") -> "RingMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RingMatrix":
-        return RingMatrix(self.ring, [[-a for a in row] for row in self.rows])
+        return from_numerators(self.ring, self.ncols, [-x for x in self._nums], self._den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -307,13 +331,13 @@ class RingMatrix:
         self._check_ring(other)
         if self.ncols != other.nrows:
             raise RingMismatchError("shape mismatch in product")
-        a, a_den = to_numerators(self)
-        b, b_den = to_numerators(other)
-        product = _product(self.ring, a, b, self.nrows, self.ncols, other.ncols)
-        return from_numerators(self.ring, other.ncols, product, a_den * b_den)
+        product = _product(self.ring, self._nums, other._nums, self.nrows, self.ncols, other.ncols)
+        return from_numerators(self.ring, other.ncols, product, self._den * other._den)
 
     def scale(self, factor) -> "RingMatrix":
-        return RingMatrix(self.ring, [[a * factor for a in row] for row in self.rows])
+        f = _frac(factor)
+        nums = [x * f.numerator for x in self._nums]
+        return from_numerators(self.ring, self.ncols, nums, self._den * f.denominator)
 
     def map_entries(self, fn: Callable[[RingScalar], RingScalar]) -> "RingMatrix":
         return RingMatrix(self.ring, [[fn(a) for a in row] for row in self.rows])
@@ -325,17 +349,28 @@ class RingMatrix:
             self.ring == other.ring
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self._den == other._den
+            and self._nums == other._nums
         )
 
     def __hash__(self):
-        return hash((self.ring, self.rows))
+        return hash((self.ring, self.nrows, self.ncols, self._den, self._nums))
 
     def __str__(self):
         return format_matrix(self)
 
     def __repr__(self):
         return f"<RingMatrix {self.ring} {self.nrows}x{self.ncols}>"
+
+
+def _init(m: RingMatrix, ring: str, nrows: int, ncols: int, nums: tuple, den: int, rows) -> None:
+    put = object.__setattr__
+    put(m, "ring", ring)
+    put(m, "nrows", nrows)
+    put(m, "ncols", ncols)
+    put(m, "_nums", nums)
+    put(m, "_den", den)
+    put(m, "_rows", rows)
 
 
 class BlockPair:
@@ -439,30 +474,44 @@ _UNIT_PRODUCTS = (
 
 
 def to_numerators(a: RingMatrix) -> tuple[list[int], int]:
-    """Flat integer numerators of ``a`` over their least common denominator."""
-    rank = COMPONENTS[a.ring]
-    if rank == 1:
-        parts = [s.r for row in a.rows for s in row]
-    else:
-        parts = [x for row in a.rows for s in row for x in (s.r, s.i, s.j, s.k)[:rank]]
-    den = lcm(*(x.denominator for x in parts))
-    if den == 1:
-        return [x.numerator for x in parts], 1
-    return [x.numerator * (den // x.denominator) for x in parts], den
+    """Flat integer numerators of ``a`` over their least common denominator,
+    as a fresh list: the matrix keeps its own copy."""
+    return list(a._nums), a._den
 
 
 def from_numerators(ring: str, ncols: int, nums: Sequence[int], den: int) -> RingMatrix:
     """The RingMatrix whose flat numerators over ``den`` are ``nums``."""
-    rank = COMPONENTS[ring]
+    rank = _plain_rank(ring)
+    if not nums or ncols < 1:
+        raise RingMismatchError("empty matrix")
+    if len(nums) % (rank * ncols):
+        raise RingMismatchError("ragged rows")
+    if den < 1:
+        raise RingMismatchError(f"denominator {den} is not positive")
+    nums = tuple(nums)
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple(x // g for x in nums)
+            den //= g
+    m = object.__new__(RingMatrix)
+    _init(m, ring, len(nums) // (rank * ncols), ncols, nums, den, None)
+    return m
+
+
+def _scalar_rows(a: RingMatrix) -> tuple[tuple[RingScalar, ...], ...]:
+    """The RingScalar grid of ``a``, built from its numerators."""
+    ring, den, rank = a.ring, a._den, COMPONENTS[a.ring]
     zero = RingScalar.zero(ring)
     cells = []
-    for i in range(0, len(nums), rank):
-        part = nums[i : i + rank]
+    for i in range(0, len(a._nums), rank):
+        part = a._nums[i : i + rank]
         if any(part):
             cells.append(_kernel_scalar(ring, [Fraction(x, den) if x else _ZERO for x in part]))
         else:
             cells.append(zero)
-    return RingMatrix(ring, [cells[i : i + ncols] for i in range(0, len(cells), ncols)])
+    width = a.ncols
+    return tuple(tuple(cells[i : i + width]) for i in range(0, len(cells), width))
 
 
 def _kernel_scalar(ring: str, parts: list[Fraction]) -> RingScalar:
@@ -602,10 +651,9 @@ def mat_det(a: RingMatrix) -> RingScalar:
         raise UnsupportedRingError("no determinant over the quaternions")
     if not a.is_square:
         raise RingMismatchError("determinant of a non-square matrix")
-    n = a.size
-    nums, den = to_numerators(a)
+    n, nums, den = a.size, a._nums, a._den
     entries = nums if a.ring == REAL else list(zip(nums[0::2], nums[1::2]))
-    det, swaps = _bareiss([entries[i : i + n] for i in range(0, n * n, n)], a.ring)
+    det, swaps = _bareiss([list(entries[i : i + n]) for i in range(0, n * n, n)], a.ring)
     sign = -1 if swaps & 1 else 1
     parts = (det,) if a.ring == REAL else det
     return RingScalar(a.ring, *(Fraction(sign * x, den**n) for x in parts))
@@ -623,8 +671,7 @@ def char_poly(a: RingMatrix) -> list[Fraction]:
         raise UnsupportedRingError("characteristic polynomial is computed over R")
     if not a.is_square:
         raise RingMismatchError("characteristic polynomial of a non-square matrix")
-    n = a.size
-    nums, den = to_numerators(a)
+    n, nums, den = a.size, a._nums, a._den
     coeffs = [Fraction(1)]
     m = [1 if i % (n + 1) == 0 else 0 for i in range(n * n)]
     for k in range(1, n + 1):
@@ -642,9 +689,6 @@ def poly_eval_matrix(coeffs: Sequence[Fraction], a: RingMatrix) -> RingMatrix:
     for c in coeffs:
         acc = acc * a + eye.scale(c)
     return acc
-
-
-_EMBED_C = (((0, 0), (1, -1)), ((1, 1), (0, 0)))
 
 
 def ring_embed_real(a: RingMatrix) -> RingMatrix:
@@ -696,9 +740,33 @@ def format_matrix(a: RingElement) -> str:
 
 
 def _format_rows(a: RingMatrix) -> str:
-    cells = [[format_scalar(s) for s in row] for row in a.rows]
-    widths = [max(len(cells[r][c]) for r in range(a.nrows)) for c in range(a.ncols)]
+    rank, den, nums, width = COMPONENTS[a.ring], a._den, a._nums, a.ncols
+    try:
+        if rank == 1:
+            cells = list(map(str, nums)) if den == 1 else [_ratio(x, den) for x in nums]
+        else:
+            cells = [_cell_text(nums[i : i + rank], den) for i in range(0, len(nums), rank)]
+    except ValueError:  # only raised past the digit limit, which then exists
+        raise _too_long() from None
+    widths = [max(map(len, cells[c::width])) for c in range(width)]
     lines = []
-    for row in cells:
+    for i in range(0, len(cells), width):
+        row = cells[i : i + width]
         lines.append("[ " + "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + " ]")
     return "\n".join(lines)
+
+
+def _ratio(x: int, den: int) -> str:
+    """x / den in lowest terms, as format_rational writes it (with x's sign)."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
+def _cell_text(part: Sequence[int], den: int) -> str:
+    """format_scalar's text for one entry given as numerators over ``den``."""
+    text = ""
+    for x, unit in zip(part, ("", "i", "j", "k")):
+        if x:
+            sign = "-" if x < 0 else "+" if text else ""
+            text += f"{sign}{_ratio(abs(x), den)}{unit}"
+    return text or "0"

@@ -5,7 +5,9 @@ joined by ``+`` and ``-``.  Generator names are ``e1..e<p>`` for the +1
 generators and ``eps1..eps<q>`` for the -1 generators.  A digit run after a
 family letter first tries to name a single generator of that family; when it
 is not one (e.g. ``e12`` with p = 2) it is read as a product of single-digit
-generators in ascending order.  Numbers and indices are runs of the ASCII
+generators in ascending order.  A term is the Clifford product of its
+factors in the order written, so ``e2*e1`` reads as ``-e12``; a generator may
+appear once per term.  Numbers and indices are runs of the ASCII
 digits 0-9 only.  The printer emits blades in ascending mask order and
 sticks to forms the parser accepts.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Multivector, Signature
+from .algebra import Multivector, Signature, blade_product
 from .rings import format_rational
 
 
@@ -127,6 +129,10 @@ def _parse_term(scanner: _Scanner, sig: Signature) -> tuple[int, Fraction]:
         factor = _parse_blade_name(scanner, sig)
         if factor & mask:
             raise ParseError("repeated generator in a term", factor_start)
+        # a factor below a generator already read is reordered past it; the
+        # term is the product in the order written
+        if mask > factor & -factor:
+            coeff *= blade_product(sig, mask, factor)[0]
         mask |= factor
         scanner.skip_ws()
         need_factor = False

@@ -47,11 +47,13 @@ from cliffrep.rings import (
     REAL,
     BlockPair,
     RingMatrix,
+    RingScalar,
     UnsupportedRingError,
     format_matrix,
     mat_inverse,
     ring_identity,
 )
+from cliffrep import rings
 from cliffrep.text import parse_multivector
 
 S10 = Signature(1, 0)
@@ -564,3 +566,50 @@ def test_lift_rejects_other_signatures_and_mixes():
         matrix_represent([[Multivector.scalar(S20, 1)]])
     with pytest.raises(SignatureMismatchError):
         matrix_represent([[Multivector.scalar(S10, 1), Multivector.scalar(S01, 1)]])
+
+
+# -- the integer fast path builds no RingScalar
+
+
+@pytest.fixture
+def scalar_builds(monkeypatch):
+    """Every RingScalar built while the test runs, by either constructor."""
+    built = []
+    init, kernel_scalar = RingScalar.__init__, rings._kernel_scalar
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def counted_kernel_scalar(*args):
+        built.append(args)
+        return kernel_scalar(*args)
+
+    monkeypatch.setattr(RingScalar, "__init__", counted_init)
+    monkeypatch.setattr(rings, "_kernel_scalar", counted_kernel_scalar)
+    return built
+
+
+@pytest.mark.parametrize("pq,blades", [((5, 5), None), ((9, 0), 96)])
+def test_images_build_no_ring_scalars(pq, blades, scalar_builds):
+    sig = Signature(*pq)
+    rng = random.Random(f"fast-path:{pq}")
+    masks = range(sig.dim) if blades is None else rng.sample(range(sig.dim), blades)
+    a = Multivector(sig, {m: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for m in masks})
+    image = represent(a)
+    assert image.value.ring == ("R" if pq == (5, 5) else DOUBLE_REAL)
+    text = format_matrix(image.value)
+    assert image.value == represent(a).value and text == format_matrix(represent(a).value)
+    assert scalar_builds == []
+    # the RingScalar view appears on first read of rows, and only then
+    value = image.value.plus if isinstance(image.value, BlockPair) else image.value
+    assert value.entry(0, 0) == value.rows[0][0] and scalar_builds
+
+
+def test_inverse_reads_the_lazy_rows(scalar_builds):
+    sig = Signature(3, 1)
+    a = rand_mv(sig, random.Random("lazy-rows"))
+    inv = element_inverse(a)
+    assert inv is not None and a * inv == Multivector.scalar(sig, 1) == inv * a
+    # mat_inverse eliminated over the RingScalar view of the image
+    assert scalar_builds

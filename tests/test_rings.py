@@ -448,3 +448,114 @@ def test_numbers_past_the_digit_limit_raise_typed_error():
     with pytest.raises(NumberTooLongError):
         format_multivector(Multivector.blade(Signature(1, 0), 1, huge))
     assert format_scalar(RingScalar.real(Fraction(10**4299))) == "1" + "0" * 4299
+
+
+# -- numerator storage and the formatter that reads it
+
+
+def _scalar_text_rows(a: RingMatrix) -> list[list[str]]:
+    return [[format_scalar(s) for s in row] for row in a.rows]
+
+
+def _reference_format(a) -> str:
+    """format_matrix's layout built from format_scalar on every entry."""
+    if isinstance(a, BlockPair):
+        blocks = [_reference_format(b).split("\n", 1)[1] for b in (a.plus, a.minus)]
+        return "\n".join([f"{a.ring}({a.plus.nrows})", "plus:", blocks[0], "minus:", blocks[1]])
+    cells = _scalar_text_rows(a)
+    widths = [max(len(row[c]) for row in cells) for c in range(a.ncols)]
+    lines = ["[ " + "  ".join(x.rjust(w) for x, w in zip(row, widths)) + " ]" for row in cells]
+    shape = f"{a.nrows}" if a.nrows == a.ncols else f"{a.nrows}x{a.ncols}"
+    return f"{a.ring}({shape})\n" + "\n".join(lines)
+
+
+@pytest.mark.parametrize("ring", [REAL, COMPLEX, QUATERNION, DOUBLE_REAL, DOUBLE_QUATERNION])
+def test_numerator_formatter_matches_format_scalar(ring):
+    rng = random.Random(f"formatter:{ring}")
+    inner = {DOUBLE_REAL: REAL, DOUBLE_QUATERNION: QUATERNION}.get(ring, ring)
+    for trial in range(12):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        if ring != inner:
+            ncols = nrows
+        blocks = [_rand_matrix(inner, nrows, rng, ncols, _mixed_frac) for _ in range(2)]
+        value = BlockPair(ring, *blocks) if ring != inner else blocks[0]
+        text = format_matrix(value)
+        assert text == _reference_format(value)
+        # cell by cell: the formatter's cells are format_scalar's texts
+        for block in blocks[: 2 if ring != inner else 1]:
+            lines = format_matrix(block).split("\n")[1:]
+            assert [line[2:-2].split() for line in lines] == _scalar_text_rows(block)
+    # negative i/j/k parts, zero cells and mixed denominators in one matrix
+    if ring in (COMPLEX, QUATERNION):
+        rank = 2 if ring == COMPLEX else 4
+        cells = [(Fraction(-1, 2), Fraction(-3, 7), Fraction(5), Fraction(-1))[:rank],
+                 (0, 0, 0, 0)[:rank], (0, Fraction(-2, 3), 0, Fraction(1, 12))[:rank]]
+        m = RingMatrix.from_components(ring, [cells, cells[::-1]])
+        assert format_matrix(m) == _reference_format(m)
+
+
+def test_formatter_reduces_non_reduced_numerators():
+    m = from_numerators(REAL, 2, [2, 4, 0, 6], 4)
+    assert format_matrix(m) == "R(2)\n[ 1/2    1 ]\n[   0  3/2 ]"
+    assert format_matrix(m) == _reference_format(m)
+    c = from_numerators(COMPLEX, 1, [6, -4, 0, 0, -9, 3], 6)
+    assert format_matrix(c) == "C(3x1)\n[    1-2/3i ]\n[         0 ]\n[ -3/2+1/2i ]"
+    assert format_matrix(c) == _reference_format(c)
+
+
+@pytest.mark.parametrize("ring", [REAL, COMPLEX, QUATERNION])
+def test_one_stored_form_per_value(ring):
+    rng = random.Random(f"canonical:{ring}")
+    direct = _rand_matrix(ring, 3, rng, 2, _mixed_frac)
+    nums, den = to_numerators(direct)
+    forms = [
+        direct,
+        from_numerators(ring, 2, [6 * x for x in nums], 6 * den),
+        RingMatrix.identity(ring, 3).scale(Fraction(2, 3)) * direct.scale(Fraction(3, 2)),
+        direct.scale(5).scale(Fraction(1, 5)),
+    ]
+    for form in forms:
+        assert form == direct and hash(form) == hash(direct)
+        assert to_numerators(form) == (nums, den)
+    zero = RingMatrix.zeros(ring, 3, 2)
+    for d in (1, 2, 12, 10**30):
+        nought = from_numerators(ring, 2, [0] * len(nums), d)
+        assert nought == zero and hash(nought) == hash(zero)
+    assert direct - direct == zero
+
+
+def test_numerators_handed_out_do_not_alias_storage():
+    rng = random.Random("aliasing")
+    m = _rand_matrix(COMPLEX, 2, rng, 3, _mixed_frac)
+    before = (to_numerators(m), format_matrix(m), m.rows)
+    nums, den = to_numerators(m)
+    nums[0] += 1
+    nums.reverse()
+    assert (to_numerators(m), format_matrix(m), m.rows) == before
+    given = [1, 2, 3, 4]
+    built = from_numerators(REAL, 2, given, 3)
+    given[0] = 99
+    assert to_numerators(built) == ([1, 2, 3, 4], 3)
+
+
+def test_from_numerators_refuses_bad_layouts():
+    with pytest.raises(RingMismatchError, match="empty"):
+        from_numerators(REAL, 1, [], 1)
+    with pytest.raises(RingMismatchError, match="ragged"):
+        from_numerators(COMPLEX, 2, [1, 2, 3], 1)
+    with pytest.raises(RingMismatchError, match="denominator"):
+        from_numerators(REAL, 1, [1], 0)
+    with pytest.raises(UnsupportedRingError):
+        from_numerators(DOUBLE_REAL, 1, [1], 1)
+    with pytest.raises(RingMismatchError, match="empty"):
+        RingMatrix.identity(REAL, 0)
+
+
+def test_rows_is_a_cached_view_of_the_numerators():
+    m = from_numerators(QUATERNION, 2, [1, -2, 0, 3, 0, 0, 0, 0, 4, 0, 0, -1, 2, 2, 2, 2], 4)
+    assert m.rows is m.rows
+    quarters = [Fraction(x, 4) for x in (1, -2, 0, 3)]
+    assert m.entry(0, 0) == RingScalar.quaternion_parts(*quarters)
+    assert m.entry(0, 1).is_zero
+    assert m.entry(1, 1) == RingScalar.quaternion_parts(*[Fraction(1, 2)] * 4)
+    assert RingMatrix(QUATERNION, m.rows) == m

@@ -1,6 +1,9 @@
 """Multivector grammar: parsing, printing, round trips and error positions."""
 
+import itertools
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -110,3 +113,18 @@ def test_only_ascii_digits_are_digits():
         with pytest.raises(ParseError) as err:
             parse_multivector(Signature(3, 1), text)
         assert str(err.value) == message, text
+
+
+@pytest.mark.parametrize("p,q", [(3, 1), (1, 3)])
+def test_factors_multiply_in_the_order_written(p, q):
+    sig = Signature(p, q)
+    names = [f"e{i}" for i in range(1, p + 1)] + [f"eps{i}" for i in range(1, q + 1)]
+    gens = [Multivector.generator(sig, i) for i in range(1, sig.n + 1)]
+    for k in (2, 3):
+        for order in itertools.permutations(range(sig.n), k):
+            text = "*".join(names[i] for i in order)
+            product = reduce(mul, (gens[i] for i in order))
+            assert parse_multivector(sig, text) == product, text
+            assert parse_multivector(sig, f"1 - 3/2*{text}") == 1 - Fraction(3, 2) * product, text
+            with pytest.raises(ParseError, match="repeated generator"):
+                parse_multivector(sig, f"{text}*{names[order[0]]}")
