@@ -624,7 +624,7 @@ def mat_inverse(a: RingElement) -> RingElement | None:
         raise RingMismatchError("only square matrices invert")
     n = a.size
     work = [list(row) for row in a.rows]
-    aug = [list(RingMatrix.identity(a.ring, n).rows[r]) for r in range(n)]
+    aug = [list(row) for row in RingMatrix.identity(a.ring, n).rows]
     for col in range(n):
         pivot = next((r for r in range(col, n) if not work[r][col].is_zero), None)
         if pivot is None:
