@@ -233,6 +233,9 @@ class Multivector:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Multivector is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild rather than set slots
+        return Multivector._raw, (self.sig, self._num, self._den)
+
     @classmethod
     def _raw(cls, sig: Signature, num: dict[int, int], den: int) -> "Multivector":
         mv = object.__new__(cls)
@@ -391,7 +394,9 @@ def _mul_accumulate(sig: Signature, out: dict[int, int], xa: dict[int, int], xb:
     """Accumulate the integer-numerator blade products of xa*xb into out."""
     n = sig.n
     get = out.get
-    if n <= _TABLE_MAX_N:
+    # a single-term factor needs one sign per term of the other, too few to
+    # pay for building or holding a 4**n-byte table
+    if n <= _TABLE_MAX_N and len(xa) > 1 and len(xb) > 1:
         table = _sign_table(sig)
         for ma, ca in xa.items():
             base = ma << n

@@ -98,6 +98,9 @@ class MvMatrix:
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("MvMatrix is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild rather than set slots
+        return MvMatrix, (self.sig, self.rows)
+
     @classmethod
     def identity(cls, sig: Signature, size: int) -> "MvMatrix":
         one, zero = Multivector.scalar(sig, 1), Multivector.zero(sig)

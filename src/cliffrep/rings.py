@@ -88,6 +88,9 @@ class RingScalar:
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("RingScalar is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild rather than set slots
+        return RingScalar, (self.ring, self.r, self.i, self.j, self.k)
+
     # -- constructors
 
     @classmethod
@@ -258,6 +261,9 @@ class RingMatrix:
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("RingMatrix is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild rather than set slots
+        return from_numerators, (self.ring, self.ncols, self._nums, self._den)
+
     @property
     def rows(self) -> tuple[tuple[RingScalar, ...], ...]:
         if self._rows is None:
@@ -393,6 +399,9 @@ class BlockPair:
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("BlockPair is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild rather than set slots
+        return BlockPair, (self.ring, self.plus, self.minus)
 
     @classmethod
     def identity(cls, ring: str, size: int) -> "BlockPair":

@@ -8,15 +8,20 @@ is not one (e.g. ``e12`` with p = 2) it is read as a product of single-digit
 generators in ascending order.  A term is the Clifford product of its
 factors in the order written, so ``e2*e1`` reads as ``-e12``; a generator may
 appear once per term.  Numbers and indices are runs of the ASCII
-digits 0-9 only.  The printer emits blades in ascending mask order and
-sticks to forms the parser accepts.
+digits 0-9 only.  Whitespace, meaning whatever ``str.isspace`` accepts, may
+stand between tokens but not inside a name or a rational.  The parser makes
+one pass over the text, matching one token pattern at each position, and
+sums the terms as integer numerators over one running denominator.  The
+printer emits blades in ascending mask order and sticks to forms the parser
+accepts.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re
+from math import lcm
 
-from .algebra import Multivector, Signature, blade_product
+from .algebra import Multivector, Signature, _pair_sign
 from .rings import format_rational
 
 
@@ -34,28 +39,11 @@ def ascii_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-class _Scanner:
-    def __init__(self, source: str):
-        self.src = source
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.src[self.pos] if self.pos < len(self.src) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def take_digits(self) -> str:
-        start = self.pos
-        while self.pos < len(self.src) and ascii_digits(self.src[self.pos]):
-            self.pos += 1
-        return self.src[start : self.pos]
+# One token after whitespace (group 1): a generator name (family 2, digits 3),
+# a rational (numerator 4, the denominator digits 5 after a "/") or an
+# operator (6).  The token is optional, so every match succeeds and
+# ``m.end(1)`` is where the token, or the text that is none, starts.
+_TOKEN = re.compile(r"(\s*)(?:(eps|e)([0-9]+)|([0-9]+)(?:/([0-9]*))?|([-+*]))?")
 
 
 def _to_int(digits: str, position: int) -> int:
@@ -65,24 +53,20 @@ def _to_int(digits: str, position: int) -> int:
         raise ParseError(f"number of {len(digits)} digits is too long", position) from None
 
 
-def _parse_blade_name(scanner: _Scanner, sig: Signature) -> int:
-    """One generator-family name with digits; returns the blade mask."""
-    start = scanner.pos
-    family_size = sig.p
-    offset = 0
-    if scanner.src.startswith("eps", scanner.pos):
-        scanner.pos += 3
-        family_size = sig.q
-        offset = sig.p
-    elif scanner.peek() == "e":
-        scanner.pos += 1
-    else:
-        raise ParseError("expected a generator name", scanner.pos)
-    digits = scanner.take_digits()
-    if not digits:
-        raise ParseError("expected generator indices", scanner.pos)
+def _name_error(source: str, at: int) -> ParseError:
+    """The error where a generator name must start but none matched."""
+    if source.startswith("eps", at):
+        return ParseError("expected generator indices", at + 3)
+    if source.startswith("e", at):
+        return ParseError("expected generator indices", at + 1)
+    return ParseError("expected a generator name", at)
+
+
+def _blade_mask(sig: Signature, family: str, digits: str, start: int) -> int:
+    """Mask of one matched generator-family name such as ``e12`` or ``eps3``."""
+    size, offset = (sig.q, sig.p) if family == "eps" else (sig.p, 0)
     value = _to_int(digits, start)
-    if len(digits) == 1 or (1 <= value <= family_size):
+    if len(digits) == 1 or 1 <= value <= size:
         indices = [value]
     else:
         indices = [int(d) for d in digits]
@@ -90,79 +74,66 @@ def _parse_blade_name(scanner: _Scanner, sig: Signature) -> int:
             raise ParseError("generator indices must be strictly ascending", start)
     mask = 0
     for idx in indices:
-        if not 1 <= idx <= family_size:
+        if not 1 <= idx <= size:
             raise ParseError(f"generator index {idx} outside the signature", start)
         mask |= 1 << (offset + idx - 1)
     return mask
 
 
-def _parse_rational(scanner: _Scanner) -> Fraction:
-    start = scanner.pos
-    digits = scanner.take_digits()
-    if not digits:
-        raise ParseError("expected a number", start)
-    numerator = _to_int(digits, start)
-    if scanner.peek() == "/":
-        scanner.take()
-        dstart = scanner.pos
-        ddigits = scanner.take_digits()
-        denominator = _to_int(ddigits, dstart) if ddigits else 0
-        if not denominator:
-            raise ParseError("expected a non-zero denominator", dstart)
-        return Fraction(numerator, denominator)
-    return Fraction(numerator)
-
-
-def _parse_term(scanner: _Scanner, sig: Signature) -> tuple[int, Fraction]:
-    coeff = Fraction(1)
-    mask = 0
-    need_factor = True
-    if ascii_digits(scanner.peek()):
-        coeff = _parse_rational(scanner)
-        scanner.skip_ws()
-        need_factor = False
-    while need_factor or scanner.peek() == "*":
-        if not need_factor:
-            scanner.take()
-            scanner.skip_ws()
-        factor_start = scanner.pos
-        factor = _parse_blade_name(scanner, sig)
-        if factor & mask:
-            raise ParseError("repeated generator in a term", factor_start)
-        # a factor below a generator already read is reordered past it; the
-        # term is the product in the order written
-        if mask > factor & -factor:
-            coeff *= blade_product(sig, mask, factor)[0]
-        mask |= factor
-        scanner.skip_ws()
-        need_factor = False
-    return mask, coeff
-
-
 def parse_multivector(sig: Signature, source: str) -> Multivector:
     """Parse the multivector grammar; raises ParseError with a position."""
-    scanner = _Scanner(source)
-    scanner.skip_ws()
-    if not scanner.src.strip():
-        raise ParseError("empty expression", scanner.pos)
-    terms: dict[int, Fraction] = {}
-    sign = 1
-    if scanner.peek() in "+-":
-        if scanner.take() == "-":
-            sign = -1
-        scanner.skip_ws()
+    match = _TOKEN.match
+    m = match(source)
+    if m.end(1) == len(source):
+        raise ParseError("empty expression", len(source))
+    nums: dict[int, int] = {}
+    den = 1
+    sign = -1 if m[6] == "-" else 1
+    if m[6] in ("+", "-"):
+        m = match(source, m.end())
     while True:
-        mask, coeff = _parse_term(scanner, sig)
-        terms[mask] = terms.get(mask, Fraction(0)) + sign * coeff
-        scanner.skip_ws()
-        nxt = scanner.peek()
-        if not nxt:
-            break
-        if nxt not in "+-":
-            raise ParseError(f"unexpected character {nxt!r}", scanner.pos)
-        sign = 1 if scanner.take() == "+" else -1
-        scanner.skip_ws()
-    return Multivector(sig, terms)
+        # one term: a rational or a first generator name, then "*" and a name
+        # as often as written; its value is sign * num / d on the blade mask
+        num = d = 1
+        mask = 0
+        need_factor = m[4] is None
+        if not need_factor:
+            num = _to_int(m[4], m.start(4))
+            if m[5] is not None:
+                d = _to_int(m[5], m.start(5)) if m[5] else 0
+                if not d:
+                    raise ParseError("expected a non-zero denominator", m.start(5))
+            m = match(source, m.end())
+        while need_factor or m[6] == "*":
+            if not need_factor:
+                m = match(source, m.end())
+            if m[2] is None:
+                raise _name_error(source, m.end(1))
+            start = m.start(2)
+            factor = _blade_mask(sig, m[2], m[3], start)
+            if factor & mask:
+                raise ParseError("repeated generator in a term", start)
+            # a factor below a generator already read is reordered past it; the
+            # term is the product in the order written
+            if mask > factor & -factor:
+                num *= _pair_sign(mask, factor, sig.neg_mask)
+            mask |= factor
+            m = match(source, m.end())
+            need_factor = False
+        if d != den:
+            if den % d:
+                scale = lcm(den, d) // den
+                nums = {b: c * scale for b, c in nums.items()}
+                den *= scale
+            num *= den // d
+        nums[mask] = nums.get(mask, 0) + sign * num
+        if m[6] is None:
+            at = m.end(1)
+            if at == len(source):
+                return Multivector._raw(sig, nums, den)
+            raise ParseError(f"unexpected character {source[at]!r}", at)
+        sign = -1 if m[6] == "-" else 1
+        m = match(source, m.end())
 
 
 def blade_name(sig: Signature, mask: int) -> str:

@@ -1,10 +1,14 @@
 """Exact matrix arithmetic over R, C, H and the doubled rings."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from cliffrep.algebra import Multivector, Signature
+from cliffrep.catalog import MvMatrix
 from cliffrep.rings import (
     COMPLEX,
     DOUBLE_QUATERNION,
@@ -559,3 +563,30 @@ def test_rows_is_a_cached_view_of_the_numerators():
     assert m.entry(0, 1).is_zero
     assert m.entry(1, 1) == RingScalar.quaternion_parts(*[Fraction(1, 2)] * 4)
     assert RingMatrix(QUATERNION, m.rows) == m
+
+
+_S11 = Signature(1, 1)
+_QUAT = from_numerators(QUATERNION, 2, [1, -2, 0, 3, 0, 0, 0, 0, 4, 0, 0, -1, 2, 2, 2, 2], 4)
+_COPYABLE = {
+    "Multivector": Multivector(_S11, {0: Fraction(1, 2), 0b11: -3}),
+    "MvMatrix": MvMatrix(_S11, [[Multivector.scalar(_S11, 2), Multivector.blade(_S11, 0b10)]]),
+    "RingMatrix": _QUAT,
+    "RingScalar": RingScalar.quaternion_parts(Fraction(1, 3), 0, -2, 5),
+    "BlockPair": BlockPair(DOUBLE_REAL, RingMatrix.identity(REAL, 2), RingMatrix.from_components(REAL, [[1, 2], [0, 3]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COPYABLE))
+def test_copy_deepcopy_and_pickle_rebuild_the_value(name):
+    value = _COPYABLE[name]
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value
+        if type(value).__hash__ is not None:  # MvMatrix is not hashable
+            assert hash(twin) == hash(value)
+
+
+def test_deep_copy_after_the_lazy_rows_were_read():
+    rows = _QUAT.rows
+    twin = copy.deepcopy(_QUAT)
+    assert twin == _QUAT and hash(twin) == hash(_QUAT)
+    assert twin.rows == rows

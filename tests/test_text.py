@@ -318,6 +318,36 @@ def test_parse_errors_are_pinned():
     assert not wrong
 
 
+def test_edge_cases_equal_multivector_arithmetic():
+    s12, s311 = Signature(12, 0), Signature(3, 11)
+    g12 = [None] + [Multivector.generator(s12, i) for i in range(1, 13)]
+    g311 = [None] + [Multivector.generator(s311, i) for i in range(1, 15)]
+    # a digit run names one generator when it can, else single digits
+    assert parse_multivector(s12, "e12") == g12[12]
+    assert parse_multivector(s12, "e123") == g12[1] * g12[2] * g12[3]
+    assert parse_multivector(s12, "e12*e1 - e10") == g12[12] * g12[1] - g12[10]
+    assert parse_multivector(s311, "eps11") == g311[14]
+    assert parse_multivector(s311, "eps11*e2*eps10") == g311[14] * g311[2] * g311[13]
+    assert parse_multivector(s311, "e13*eps123") == g311[1] * g311[3] * g311[4] * g311[5] * g311[6]
+    e1, e2, eps1 = (Multivector.generator(S21, i) for i in (1, 2, 3))
+    one = Multivector.scalar(S21, 1)
+    # cancelling terms and repeated blades over mixed denominators
+    assert parse_multivector(S21, "e1 - e1") == Multivector.zero(S21)
+    assert parse_multivector(S21, "e1*e2 + e2*e1") == Multivector.zero(S21)
+    assert parse_multivector(S21, "1/2*e1 + 1/3*e1") == Fraction(1, 2) * e1 + Fraction(1, 3) * e1
+    assert parse_multivector(S21, "1/2*e1 + 1/3*e2 + 1/6*e1 - 5/4 + 3/4") == (
+        Fraction(2, 3) * e1 + Fraction(1, 3) * e2 - Fraction(1, 2) * one
+    )
+    # leading signs, and whitespace of any kind around every operator
+    assert parse_multivector(S21, "+e1") == e1
+    assert parse_multivector(S21, "-e1 + 2") == 2 * one - e1
+    assert parse_multivector(S21, "- 1/2") == Fraction(-1, 2) * one
+    spaced = " \u2003-\u20033/2\u2003*\u2003e2 *\te1\u2003+\x1ceps1\n-\u20031/6 "
+    assert parse_multivector(S21, spaced) == (
+        Fraction(-3, 2) * e2 * e1 + eps1 - Fraction(1, 6) * one
+    )
+
+
 @pytest.mark.parametrize("p,q", [(3, 1), (1, 3)])
 def test_factors_multiply_in_the_order_written(p, q):
     sig = Signature(p, q)
