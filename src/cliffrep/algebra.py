@@ -394,9 +394,7 @@ def _mul_accumulate(sig: Signature, out: dict[int, int], xa: dict[int, int], xb:
     """Accumulate the integer-numerator blade products of xa*xb into out."""
     n = sig.n
     get = out.get
-    # a single-term factor needs one sign per term of the other, too few to
-    # pay for building or holding a 4**n-byte table
-    if n <= _TABLE_MAX_N and len(xa) > 1 and len(xb) > 1:
+    if n <= _TABLE_MAX_N:
         table = _sign_table(sig)
         for ma, ca in xa.items():
             base = ma << n
