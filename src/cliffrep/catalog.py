@@ -178,6 +178,9 @@ class MvMatrix:
             return NotImplemented
         return self.sig == other.sig and self.rows == other.rows
 
+    def __hash__(self):
+        return hash((self.sig, self.rows))
+
     def __repr__(self):
         return f"<MvMatrix {self.nrows}x{self.ncols} over {self.sig}>"
 

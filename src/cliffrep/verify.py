@@ -23,6 +23,14 @@ under a seed.  The sampled checks share one seeded trial loop, every
 report is built by one helper, and a recipe's typed failures (images that
 are not independent, a wrong pulled-back inverse) come back as a failing
 report's witness.
+
+The periodic inner oracle goes by linearity and is no weaker for it: D_a
+is linear in a (copies of a, or pairs a0 +- a1*u), and so are the
+sandwich and the read-back, so for a stage-one entry x the sum of
+x_m * O(e_m), with O(e_m) the direct sandwich of inner basis blade e_m
+(taken once per call), is exactly the direct sandwich of x.  A residue on
+any blade it uses raises, which covers every case where the sandwich of
+x would raise, and more.  The stage-one sandwich of a stays direct.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .algebra import Multivector, Signature
@@ -53,7 +62,7 @@ from .rings import (
     REAL,
     BlockPair,
     RingMatrix,
-    RingScalar,
+    from_numerators,
     ring_identity,
 )
 
@@ -89,14 +98,19 @@ class CheckReport:
 # oracle
 
 
-def _read(entry: Multivector, signed_blades: Sequence[Multivector], what: str) -> list[Fraction]:
-    """Coordinates of ``entry`` over distinct signed blades; any leftover
-    component is an equality violation."""
+def _signs(blades: Sequence[Multivector], what: str) -> list[tuple[int, int]]:
+    """(mask, sign) of each signed blade; any other blade is a recipe defect."""
+    for blade in blades:
+        if len(blade._num) != 1 or blade._den != 1 or abs(*blade._num.values()) != 1:
+            raise EqualityViolationError(f"{blade} among {what} is not a signed unit blade")
+    return [term for blade in blades for term in blade._num.items()]
+
+
+def _read(entry: Multivector, signed: Sequence[tuple[int, int]], what: str) -> list[int]:
+    """Numerators over ``entry._den`` of ``entry``'s coordinates on the
+    (mask, sign) blades; any leftover component is an equality violation."""
     residue = dict(entry._num)
-    coords = []
-    for blade in signed_blades:
-        ((mask, num),) = blade._num.items()
-        coords.append(Fraction(residue.pop(mask, 0) * blade._den, entry._den * num))
+    coords = [residue.pop(mask, 0) * sign for mask, sign in signed]
     if residue:
         leftover = Multivector._raw(entry.sig, residue, entry._den)
         raise EqualityViolationError(f"entry has residue {leftover} outside {what}")
@@ -110,13 +124,16 @@ def _matrix_from_mv(grid: MvMatrix, spec: RepSpec) -> RingMatrix | BlockPair:
     units = [Multivector.scalar(spec.signature, 1)] + [named[k] for k in ("i", "j") if k in named]
     if "j" in named:
         units.append(named["i"] * named["j"])
+    signed = _signs(units, "the ring units")
     target = spec.target
     ring = BLOCK_RING.get(target.ring, target.ring)
 
     def block(start: int, size: int) -> RingMatrix:
         cells = range(start, start + size)
-        rows = [[_read(grid.rows[r][c], units, "the ring units") for c in cells] for r in cells]
-        return RingMatrix(ring, [[RingScalar(ring, *x) for x in row] for row in rows])
+        entries = [grid.rows[r][c] for r in cells for c in cells]
+        den = lcm(*(x._den for x in entries))
+        nums = [v * (den // x._den) for x in entries for v in _read(x, signed, "the ring units")]
+        return from_numerators(ring, size, nums, den)
 
     if target.ring not in BLOCK_RING:
         return block(0, grid.nrows)
@@ -135,16 +152,26 @@ def _stage_one(a: Multivector, spec: RepSpec) -> list[list[Multivector]]:
     generators' products as an element of the reduced signature."""
     node = spec.node
     outer = node.basis.outer
-    blades = [outer.product(m) for m in range(1 << len(outer))]
+    signed = _signs([outer.product(m) for m in range(1 << len(outer))], "the outer products")
     grid = spec.transform.conjugate(spec.replication.diagonal_for(a))
-    coords = [[_read(x, blades, "the outer products") for x in row] for row in grid.rows]
-    return [[Multivector(node.reduced, dict(enumerate(c))) for c in row] for row in coords]
+    coords = [[(_read(x, signed, "the outer products"), x._den) for x in row] for row in grid.rows]
+    return [[Multivector._raw(node.reduced, dict(enumerate(c)), d) for c, d in row] for row in coords]
 
 
 def _inner_oracle(spec: RepSpec, stage1: list[list[Multivector]]) -> RingMatrix | BlockPair:
-    """The inner recipe's oracle on every stage-one entry, pasted together."""
+    """The inner oracle on every stage-one entry, pasted together: by
+    linearity, from one direct sandwich per inner basis blade used."""
     inner = spec.node.inner
-    images = [[oracle_represent(x, inner) for x in row] for row in stage1]
+    zero = ring_identity(inner.target.ring, inner.target.size).scale(0)
+    sandwiches: dict[int, RingMatrix | BlockPair] = {}
+
+    def image(x: Multivector) -> RingMatrix | BlockPair:
+        for mask in x._num.keys() - sandwiches.keys():
+            sandwiches[mask] = oracle_represent(Multivector.blade(inner.signature, mask), inner)
+        terms = [sandwiches[m].scale(Fraction(c, x._den)) for m, c in x._num.items()]
+        return sum(terms[1:], terms[0]) if terms else zero
+
+    images = [[image(x) for x in row] for row in stage1]
     return assemble_entry_images(spec.target, images, inner.target.size)
 
 
@@ -170,16 +197,16 @@ _DENSE_LIMIT = 6
 
 def random_multivector(sig: Signature, rng: random.Random) -> Multivector:
     """Dense over all blades up to _DENSE_LIMIT generators, else 64 sparse blades."""
-    terms: dict[int, Fraction] = {}
+    num: dict[int, int] = {}
     if sig.n <= _DENSE_LIMIT:
         masks: Iterable[int] = range(sig.dim)
     else:
         masks = {rng.randrange(sig.dim) for _ in range(64)}
     for m in masks:
-        num = rng.randint(-9, 9)
-        if num:
-            terms[m] = Fraction(num, rng.choice((1, 2, 3)))
-    return Multivector(sig, terms)
+        x = rng.randint(-9, 9)
+        if x:
+            num[m] = x * (6 // rng.choice((1, 2, 3)))
+    return Multivector._raw(sig, num, 6)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,9 @@ def test_explicit_two_zero_recipe():
     assert spec.transform.P == expected
     assert spec.transform.Pinv == expected
     assert spec.transform.scale == 1
+    # equal matrices built apart hash alike, so they dedupe in a set
+    assert hash(spec.transform.P) == hash(expected)
+    assert len({spec.transform.P, spec.transform.Pinv, expected}) == 1
     assert spec.replication.kind == PLAIN and spec.replication.copies == 2
 
 

@@ -581,8 +581,7 @@ def test_copy_deepcopy_and_pickle_rebuild_the_value(name):
     value = _COPYABLE[name]
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is type(value) and twin == value
-        if type(value).__hash__ is not None:  # MvMatrix is not hashable
-            assert hash(twin) == hash(value)
+        assert hash(twin) == hash(value)
 
 
 def test_deep_copy_after_the_lazy_rows_were_read():

@@ -18,11 +18,20 @@ from cliffrep.catalog import (
     get_spec,
 )
 from cliffrep.cli import main
-from cliffrep.represent import _xor_codes, blade_image, represent_with
+from cliffrep.represent import (
+    _xor_codes,
+    assemble_entry_images,
+    blade_image,
+    periodic_stage1,
+    represent_with,
+)
 from cliffrep.rings import REAL, RingMatrix
 from cliffrep.verify import (
     CheckReport,
     EqualityViolationError,
+    _inner_oracle,
+    _similarity_once,
+    _stage_one,
     check_cayley_hamilton,
     check_homomorphism,
     check_inverse_pullback,
@@ -290,6 +299,55 @@ def test_periodic_similarity_fails_on_a_swapped_core(monkeypatch):
     report = check_similarity(sig, "swapped-core", trials=1)
     assert not report.passed
     assert "stage-one" in report.counterexample
+
+
+def _direct_nested(spec: RepSpec, stage1) -> object:
+    """The inner recipe's own oracle on each stage-one entry, pasted."""
+    inner = spec.node.inner
+    images = [[oracle_represent(x, inner) for x in row] for row in stage1]
+    return assemble_entry_images(spec.target, images, inner.target.size)
+
+
+def test_linear_inner_oracle_matches_the_direct_nested_oracle():
+    # the inner oracle combines one sandwich per inner basis blade; the
+    # direct nested oracle sandwiches every stage-one entry on its own
+    elements = []
+    for p, q in ((9, 0), (8, 1)):
+        sig = Signature(p, q)
+        rng = random.Random(p * 10 + q)
+        elements += [(sig, random_multivector(sig, rng)) for _ in range(3)]
+    sig = Signature(17, 0)
+    elements += [(sig, Multivector.blade(sig, mask)) for mask in (1, 1 << 16, 0b101 << 8)]
+    for sig, a in elements:
+        spec = get_spec(sig, "periodic")
+        stage1 = _stage_one(a, spec)
+        linear = _inner_oracle(spec, stage1)
+        assert linear == _direct_nested(spec, stage1), (sig, a)
+        assert linear == represent_with(spec, a), (sig, a)
+
+
+def test_negated_inner_unit_fails_similarity_through_the_inner_oracle():
+    # negative control for the linear inner oracle: the (8,1) recipe's inner
+    # C(1) recipe reads its entries with i negated; stage one is untouched
+    sig = Signature(8, 1)
+    spec = get_spec(sig, "periodic")
+    inner = spec.node.inner
+    negated = {**inner.unit_blades, "i": -inner.unit_blades["i"]}
+    node = dataclasses.replace(spec.node, inner=dataclasses.replace(inner, unit_blades=negated))
+    broken = dataclasses.replace(spec, route="negated-inner-i", node=node)
+    a = random_multivector(sig, random.Random(3))
+    assert _stage_one(a, broken) == periodic_stage1(broken.node, a)
+    assert _similarity_once(broken, a) == "oracle and fast path disagree"
+    assert _similarity_once(spec, a) is None
+
+
+def test_reader_refuses_a_ring_unit_that_is_not_a_signed_blade():
+    sig = Signature(3, 0)
+    good = get_spec(sig)
+    doubled = {**good.unit_blades, "i": good.unit_blades["i"] * 2}
+    tampered = dataclasses.replace(good, route="doubled-i", unit_blades=doubled)
+    with pytest.raises(EqualityViolationError, match="not a signed unit blade"):
+        oracle_represent(Multivector.generator(sig, 1), tampered)
 
 
 def test_plain_copies_fail_similarity_on_conjugate_pair_routes(monkeypatch):
