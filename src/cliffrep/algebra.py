@@ -100,7 +100,7 @@ class Signature:
 
 _BIT_LUT = [bytes(((byte >> k) & 1) for k in range(8)) for byte in range(256)]
 
-_sign_tables: dict[tuple[int, int], bytes] = {}
+_sign_tables: dict[tuple[int, int], bytearray] = {}
 
 
 def _column_bits(n: int) -> list[int]:
@@ -117,7 +117,7 @@ def _column_bits(n: int) -> list[int]:
     return cols
 
 
-def _build_sign_table(n: int, neg_mask: int) -> bytes:
+def _build_sign_table(n: int, neg_mask: int) -> bytearray:
     size = 1 << n
     cols = _column_bits(n)
     nbytes = max(1, size // 8)
@@ -135,10 +135,10 @@ def _build_sign_table(n: int, neg_mask: int) -> bytes:
         packed = rowmask.to_bytes(nbytes, "little")
         row = b"".join(_BIT_LUT[byte] for byte in packed)
         rows[a * size : (a + 1) * size] = row[:size]
-    return bytes(rows)
+    return rows
 
 
-def _sign_table(sig: Signature) -> bytes:
+def _sign_table(sig: Signature) -> bytearray:
     key = (sig.n, sig.neg_mask)
     table = _sign_tables.get(key)
     if table is None:
@@ -423,6 +423,15 @@ def _mul_term_dicts(sig: Signature, xa: dict[int, int], xb: dict[int, int]) -> d
 # generator lists and structured decompositions
 
 
+def _square_sign(mv: Multivector, name: str = "element") -> int:
+    sq = mv * mv
+    if sq == 1:
+        return 1
+    if sq == -1:
+        return -1
+    raise StructureError(f"{name} squares to {sq}, not +1 or -1")
+
+
 class GeneratorList:
     """Elements acting as the generators of an abstract signature inside a host.
 
@@ -437,15 +446,7 @@ class GeneratorList:
         for g in self.elements:
             if g.sig != sig:
                 raise SignatureMismatchError("generator from a different algebra")
-        computed = []
-        for idx, g in enumerate(self.elements):
-            sq = g * g
-            if sq == 1:
-                computed.append(1)
-            elif sq == -1:
-                computed.append(-1)
-            else:
-                raise StructureError(f"generator {idx} squares to {sq}, not +1 or -1")
+        computed = [_square_sign(g, f"generator {idx}") for idx, g in enumerate(self.elements)]
         for i in range(len(self.elements)):
             for j in range(i + 1, len(self.elements)):
                 gi, gj = self.elements[i], self.elements[j]

@@ -28,9 +28,9 @@ only a listed route is ever built, and a new explicit route is one table
 entry.  A recipe's transform keeps the same
 step structure as data (a leaf, a reindexed or a doubled sub-transform).  A
 leaf is a plain pair of at most 4x4, checked when the catalog makes it; one
-recursion carries the steps and the leaf into the host, so the identity
-check and the oracle's sandwich run one step at a time, and the dense P is
-multiplied out only when something reads it.  The compiled blade
+recursion carries the steps and the leaf into the host, so the oracle's
+sandwich runs one step at a time (the identity check is that sandwich at
+D = I), and the dense P is multiplied out only when something reads it.  The compiled blade
 images (the represent module) never read the transform at all.  Printed
 source formulas that fail the machine checks are rebuilt from the step
 patterns and recorded in the corrections registry, each with an executable
@@ -52,6 +52,7 @@ from .algebra import (
     SplitBasis,
     StructureError,
     _mul_accumulate,
+    _square_sign,
 )
 
 HALF = Fraction(1, 2)
@@ -226,15 +227,13 @@ class TransformPair:
 
     One recursion, ``_carried_steps``, carries the doubling blocks and the
     leaf into the host; the identity check, the sandwich and the dense P all
-    read it.  Since P * scale * Pinv = L * diag(S * scale * Sinv, ...) * R / 4
-    at every step, a pair passes when its carried leaf passes and L * R = 4 I
-    at every carried step; only a failure multiplies the pair out, to name
-    the first bad cell.  Likewise ``conjugate`` takes the elements of a
-    diagonal D = diag(D0, D1), split into halves, and P * D * (scale * Pinv) =
+    read it.  ``conjugate`` takes the elements of a diagonal D = diag(D0, D1),
+    split into halves, and P * D * (scale * Pinv) =
     L * diag(conj_S(D0), conj_S(D1)) * R / 4, with equal halves conjugated
-    once.  The dense P and Pinv are built only when something reads ``P``,
-    ``Pinv`` or ``scale``.  A stepped pair passes its identity check before
-    any of those reads or ``conjugate`` is served, and raises
+    once; the identity check is that sandwich at D = I, exactly the dense
+    P * (scale * Pinv).  The dense P and Pinv are built only when something
+    reads ``P``, ``Pinv`` or ``scale``.  A stepped pair passes its identity
+    check before any of those reads or ``conjugate`` is served, and raises
     TransformCheckError on each of them otherwise.
     """
 
@@ -328,34 +327,23 @@ class TransformPair:
         return self._carried
 
     def identity_defect(self) -> tuple[int, int] | None:
-        """First cell where P * (scale * Pinv) differs from I, or None.
+        """First cell where P * (scale * Pinv) differs from I, or None: the
+        sandwich at D = I, taken by steps.
 
         Computed once per pair: the pair is immutable.
         """
         if self._defect is _UNCHECKED:
-            object.__setattr__(self, "_defect", self._first_defect())
+            blocks, P, Pinv, scale = self._carried_steps()
+            one, zero = Multivector.scalar(P.sig, 1), Multivector.zero(P.sig)
+            prod = _sandwich(blocks, P, Pinv, scale, [one] * self.size)
+            cells = (
+                (r, c)
+                for r, row in enumerate(prod.rows)
+                for c, x in enumerate(row)
+                if x != (one if r == c else zero)
+            )
+            object.__setattr__(self, "_defect", next(cells, None))
         return self._defect
-
-    def _first_defect(self) -> tuple[int, int] | None:
-        blocks, P, Pinv, scale = self._carried_steps()
-        leaf = _first_bad_cell(P, Pinv, scale)
-        if not blocks:
-            return leaf
-        four = MvMatrix.identity(P.sig, 2).scale(4)
-        if leaf is None and all(left * right == four for left, right in blocks):
-            return None
-        return _first_bad_cell(*self._multiplied())
-
-
-def _first_bad_cell(P: MvMatrix, Pinv: MvMatrix, scale: Fraction) -> tuple[int, int] | None:
-    """First cell where P * (scale * Pinv) differs from I, or None."""
-    prod = (P * Pinv).scale(scale)
-    one, zero = Multivector.scalar(prod.sig, 1), Multivector.zero(prod.sig)
-    for r, row in enumerate(prod.rows):
-        for c, x in enumerate(row):
-            if x != (one if r == c else zero):
-                return (r, c)
-    return None
 
 
 def _sandwich(
@@ -548,13 +536,11 @@ def _check_transform(tp: TransformPair, where: str) -> None:
         raise TransformCheckError(f"{where}: transform product differs from I at {defect}")
 
 
-def _square_sign(mv: Multivector) -> int:
-    sq = mv * mv
-    if sq == 1:
-        return 1
-    if sq == -1:
-        return -1
-    raise StructureError(f"element squares to {sq}, not +1 or -1")
+def _sub_gens(sig: Signature, sub_spec: RepSpec, masks: Sequence[int]) -> GeneratorList:
+    gens = _gens(sig, masks)
+    if gens.abstract_signature != sub_spec.signature:
+        raise StructureError("sub generators do not present the sub signature")
+    return gens
 
 
 def _inherit_units(sub: RepSpec, gens: GeneratorList) -> dict[str, Multivector]:
@@ -577,18 +563,13 @@ def _spec_ring_units(sig: Signature, route: str, unit_masks: Sequence[int]) -> R
     basis = SplitBasis(_empty_gens(sig), units)
     ring = {0: "R", 1: "C", 2: "H"}[len(unit_masks)]
     identity = MvMatrix.identity(sig, 1)
-    names = {}
-    if len(unit_masks) >= 1:
-        names["i"] = units.elements[0]
-    if len(unit_masks) == 2:
-        names["j"] = units.elements[1]
     return RepSpec(
         signature=sig,
         route=route,
         target=Target(ring, 1),
         transform=_leaf_pair(identity, identity, Fraction(1), f"{sig} {route}"),
         replication=ReplicationSpec(1),
-        unit_blades=names,
+        unit_blades=dict(zip("ij", units.elements)),
         node=LeafNode(basis, "units"),
     )
 
@@ -665,9 +646,7 @@ def _spec_extend(
     sub_masks: Sequence[int],
     unit_masks: Sequence[int],
 ) -> RepSpec:
-    sub_gens = _gens(sig, sub_masks)
-    if sub_gens.abstract_signature != sub_spec.signature:
-        raise StructureError("sub generators do not present the sub signature")
+    sub_gens = _sub_gens(sig, sub_spec, sub_masks)
     units = _gens(sig, unit_masks)
     if any(s != -1 for s in units.squares):
         raise StructureError("adjoined units must square to -1")
@@ -676,16 +655,13 @@ def _spec_extend(
         raise StructureError("unit extension needs a real-matrix sub-representation")
     tp = TransformPair.reindexed(sub_spec.transform, sub_gens, f"{sig} {route}")
     ring = "C" if len(unit_masks) == 1 else "H"
-    names = {"i": units.elements[0]}
-    if len(unit_masks) == 2:
-        names["j"] = units.elements[1]
     return RepSpec(
         signature=sig,
         route=route,
         target=Target(ring, sub_spec.target.size),
         transform=tp,
         replication=ReplicationSpec(tp.size),
-        unit_blades=names,
+        unit_blades=dict(zip("ij", units.elements)),
         node=ExtendNode(sub_spec, basis),
     )
 
@@ -698,9 +674,7 @@ def _spec_quad(
     u_mask: int,
     v_mask: int,
 ) -> RepSpec:
-    sub_gens = _gens(sig, sub_masks)
-    if sub_gens.abstract_signature != sub_spec.signature:
-        raise StructureError("sub generators do not present the sub signature")
+    sub_gens = _sub_gens(sig, sub_spec, sub_masks)
     u = Multivector.blade(sig, u_mask)
     v = Multivector.blade(sig, v_mask)
     if _square_sign(u) != 1:
@@ -733,9 +707,7 @@ def _spec_split(
     sub_masks: Sequence[int],
     u_mask: int,
 ) -> RepSpec:
-    sub_gens = _gens(sig, sub_masks)
-    if sub_gens.abstract_signature != sub_spec.signature:
-        raise StructureError("sub generators do not present the sub signature")
+    sub_gens = _sub_gens(sig, sub_spec, sub_masks)
     u = Multivector.blade(sig, u_mask)
     if _square_sign(u) != 1:
         raise StructureError("the splitting element must square to +1")

@@ -195,14 +195,6 @@ class RingScalar:
         return f"RingScalar({self.ring!r}, {format_scalar(self)})"
 
 
-def format_rational(value: Fraction) -> str:
-    """``n`` or ``n/d``; NumberTooLongError past the interpreter's digit limit."""
-    try:
-        return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-    except ValueError:  # only raised past the limit, which then exists
-        raise _too_long() from None
-
-
 def _too_long() -> NumberTooLongError:
     return NumberTooLongError(
         f"a number passes the interpreter's {sys.get_int_max_str_digits()}-digit "
@@ -212,16 +204,9 @@ def _too_long() -> NumberTooLongError:
 
 def format_scalar(s: RingScalar) -> str:
     """Scalar grammar: ``a``, ``a+bi``, ``a+bi+cj+dk`` with zero parts dropped."""
-    parts: list[str] = []
-    for comp, unit in zip((s.r, s.i, s.j, s.k), ("", "i", "j", "k")):
-        if not comp:
-            continue
-        body = f"{format_rational(abs(comp))}{unit}"
-        if not parts:
-            parts.append(body if comp > 0 else f"-{body}")
-        else:
-            parts.append(f"+{body}" if comp > 0 else f"-{body}")
-    return "".join(parts) if parts else "0"
+    parts = (s.r, s.i, s.j, s.k)
+    den = lcm(*(x.denominator for x in parts))
+    return _cell_text([x.numerator * (den // x.denominator) for x in parts], den)
 
 
 def _plain_rank(ring: str) -> int:
@@ -752,7 +737,7 @@ def _format_rows(a: RingMatrix) -> str:
     rank, den, nums, width = COMPONENTS[a.ring], a._den, a._nums, a.ncols
     try:
         if rank == 1:
-            cells = list(map(str, nums)) if den == 1 else [_ratio(x, den) for x in nums]
+            cells = list(map(str, nums)) if den == 1 else [format_ratio(x, den) for x in nums]
         else:
             cells = [_cell_text(nums[i : i + rank], den) for i in range(0, len(nums), rank)]
     except ValueError:  # only raised past the digit limit, which then exists
@@ -765,10 +750,14 @@ def _format_rows(a: RingMatrix) -> str:
     return "\n".join(lines)
 
 
-def _ratio(x: int, den: int) -> str:
-    """x / den in lowest terms, as format_rational writes it (with x's sign)."""
+def format_ratio(x: int, den: int) -> str:
+    """x / den in lowest terms as ``n`` or ``n/d``, with x's sign;
+    NumberTooLongError past the interpreter's digit limit."""
     g = gcd(x, den)
-    return str(x // g) if g == den else f"{x // g}/{den // g}"
+    try:
+        return str(x // g) if g == den else f"{x // g}/{den // g}"
+    except ValueError:  # only raised past the limit, which then exists
+        raise _too_long() from None
 
 
 def _cell_text(part: Sequence[int], den: int) -> str:
@@ -777,5 +766,5 @@ def _cell_text(part: Sequence[int], den: int) -> str:
     for x, unit in zip(part, ("", "i", "j", "k")):
         if x:
             sign = "-" if x < 0 else "+" if text else ""
-            text += f"{sign}{_ratio(abs(x), den)}{unit}"
+            text += f"{sign}{format_ratio(abs(x), den)}{unit}"
     return text or "0"

@@ -22,7 +22,7 @@ import re
 from math import lcm
 
 from .algebra import Multivector, Signature, _pair_sign
-from .rings import format_rational
+from .rings import format_ratio
 
 
 class ParseError(ValueError):
@@ -161,14 +161,12 @@ def format_multivector(mv: Multivector) -> str:
     if mv.is_zero:
         return "0"
     chunks: list[str] = []
-    for mask, coeff in mv.terms():
-        magnitude = abs(coeff)
-        if mask == 0:
-            body = format_rational(magnitude)
-        else:
-            body = f"{format_rational(magnitude)}*{blade_name(mv.sig, mask)}"
+    for mask, x in sorted(mv._num.items()):
+        body = format_ratio(abs(x), mv._den)
+        if mask:
+            body = f"{body}*{blade_name(mv.sig, mask)}"
         if not chunks:
-            chunks.append(body if coeff > 0 else f"-{body}")
+            chunks.append(body if x > 0 else f"-{body}")
         else:
-            chunks.append(f" + {body}" if coeff > 0 else f" - {body}")
+            chunks.append(f" + {body}" if x > 0 else f" - {body}")
     return "".join(chunks)

@@ -122,6 +122,19 @@ def test_sign_table_cache_is_bounded_in_bytes(monkeypatch):
     assert (4, 0) not in algebra._sign_tables
 
 
+def test_sign_table_build_holds_one_table():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        table = algebra._build_sign_table(10, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 4**10
+    assert peak < 1.25 * 4**10
+
+
 def test_wide_signature_beyond_sign_table():
     # 14 generators exceed the cached-table width; the pairwise path applies
     sig = Signature(7, 7)

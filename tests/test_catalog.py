@@ -548,6 +548,8 @@ def test_corrupted_doubling_step_fails_checks(monkeypatch, depth):
     for pair in reversed(chain[:-1]):
         bad = _restepped(pair, bad, "host of corrupted")
     assert bad.size == spec.transform.size
+    # the step-wise witness names the dense product's first bad cell
+    assert bad.identity_defect() == TransformPair(*bad._multiplied()).identity_defect()
 
     report = check_transform_pair(dataclasses.replace(spec, transform=bad))
     assert not report.passed and "cell (" in report.counterexample
