@@ -487,6 +487,48 @@ def test_images_match_recorded_digests():
     assert seen == IMAGE_DIGESTS
 
 
+def _wide_text_cases():
+    """(label, matrix): the widest images, a dense (5,5), each (0,2) route, zeros."""
+    from cliffrep.verify import random_multivector
+
+    for p, q in ((17, 0), (16, 1), (9, 0)):
+        sig = Signature(p, q)
+        rng = random.Random(f"wide:{p},{q}")
+        yield f"{p},{q},random", represent(random_multivector(sig, rng)).value
+        yield f"{p},{q},e1", represent(Multivector.generator(sig, 1)).value
+    rng = random.Random("wide:dense")
+    s55 = Signature(5, 5)
+    yield "5,5,dense", represent(Multivector(s55, {m: _coeff(rng) for m in range(s55.dim)})).value
+    for route in ("quaternion", "complex2", "real4"):
+        a = Multivector(S02, {m: _coeff(rng) for m in range(S02.dim)})
+        yield f"0,2,{route},dense", represent(a, route).value
+    yield "zeros,R(3)", RingMatrix.zeros(REAL, 3)
+    yield "zeros,H(2x5)", RingMatrix.zeros(QUATERNION, 2, 5)
+
+
+WIDE_TEXT_DIGESTS = {
+    "17,0,random": "9e6b3591b93ede8d5017a76fdf35ef8e342af50ed143d5fffdeeb150fbee620f",
+    "17,0,e1": "737c0b846d4b925fafadac638653eee440690de9144d43cd7cf774d9890c52b1",
+    "16,1,random": "9585ae6d993c2d82bec0b932f3fd2fcc42b36fac05a45b19d77a41aa895e00d7",
+    "16,1,e1": "95e0469ad34804a777c0da92eb816fe24210d22b2d5f544dc7ac04b7badff879",
+    "9,0,random": "0f171b585beab561744733a29d986d02c340f2b7431dd452865a6b7361aecad5",
+    "9,0,e1": "6204d336087629942ae2c50b45b30c5b950f7a9a3d6d4f95016d3dd2ff1ad855",
+    "5,5,dense": "ea505a1deac6c79fdae9e1783ad65c810636ff85fde29608441828f7cd758c45",
+    "0,2,quaternion,dense": "0cb30841ccc4c40e8fc61ec5a4cbb8b4850234f1604c2c2655748ba2a786e3ca",
+    "0,2,complex2,dense": "500f12abf59403be18991e94695f4281d38d0d0f22cdb725b5910d8bb359ea22",
+    "0,2,real4,dense": "4b4c1298f7b1f265ccc775edff6a1d7c3bbbca8a4cea7ecf3964eed5219e77e5",
+    "zeros,R(3)": "680e5dedae4c4986b3b0cf66158129385f398f69c00c384cf855190aea43ada5",
+    "zeros,H(2x5)": "5dde7453a4d1362b066fedbc8093d271e7fd1a8f4937025a1906e535a78d83c7",
+}
+
+
+def test_wide_image_text_is_pinned():
+    seen = {}
+    for label, a in _wide_text_cases():
+        seen[label] = hashlib.sha256(format_matrix(a).encode()).hexdigest()
+    assert seen == WIDE_TEXT_DIGESTS
+
+
 def _is_signed_unit_monomial(block):
     """One non-zero entry per row and per column, each a signed unit."""
     cols = []

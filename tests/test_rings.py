@@ -454,6 +454,26 @@ def test_numbers_past_the_digit_limit_raise_typed_error():
     assert format_scalar(RingScalar.real(Fraction(10**4299))) == "1" + "0" * 4299
 
 
+_HUGE = 10**4300  # 4,301 digits
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: from_numerators(REAL, 2, [1, _HUGE], 3),
+        lambda: from_numerators(COMPLEX, 1, [1, _HUGE], 1),
+        lambda: from_numerators(QUATERNION, 1, [0, 0, _HUGE, 1], 1),
+        lambda: BlockPair(
+            DOUBLE_REAL, RingMatrix.identity(REAL, 1), from_numerators(REAL, 1, [_HUGE], 1)
+        ),
+    ],
+    ids=["real-over-den", "complex-entry", "quaternion-entry", "double-real-minus-block"],
+)
+def test_format_matrix_digit_limit_on_every_branch(build):
+    with pytest.raises(NumberTooLongError, match="4300-digit"):
+        format_matrix(build())
+
+
 # -- numerator storage and the formatter that reads it
 
 
