@@ -734,20 +734,26 @@ def format_matrix(a: RingElement) -> str:
 
 
 def _format_rows(a: RingMatrix) -> str:
+    """The rows of ``a``, each cell right-aligned in its column.
+
+    Each distinct value (over C and H, each distinct tuple of ``rank``
+    numerators) is printed once, the cells are looked up from those texts,
+    and one row template, repeated over the rows, is filled by one
+    ``str.format`` call."""
     rank, den, nums, width = COMPONENTS[a.ring], a._den, a._nums, a.ncols
-    try:
-        if rank == 1:
-            cells = list(map(str, nums)) if den == 1 else [format_ratio(x, den) for x in nums]
-        else:
-            cells = [_cell_text(nums[i : i + rank], den) for i in range(0, len(nums), rank)]
-    except ValueError:  # only raised past the digit limit, which then exists
-        raise _too_long() from None
+    if rank == 1:
+        keys = nums
+        try:
+            text = {x: str(x) if den == 1 else format_ratio(x, den) for x in set(keys)}
+        except ValueError:  # only raised past the digit limit, which then exists
+            raise _too_long() from None
+    else:
+        keys = list(zip(*[iter(nums)] * rank))  # one rank-tuple per entry
+        text = {part: _cell_text(part, den) for part in set(keys)}
+    cells = list(map(text.__getitem__, keys))
     widths = [max(map(len, cells[c::width])) for c in range(width)]
-    lines = []
-    for i in range(0, len(cells), width):
-        row = cells[i : i + width]
-        lines.append("[ " + "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + " ]")
-    return "\n".join(lines)
+    row = "[ " + "  ".join(f"{{:>{w}}}" for w in widths) + " ]"
+    return "\n".join([row] * a.nrows).format(*cells)
 
 
 def format_ratio(x: int, den: int) -> str:
