@@ -55,6 +55,7 @@ from cliffrep.rings import (
 )
 from cliffrep import rings
 from cliffrep.text import parse_multivector
+from cliffrep.verify import random_multivector
 
 S10 = Signature(1, 0)
 S01 = Signature(0, 1)
@@ -489,8 +490,6 @@ def test_images_match_recorded_digests():
 
 def _wide_text_cases():
     """(label, matrix): the widest images, a dense (5,5), each (0,2) route, zeros."""
-    from cliffrep.verify import random_multivector
-
     for p, q in ((17, 0), (16, 1), (9, 0)):
         sig = Signature(p, q)
         rng = random.Random(f"wide:{p},{q}")
