@@ -50,6 +50,43 @@ def test_blade_product_examples():
     assert blade_product(S11, 0b10, 0b10) == (-1, 0)
 
 
+def _transposition_sign(sig, a, b):
+    """Sign of the blade product a*b from its definition: interleave the
+    generator lists of a and b into ascending order, one transposition per
+    inverted pair, then contract each shared generator by its square."""
+    gens = [i for i in range(sig.n) if a >> i & 1] + [i for i in range(sig.n) if b >> i & 1]
+    inversions = sum(1 for x in range(len(gens)) for y in range(x + 1, len(gens)) if gens[x] > gens[y])
+    shared_negative = sum(1 for i in range(sig.p, sig.n) if a >> i & 1 and b >> i & 1)
+    return -1 if (inversions + shared_negative) % 2 else 1
+
+
+def _check_blade_sign(sig, a, b):
+    sign = _transposition_sign(sig, a, b)
+    assert blade_product(sig, a, b) == (sign, a ^ b), (sig, a, b)
+    product = Multivector.blade(sig, a) * Multivector.blade(sig, b)
+    assert product == Multivector.blade(sig, a ^ b, sign), (sig, a, b)
+
+
+def test_blade_signs_match_transposition_count():
+    # every pair of blades of every signature with at most 6 generators
+    for n in range(7):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            for a in range(sig.dim):
+                for b in range(sig.dim):
+                    _check_blade_sign(sig, a, b)
+    # seeded pairs on wider signatures, up to the 32-generator bound
+    rng = random.Random(2020)
+    for n in range(7, 33):
+        for p in sorted({0, n, rng.randint(1, n - 1)}):
+            sig = Signature(p, n - p)
+            full = sig.full_mask
+            for a, b in [(full, full), (full, 1), (1 << (n - 1), full)]:
+                _check_blade_sign(sig, a, b)
+            for _ in range(20):
+                _check_blade_sign(sig, rng.getrandbits(n), rng.getrandbits(n))
+
+
 def test_blade_product_width_error():
     with pytest.raises(BladeWidthError):
         blade_product(S20, 0b100, 0b1)
