@@ -9,8 +9,10 @@ round.
 
 The product sign of two blades is the parity of the transpositions needed to
 interleave their generators, times the metric signs of the generators they
-share.  For small algebras the signs are precomputed into a flat byte table;
-wider algebras fall back to a per-pair popcount loop.
+share.  For a fixed left blade that parity is the popcount parity of the
+right blade masked by one integer, the left blade's suffix parity (bitmap
+blades as in Dorst, Fontijne & Mann, *Geometric Algebra for Computer
+Science*), so one rule serves every width and no sign table is stored.
 """
 
 from __future__ import annotations
@@ -21,12 +23,6 @@ from math import gcd, lcm
 from typing import Mapping, Sequence
 
 MAX_GENERATORS = 32
-
-# Sign tables take 4**n bytes; beyond this width compute signs pairwise.
-_TABLE_MAX_N = 12
-# The sign-table cache holds at most this many bytes (four tables at n = 12)
-# and evicts the oldest tables first.
-_SIGN_TABLES_MAX_BYTES = 1 << 26
 
 
 class AlgebraError(Exception):
@@ -98,68 +94,24 @@ class Signature:
 # ---------------------------------------------------------------------------
 # blade product signs
 
-_BIT_LUT = [bytes(((byte >> k) & 1) for k in range(8)) for byte in range(256)]
 
-_sign_tables: dict[tuple[int, int], bytearray] = {}
-
-
-def _column_bits(n: int) -> list[int]:
-    """colbits[i] has bit b set iff generator slot i is present in mask b."""
-    size = 1 << n
-    cols = []
-    for i in range(n):
-        block = ((1 << (1 << i)) - 1) << (1 << i)
-        period = 1 << (i + 1)
-        val = 0
-        for start in range(0, size, period):
-            val |= block << start
-        cols.append(val)
-    return cols
-
-
-def _build_sign_table(n: int, neg_mask: int) -> bytearray:
-    size = 1 << n
-    cols = _column_bits(n)
-    nbytes = max(1, size // 8)
-    rows = bytearray(size * size)
-    for a in range(size):
-        rowmask = 0
-        for i in range(n):
-            if ((a >> (i + 1)).bit_count()) & 1:
-                rowmask ^= cols[i]
-        m = a & neg_mask
-        while m:
-            low = m & -m
-            rowmask ^= cols[low.bit_length() - 1]
-            m ^= low
-        packed = rowmask.to_bytes(nbytes, "little")
-        row = b"".join(_BIT_LUT[byte] for byte in packed)
-        rows[a * size : (a + 1) * size] = row[:size]
-    return rows
-
-
-def _sign_table(sig: Signature) -> bytearray:
-    key = (sig.n, sig.neg_mask)
-    table = _sign_tables.get(key)
-    if table is None:
-        table = _build_sign_table(sig.n, sig.neg_mask)
-        held = sum(map(len, _sign_tables.values()))
-        while _sign_tables and held + len(table) > _SIGN_TABLES_MAX_BYTES:
-            held -= len(_sign_tables.pop(next(iter(_sign_tables))))
-        if len(table) <= _SIGN_TABLES_MAX_BYTES:
-            _sign_tables[key] = table
-    return table
+def _sign_mask(a: int, neg_mask: int) -> int:
+    """Mask m with sign(a*b) = (-1)**popcount(m & b) for every blade b."""
+    # bit i of x is the parity of a's generators above slot i, the ones that
+    # generator i of b passes; five doubling shifts cover 32 generators, the
+    # Signature bound
+    x = a >> 1
+    x ^= x >> 1
+    x ^= x >> 2
+    x ^= x >> 4
+    x ^= x >> 8
+    x ^= x >> 16
+    return x ^ (a & neg_mask)
 
 
 def _pair_sign(a: int, b: int, neg_mask: int) -> int:
-    """Sign of the blade product a*b, computed without a table."""
-    swaps = 0
-    t = a >> 1
-    while t:
-        swaps += (t & b).bit_count()
-        t >>= 1
-    swaps += (a & b & neg_mask).bit_count()
-    return -1 if swaps & 1 else 1
+    """Sign of the blade product a*b."""
+    return -1 if (_sign_mask(a, neg_mask) & b).bit_count() & 1 else 1
 
 
 def blade_product(sig: Signature, a: int, b: int) -> tuple[int, int]:
@@ -392,25 +344,14 @@ class Multivector:
 
 def _mul_accumulate(sig: Signature, out: dict[int, int], xa: dict[int, int], xb: dict[int, int]) -> None:
     """Accumulate the integer-numerator blade products of xa*xb into out."""
-    n = sig.n
+    neg = sig.neg_mask
     get = out.get
-    if n <= _TABLE_MAX_N:
-        table = _sign_table(sig)
-        for ma, ca in xa.items():
-            base = ma << n
-            for mb, cb in xb.items():
-                v = -ca * cb if table[base + mb] else ca * cb
-                k = ma ^ mb
-                w = get(k)
-                out[k] = v if w is None else w + v
-    else:
-        neg = sig.neg_mask
-        for ma, ca in xa.items():
-            for mb, cb in xb.items():
-                v = ca * cb * _pair_sign(ma, mb, neg)
-                k = ma ^ mb
-                w = get(k)
-                out[k] = v if w is None else w + v
+    for ma, ca in xa.items():
+        flip = _sign_mask(ma, neg)
+        signed = (ca, -ca)
+        for mb, cb in xb.items():
+            k = ma ^ mb
+            out[k] = get(k, 0) + signed[(flip & mb).bit_count() & 1] * cb
 
 
 def _mul_term_dicts(sig: Signature, xa: dict[int, int], xb: dict[int, int]) -> dict[int, int]:

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffrep import algebra
 from cliffrep.algebra import (
     BladeWidthError,
     DecompositionError,
@@ -141,39 +140,26 @@ def test_add_scalar_mul():
     assert s**3 == 4 * s and s**0 == Multivector.scalar(S10, 1)
 
 
-def test_sign_table_cache_is_bounded_in_bytes(monkeypatch):
-    # room for two 3-generator tables (64 bytes each)
-    monkeypatch.setattr(algebra, "_sign_tables", {})
-    monkeypatch.setattr(algebra, "_SIGN_TABLES_MAX_BYTES", 128)
-    for p in (3, 2, 1):
-        sig = Signature(p, 3 - p)
-        for i in range(1, 4):
-            g = Multivector.generator(sig, i)
-            assert g * g == sig.square_of(i)
-    assert list(algebra._sign_tables) == [(3, 0b100), (3, 0b110)]
-    # a table over the whole bound is built and used, not kept
-    sig = Signature(4, 0)
-    e1, e2 = Multivector.generator(sig, 1), Multivector.generator(sig, 2)
-    assert e1 * e2 == -(e2 * e1) and e1 * e1 == Multivector.scalar(sig, 1)
-    assert sum(map(len, algebra._sign_tables.values())) <= 128
-    assert (4, 0) not in algebra._sign_tables
-
-
-def test_sign_table_build_holds_one_table():
+def test_product_holds_no_sign_table():
     import tracemalloc
 
+    sig = Signature(6, 6)
+    rng = random.Random(66)
+    a, b = (
+        Multivector(sig, {m: rng.randint(1, 9) for m in rng.sample(range(sig.dim), 64)})
+        for _ in range(2)
+    )
     tracemalloc.start()
     try:
-        table = algebra._build_sign_table(10, 0)
+        a * b
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(table) == 4**10
-    assert peak < 1.25 * 4**10
+    assert peak < 1 << 20
 
 
 def test_wide_signature_beyond_sign_table():
-    # 14 generators exceed the cached-table width; the pairwise path applies
+    # 14 generators: products and associativity well past the small algebras
     sig = Signature(7, 7)
     rng = random.Random(3)
     gens = [Multivector.generator(sig, i) for i in range(1, 15)]
