@@ -3,13 +3,18 @@
 import contextlib
 import hashlib
 import io
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cliffrep
 from cliffrep.algebra import Multivector, Signature
 from cliffrep.catalog import catalog_signatures
 from cliffrep.cli import main
@@ -77,6 +82,23 @@ def test_rep_catalog_miss_exit_code(capsys):
     code, out, err = run_cli(capsys, "rep", "--sig", "18,0", "--route", "periodic", "e1")
     assert code == 3 and out == ""
     assert "at most 17 generators" in err
+
+
+def test_rep_into_a_pipe_closed_early():
+    # the (17,0) image is far larger than a pipe's buffer, so the write
+    # fails once the reader has gone
+    src = str(Path(cliffrep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    script = "import sys; from cliffrep.cli import main; sys.exit(main())"
+    argv = [sys.executable, "-c", script, "rep", "--sig", "17,0", "1+e1"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert head == b"2R(256)\npl"
+    assert code == 2
+    assert err.splitlines() == ["output error: stdout was closed before the output was written"]
 
 
 def test_rep_stdin(capsys, monkeypatch):
