@@ -9,10 +9,9 @@ round.
 
 The product sign of two blades is the parity of the transpositions needed to
 interleave their generators, times the metric signs of the generators they
-share.  For a fixed left blade that parity is the popcount parity of the
-right blade masked by one integer, the left blade's suffix parity (bitmap
-blades as in Dorst, Fontijne & Mann, *Geometric Algebra for Computer
-Science*), so one rule serves every width and no sign table is stored.
+share.  One mask of the left blade (`_sign_mask`) gives that sign against
+every right blade at any width, with no table (bitmap blades, as in Dorst,
+Fontijne & Mann, *Geometric Algebra for Computer Science*).
 """
 
 from __future__ import annotations
@@ -97,9 +96,8 @@ class Signature:
 
 def _sign_mask(a: int, neg_mask: int) -> int:
     """Mask m with sign(a*b) = (-1)**popcount(m & b) for every blade b."""
-    # bit i of x is the parity of a's generators above slot i, the ones that
-    # generator i of b passes; five doubling shifts cover 32 generators, the
-    # Signature bound
+    # bit i of x: parity of a's generators above slot i, which generator i of
+    # b passes; five doubling shifts cover 32 generators, the Signature bound
     x = a >> 1
     x ^= x >> 1
     x ^= x >> 2
@@ -125,11 +123,9 @@ def blade_product(sig: Signature, a: int, b: int) -> tuple[int, int]:
 
 def pseudoscalar_square(sig: Signature) -> int:
     """Square of the product of all generators, +1 or -1."""
-    n = sig.n
-    if n == 0:
+    if sig.n == 0:
         raise DegenerateSignatureError("no generators: the unit element has no pseudoscalar")
-    swaps = (n * (n - 1)) // 2 + sig.q
-    return -1 if swaps & 1 else 1
+    return _pair_sign(sig.full_mask, sig.full_mask, sig.neg_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +283,9 @@ class Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
         self._check_sig(other)
-        sig = self.sig
-        num = _mul_term_dicts(sig, self._num, other._num)
-        return Multivector._raw(sig, num, self._den * other._den)
+        num: dict[int, int] = {}
+        _mul_accumulate(self.sig, num, self._num, other._num)
+        return Multivector._raw(self.sig, num, self._den * other._den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -352,12 +348,6 @@ def _mul_accumulate(sig: Signature, out: dict[int, int], xa: dict[int, int], xb:
         for mb, cb in xb.items():
             k = ma ^ mb
             out[k] = get(k, 0) + signed[(flip & mb).bit_count() & 1] * cb
-
-
-def _mul_term_dicts(sig: Signature, xa: dict[int, int], xb: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    _mul_accumulate(sig, out, xa, xb)
-    return out
 
 
 # ---------------------------------------------------------------------------

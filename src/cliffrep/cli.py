@@ -3,11 +3,10 @@
 Commands: rep (print an element's matrix image), inverse, classify, table,
 verify, catalog.  Output ordering is deterministic so golden-file tests
 stay stable.  Exit codes: 0 success, 1 failing verification, 2 parse error
-(with the offending position), invalid argument, or an output error: a
-rep/inverse result holding a number past the interpreter's int-to-str digit
-limit, or stdout closed before the output was written (one line on stderr
-either way), 3 catalog miss (including an inverse whose recipe is too wide
-for the reconstruction certificate).
+(with the offending position), invalid argument or output error (a result
+past the interpreter's int-to-str digit limit, or stdout closed early; one
+line on stderr), 3 catalog miss (including an inverse whose recipe is too
+wide for the reconstruction certificate).
 """
 
 from __future__ import annotations
@@ -206,8 +205,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.fn(args)
     except BrokenPipeError:
-        # the reader left early; send what is still buffered to devnull so
-        # the flush at shutdown cannot raise again
+        # the reader left early; the flush at shutdown must not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("output error: stdout was closed before the output was written", file=sys.stderr)
         return EXIT_PARSE_ERROR
