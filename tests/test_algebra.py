@@ -140,7 +140,7 @@ def test_add_scalar_mul():
     assert s**3 == 4 * s and s**0 == Multivector.scalar(S10, 1)
 
 
-def test_product_holds_no_sign_table():
+def test_product_peak_memory_under_one_mib():
     import tracemalloc
 
     sig = Signature(6, 6)
