@@ -76,6 +76,48 @@ def test_explicit_two_zero_recipe():
     assert spec.replication.kind == PLAIN and spec.replication.copies == 2
 
 
+# -- typed refusals of matrices over the algebra
+
+
+_S21 = Signature(2, 1)
+_ONE21 = Multivector.scalar(_S21, 1)
+_E1 = Multivector.generator(_S21, 1)
+_ONE30 = Multivector.scalar(Signature(3, 0), 1)
+
+
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        ([], ValueError, "empty matrix"),
+        ([[]], ValueError, "empty matrix"),
+        ([[_ONE21, _E1], [_E1]], ValueError, "ragged rows"),
+        ([[_ONE21], [_E1, _ONE21]], ValueError, "ragged rows"),
+        ([[_ONE21, _ONE30]], SignatureMismatchError, "different algebra"),
+    ],
+)
+def test_mvmatrix_refuses_malformed_grids(rows, error, message):
+    with pytest.raises(error, match=message):
+        MvMatrix(_S21, rows)
+
+
+def test_mvmatrix_product_refuses_mismatched_operands():
+    row = MvMatrix(_S21, [[_ONE21, _E1]])
+    with pytest.raises(ValueError, match="shape mismatch in product"):
+        row * row
+    other = MvMatrix(Signature(3, 0), [[_ONE30]])
+    with pytest.raises(SignatureMismatchError, match="different algebras"):
+        MvMatrix(_S21, [[_ONE21]]) * other
+    with pytest.raises(SignatureMismatchError, match="different algebras"):
+        other * MvMatrix(_S21, [[_ONE21]])
+
+
+def test_dense_leaf_with_a_smaller_inverse_is_refused():
+    P = MvMatrix(_S21, [[_ONE21, _E1], [_E1, _ONE21]])
+    short = TransformPair(P, MvMatrix(_S21, [[_ONE21]]), HALF)
+    with pytest.raises(ValueError, match="shape mismatch in product"):
+        short.identity_defect()
+
+
 def test_quaternion_real4_recipe():
     spec = get_spec(Signature(0, 2), "real4")
     assert spec.target.ring == "R" and spec.target.size == 4
