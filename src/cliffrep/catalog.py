@@ -25,13 +25,16 @@ the diagonal family (n+k, n), k <= 6, does not reach, so that family is
 the one route of the split signatures (1,1) to (3,3) the source prints.
 ``routes_for``, ``default_route`` and ``get_spec`` all read that list, so
 only a listed route is ever built, and a new explicit route is one table
-entry.  A recipe's transform keeps the same
-step structure as data (a leaf, a reindexed or a doubled sub-transform).  A
-leaf is a plain pair of at most 4x4, checked when the catalog makes it; one
-recursion carries the steps and the leaf into the host, so the oracle's
-sandwich runs one step at a time (the identity check is that sandwich at
-D = I), and the dense P is multiplied out only when something reads it.  The compiled blade
-images (the represent module) never read the transform at all.  Printed
+entry.  A recipe's transform keeps the same step structure as data (a leaf,
+a reindexed or a doubled sub-transform).  A leaf is a plain pair of at most
+4x4, checked when the catalog makes it; one recursion carries the steps and
+the leaf into the host, so the oracle's sandwich runs one step at a time
+(the identity check is that sandwich at D = I), and the dense P is
+multiplied out only when something reads it.  A matrix over the algebra
+stores integer numerators over one denominator, and one kernel,
+``_sandwich_sum``, takes every product of such matrices: the leaf's, each
+step's, the dense P's and the corrections' literal forms.  The compiled
+blade images (the represent module) never read the transform at all.  Printed
 source formulas that fail the machine checks are rebuilt from the step
 patterns and recorded in the corrections registry, each with an executable
 demonstration of the failing literal form.
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .algebra import (
@@ -53,6 +56,7 @@ from .algebra import (
     StructureError,
     _mul_accumulate,
     _square_sign,
+    reindex,
 )
 
 HALF = Fraction(1, 2)
@@ -75,26 +79,28 @@ class TransformCheckError(CatalogError):
 
 
 class MvMatrix:
-    """Immutable dense matrix with multivector entries sharing one signature."""
+    """Immutable dense matrix over the algebra, entries sharing one signature.
 
-    __slots__ = ("sig", "nrows", "ncols", "rows", "_lift")
+    Stored as one integer-numerator dict (blade mask to numerator) per entry
+    over one positive denominator, reduced so that the denominator and the
+    numerators have no common factor: equal matrices have one stored form.
+    ``rows`` is a Multivector view built on first read.  Every product of
+    such matrices goes through one kernel, ``_sandwich_sum``.
+    """
+
+    __slots__ = ("sig", "nrows", "ncols", "_cells", "_den", "_rows")
 
     def __init__(self, sig: Signature, rows: Sequence[Sequence[Multivector]]):
         grid = tuple(tuple(row) for row in rows)
         if not grid or not grid[0]:
             raise ValueError("empty matrix")
-        width = len(grid[0])
-        for row in grid:
-            if len(row) != width:
-                raise ValueError("ragged rows")
-            for entry in row:
-                if entry.sig != sig:
-                    raise SignatureMismatchError("entry from a different algebra")
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "nrows", len(grid))
-        object.__setattr__(self, "ncols", width)
-        object.__setattr__(self, "rows", grid)
-        object.__setattr__(self, "_lift", None)
+        if any(len(row) != len(grid[0]) for row in grid):
+            raise ValueError("ragged rows")
+        if any(x.sig != sig for row in grid for x in row):
+            raise SignatureMismatchError("entry from a different algebra")
+        den = lcm(*(x._den for row in grid for x in row))
+        cells = [[{m: c * (den // x._den) for m, c in x._num.items()} for x in row] for row in grid]
+        _stored(sig, cells, den, into=self)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("MvMatrix is immutable")
@@ -102,82 +108,32 @@ class MvMatrix:
     def __reduce__(self):  # copy and pickle rebuild rather than set slots
         return MvMatrix, (self.sig, self.rows)
 
+    @property
+    def rows(self) -> tuple[tuple[Multivector, ...], ...]:
+        if self._rows is None:
+            sig, den = self.sig, self._den
+            view = tuple(tuple(Multivector._raw(sig, x, den) for x in row) for row in self._cells)
+            object.__setattr__(self, "_rows", view)
+        return self._rows
+
     @classmethod
     def identity(cls, sig: Signature, size: int) -> "MvMatrix":
-        one, zero = Multivector.scalar(sig, 1), Multivector.zero(sig)
-        return cls(sig, [[one if r == c else zero for c in range(size)] for r in range(size)])
-
-    @classmethod
-    def block2(cls, blocks: Sequence[Sequence["MvMatrix"]]) -> "MvMatrix":
-        """Assemble a 2x2 arrangement of equal-size blocks."""
-        (a, b), (c, d) = blocks
-        sig = a.sig
-        rows = [list(ra) + list(rb) for ra, rb in zip(a.rows, b.rows)]
-        rows += [list(rc) + list(rd) for rc, rd in zip(c.rows, d.rows)]
-        return cls(sig, rows)
-
-    def map_entries(self, fn: Callable[[Multivector], Multivector]) -> "MvMatrix":
-        return MvMatrix(self.sig, [[fn(x) for x in row] for row in self.rows])
-
-    def left_mul(self, factor: Multivector) -> "MvMatrix":
-        return self.map_entries(lambda x: factor * x)
-
-    def right_mul(self, factor: Multivector) -> "MvMatrix":
-        return self.map_entries(lambda x: x * factor)
+        eye = [[{0: 1} if r == c else {} for c in range(size)] for r in range(size)]
+        return _stored(sig, eye, 1)
 
     def scale(self, value: Fraction | int) -> "MvMatrix":
-        return self.map_entries(lambda x: x * value)
-
-    def _lifted(self):
-        """Common-denominator integer form used by the product kernel."""
-        cached = getattr(self, "_lift")
-        if cached is None:
-            den = 1
-            for row in self.rows:
-                for x in row:
-                    den = lcm(den, x._den)
-            grid = []
-            for row in self.rows:
-                line = []
-                for x in row:
-                    f = den // x._den
-                    line.append({m: c * f for m, c in x._num.items()})
-                grid.append(line)
-            cached = (den, grid)
-            object.__setattr__(self, "_lift", cached)
-        return cached
+        f = Fraction(value)
+        return _stored(self.sig, self._cells, self._den * f.denominator, f.numerator)
 
     def __mul__(self, other: "MvMatrix") -> "MvMatrix":
         if not isinstance(other, MvMatrix):
             return NotImplemented
-        if self.sig != other.sig:
-            raise SignatureMismatchError("matrices over different algebras")
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in product")
-        sig = self.sig
-        da, xa = self._lifted()
-        db, xb = other._lifted()
-        den = da * db
-        out_rows = []
-        for i in range(self.nrows):
-            line = []
-            rowa = xa[i]
-            for j in range(other.ncols):
-                acc: dict[int, int] = {}
-                for k in range(self.ncols):
-                    left = rowa[k]
-                    if left:
-                        right = xb[k][j]
-                        if right:
-                            _mul_accumulate(sig, acc, left, right)
-                line.append(Multivector._raw(sig, acc, den))
-            out_rows.append(line)
-        return MvMatrix(sig, out_rows)
+        return _sandwich_sum(self, [MvMatrix.identity(self.sig, 1)] * self.ncols, other, 1)
 
     def __eq__(self, other):
         if not isinstance(other, MvMatrix):
             return NotImplemented
-        return self.sig == other.sig and self.rows == other.rows
+        return self.sig == other.sig and self._den == other._den and self._cells == other._cells
 
     def __hash__(self):
         return hash((self.sig, self.rows))
@@ -186,9 +142,60 @@ class MvMatrix:
         return f"<MvMatrix {self.nrows}x{self.ncols} over {self.sig}>"
 
 
-def reindex_matrix(matrix: MvMatrix, gens: GeneratorList) -> MvMatrix:
-    from .algebra import reindex
+def _stored(sig: Signature, cells, den: int, factor: int = 1, into=None) -> MvMatrix:
+    """``into`` (or a new matrix) holding the entry numerators ``cells`` times
+    ``factor`` over ``den``, zeros pruned and reduced to its one stored form."""
+    cells = [[{m: c * factor for m, c in x.items() if c} for x in row] for row in cells]
+    g = gcd(den, *(c for row in cells for x in row for c in x.values()))
+    if g > 1:
+        cells = [[{m: c // g for m, c in x.items()} for x in row] for row in cells]
+    matrix = object.__new__(MvMatrix) if into is None else into
+    put = object.__setattr__
+    put(matrix, "sig", sig)
+    put(matrix, "nrows", len(cells))
+    put(matrix, "ncols", len(cells[0]))
+    put(matrix, "_cells", tuple(tuple(row) for row in cells))
+    put(matrix, "_den", den // g)
+    put(matrix, "_rows", None)
+    return matrix
 
+
+def _sandwich_sum(
+    left: MvMatrix, middles: Sequence[MvMatrix], right: MvMatrix, factor: Fraction | int
+) -> MvMatrix:
+    """The one product kernel: block (r, s) of the result is
+    factor * sum_k left[r][k] * middles[k] * right[k][s], on integer
+    numerators over one denominator.  Every middle is h x h, so block (r, s)
+    fills rows r*h to r*h + h - 1 and the same columns from s*h."""
+    sig = left.sig
+    if any(m.sig != sig for m in (right, *middles)):
+        raise SignatureMismatchError("matrices over different algebras")
+    h = middles[0].nrows if middles else 0
+    square = all(m.nrows == m.ncols == h for m in middles)
+    if not (square and left.ncols == len(middles) == right.nrows):
+        raise ValueError("shape mismatch in product")
+    den = lcm(*(m._den for m in middles))
+    out = [[{} for _ in range(h * right.ncols)] for _ in range(h * left.nrows)]
+    for r, lrow in enumerate(left._cells):
+        for lx, middle, rrow in zip(lrow, middles, right._cells):
+            if not lx:
+                continue
+            # bring the middle to the middles' common denominator through lx
+            lx = {b: c * (den // middle._den) for b, c in lx.items()}
+            for i, mrow in enumerate(middle._cells):
+                line = out[r * h + i]
+                for j, mx in enumerate(mrow):
+                    if mx:
+                        part: dict[int, int] = {}
+                        _mul_accumulate(sig, part, lx, mx)
+                        for s, rx in enumerate(rrow):
+                            if rx:
+                                _mul_accumulate(sig, line[s * h + j], part, rx)
+    f = Fraction(factor)
+    return _stored(sig, out, left._den * den * right._den * f.denominator, f.numerator)
+
+
+def reindex_matrix(matrix: MvMatrix, gens: GeneratorList) -> MvMatrix:
     return MvMatrix(gens.sig, [[reindex(x, gens) for x in row] for row in matrix.rows])
 
 
@@ -231,10 +238,12 @@ class TransformPair:
     split into halves, and P * D * (scale * Pinv) =
     L * diag(conj_S(D0), conj_S(D1)) * R / 4, with equal halves conjugated
     once; the identity check is that sandwich at D = I, exactly the dense
-    P * (scale * Pinv).  The dense P and Pinv are built only when something
-    reads ``P``, ``Pinv`` or ``scale``.  A stepped pair passes its identity
-    check before any of those reads or ``conjugate`` is served, and raises
-    TransformCheckError on each of them otherwise.
+    P * (scale * Pinv), read on the stored numerators.  The leaf, each step
+    and each level of the dense P and Pinv are one call of the product
+    kernel ``_sandwich_sum`` apiece.  The dense P and Pinv are built only
+    when something reads ``P``, ``Pinv`` or ``scale``.  A stepped pair passes
+    its identity check before any of those reads or ``conjugate`` is served,
+    and raises TransformCheckError on each of them otherwise.
     """
 
     __slots__ = ("size", "_where", "_step", "_parts", "_defect", "_carried")
@@ -289,8 +298,9 @@ class TransformPair:
         """P, Pinv and scale multiplied out through the carried steps, unchecked."""
         blocks, P, Pinv, scale = self._carried_steps()
         for left, right in reversed(blocks):
-            P = MvMatrix.block2([[P.left_mul(f) for f in row] for row in left.rows]).scale(HALF)
-            Pinv = MvMatrix.block2([[Pinv.right_mul(f) for f in row] for row in right.rows]).scale(HALF)
+            eye = MvMatrix.identity(P.sig, 2)
+            P = _sandwich_sum(left, (P, P), eye, HALF)
+            Pinv = _sandwich_sum(eye, (Pinv, Pinv), right, HALF)
         return P, Pinv, scale
 
     @property
@@ -334,13 +344,12 @@ class TransformPair:
         """
         if self._defect is _UNCHECKED:
             blocks, P, Pinv, scale = self._carried_steps()
-            one, zero = Multivector.scalar(P.sig, 1), Multivector.zero(P.sig)
-            prod = _sandwich(blocks, P, Pinv, scale, [one] * self.size)
+            prod = _sandwich(blocks, P, Pinv, scale, [Multivector.scalar(P.sig, 1)] * self.size)
             cells = (
                 (r, c)
-                for r, row in enumerate(prod.rows)
+                for r, row in enumerate(prod._cells)
                 for c, x in enumerate(row)
-                if x != (one if r == c else zero)
+                if x != ({0: prod._den} if r == c else {})
             )
             object.__setattr__(self, "_defect", next(cells, None))
         return self._defect
@@ -352,46 +361,12 @@ def _sandwich(
     """P * diag(diag) * (scale * Pinv) with P factored into doubling steps
     (outermost first) around a leaf; equal halves are conjugated once."""
     if not steps:
-        scaled = MvMatrix(P.sig, [[x * d for x, d in zip(row, diag)] for row in P.rows])
-        return (scaled * Pinv).scale(scale)
+        return _sandwich_sum(P, [MvMatrix(P.sig, [[d]]) for d in diag], Pinv, scale)
     h = len(diag) // 2
     top = _sandwich(steps[1:], P, Pinv, scale, diag[:h])
     bottom = top if diag[:h] == diag[h:] else _sandwich(steps[1:], P, Pinv, scale, diag[h:])
-    return _doubling_step(*steps[0], (top, bottom))
-
-
-def _doubling_step(left: MvMatrix, right: MvMatrix, blocks: tuple[MvMatrix, MvMatrix]) -> MvMatrix:
-    """L * diag(C0, C1) * R / 4 for the conjugated halves C0, C1, summed on
-    integer numerators over one denominator."""
-    sig, h = left.sig, blocks[0].nrows
-    dl, lrows = left._lifted()
-    dr, rrows = right._lifted()
-    lifted = [block._lifted() for block in blocks]
-    den = lcm(*(d for d, _grid in lifted))
-    grids = []
-    for d, grid in lifted:
-        f = den // d
-        if f != 1:
-            grid = [[{m: x * f for m, x in cell.items()} for cell in row] for row in grid]
-        grids.append(grid)
-    out_den = 4 * dl * dr * den
-    rows = []
-    for r in (0, 1):
-        for i in range(h):
-            halves: tuple[list, list] = ([], [])
-            for col in range(h):
-                accs: tuple[dict[int, int], dict[int, int]] = ({}, {})
-                for k, grid in enumerate(grids):
-                    cell = grid[i][col]
-                    if cell:
-                        part: dict[int, int] = {}
-                        _mul_accumulate(sig, part, lrows[r][k], cell)
-                        _mul_accumulate(sig, accs[0], part, rrows[k][0])
-                        _mul_accumulate(sig, accs[1], part, rrows[k][1])
-                for half, acc in zip(halves, accs):
-                    half.append(Multivector._raw(sig, acc, out_den))
-            rows.append(halves[0] + halves[1])
-    return MvMatrix(sig, rows)
+    left, right = steps[0]
+    return _sandwich_sum(left, (top, bottom), right, Fraction(1, 4))
 
 
 PLAIN = "plain"
@@ -544,8 +519,6 @@ def _sub_gens(sig: Signature, sub_spec: RepSpec, masks: Sequence[int]) -> Genera
 
 
 def _inherit_units(sub: RepSpec, gens: GeneratorList) -> dict[str, Multivector]:
-    from .algebra import reindex
-
     return {name: reindex(mv, gens) for name, mv in sub.unit_blades.items()}
 
 
@@ -1082,12 +1055,8 @@ def _literal_involutive_quad(
     u = Multivector.blade(sig, u_mask)
     v = Multivector.blade(sig, v_mask)
     w = Multivector.blade(sig, w_mask)
-    P = MvMatrix.block2(
-        [
-            [S.left_mul(one + u), S.left_mul(v - w)],
-            [S.left_mul(-(v - w)), S.left_mul(one + u)],
-        ]
-    ).scale(HALF)
+    printed = MvMatrix(sig, [[one + u, v - w], [-(v - w), one + u]])
+    P = _sandwich_sum(printed, (S, S), MvMatrix.identity(sig, 2), HALF)
     literal = TransformPair(P, P, sub_spec.transform.scale)
     return literal.identity_defect() is not None
 
@@ -1127,47 +1096,38 @@ def _demo_one_five_image_term() -> bool:
     return get_spec(Signature(0, 6)).target.size != get_spec(Signature(0, 4)).target.size
 
 
+def _literal_recurrence_inverse(sig: Signature, sub_masks: Sequence[int], printed) -> bool:
+    """The diagonal recipe's P against the printed inverse [[Si * r_rc]] / 2,
+    r_rc the ``printed`` blocks and Si the sub-transform's inverse; true iff
+    the pair fails the identity."""
+    sub_gens = _gens(sig, sub_masks)
+    Si = reindex_matrix(get_spec(sub_gens.abstract_signature).transform.Pinv, sub_gens)
+    pinv = _sandwich_sum(MvMatrix.identity(sig, 2), (Si, Si), MvMatrix(sig, printed), HALF)
+    spec = get_spec(sig, "diagonal")
+    return TransformPair(spec.transform.P, pinv, spec.transform.scale).identity_defect() is not None
+
+
 def _demo_two_step_recurrence_inverse() -> bool:
     # printed inverse blocks drop to stale indices at the first level
     sig = Signature(3, 1)
-    spec = get_spec(sig, "diagonal")
-    sub_gens = _gens(sig, _ids(1, 2))
-    sub_spec = get_spec(Signature(2, 0))
-    Si = reindex_matrix(sub_spec.transform.Pinv, sub_gens)
     one = Multivector.scalar(sig, 1)
     u = Multivector.blade(sig, _mask([1, 2, 4]))
     v = Multivector.blade(sig, _mask([1, 2, 3]))
     mu = u * v
     stale_u = Multivector.blade(sig, _mask([1, 4]))  # first-level mask slip
-    literal_pinv = MvMatrix.block2(
-        [
-            [Si.right_mul(one + stale_u), Si.right_mul(one - mu)],
-            [Si.right_mul(-(v + mu)), Si.right_mul(one - u)],
-        ]
-    ).scale(HALF)
-    literal = TransformPair(spec.transform.P, literal_pinv, spec.transform.scale)
-    return literal.identity_defect() is not None
+    printed = [[one + stale_u, one - mu], [-(v + mu), one - u]]
+    return _literal_recurrence_inverse(sig, _ids(1, 2), printed)
 
 
 def _demo_four_step_recurrence_inverse() -> bool:
     sig = Signature(5, 1)
-    spec = get_spec(sig, "diagonal")
-    sub_gens = _gens(sig, _ids(1, 2, 3, 4))
-    sub_spec = get_spec(Signature(4, 0))
-    Si = reindex_matrix(sub_spec.transform.Pinv, sub_gens)
     one = Multivector.scalar(sig, 1)
     u = Multivector.blade(sig, _e_range(sig, 5))
     v = Multivector.blade(sig, _mask([1, 2, 3, 4, 6]))
     mu = u * v
     wide = Multivector.blade(sig, _mask([1, 2, 3, 4, 5, 6]))  # printed over-wide mask
-    literal_pinv = MvMatrix.block2(
-        [
-            [Si.right_mul(one + u), Si.right_mul(v - mu)],
-            [Si.right_mul(-(wide + mu)), Si.right_mul(one - u)],
-        ]
-    ).scale(HALF)
-    literal = TransformPair(spec.transform.P, literal_pinv, spec.transform.scale)
-    return literal.identity_defect() is not None
+    printed = [[one + u, v - mu], [-(wide + mu), one - u]]
+    return _literal_recurrence_inverse(sig, _ids(1, 2, 3, 4), printed)
 
 
 def _demo_four_two_third_element() -> bool:

@@ -294,16 +294,10 @@ def _trace_sums(spec: RepSpec, counts: list[int]) -> list[int]:
     return [sum(map(signed.__getitem__, _blade_cells(spec, m))) for m in range(spec.signature.dim)]
 
 
-# The certificate holds one (cell, sign) entry per row of every blade image,
-# dim * N in all, and its time grows as dim * N^2; past this many entries it
-# needs hundreds of megabytes and hours, so wider recipes are refused.
+# The certificate holds one entry per row of every blade image, dim * N in
+# all, and its time grows as dim * N^2; past this many entries it needs
+# hundreds of megabytes and hours, so wider recipes are refused.
 _CERTIFICATE_MAX_ENTRIES = 1 << 20
-
-
-def _signed_cells(spec: RepSpec, mask: int) -> list[tuple[int, int]]:
-    """(cell, sign) of each non-zero entry of a blade image."""
-    total = _cell_count(spec.target)
-    return [(c, 1) if c < total else (c - total, -1) for c in _blade_cells(spec, mask)]
 
 
 class BasisImageTable:
@@ -326,18 +320,21 @@ class BasisImageTable:
                 f"needs {entries} blade-image rows, over the bound of {_CERTIFICATE_MAX_ENTRIES}"
             )
         # Gram entry (m, m') is the signed count of cells (block, row, column,
-        # unit) the two images share, so each row sums over its own cells'
-        # partners only
-        images = [_signed_cells(spec, mask) for mask in range(spec.signature.dim)]
-        partners: dict[int, list[tuple[int, int]]] = {}
+        # unit) the two images share: a partner filed under the same signed
+        # cell adds one, one filed under its twin (offset by _cell_count) takes one
+        total = _cell_count(target)
+        images = [_blade_cells(spec, mask) for mask in range(spec.signature.dim)]
+        partners: dict[int, list[int]] = {}
         for mask, cells in enumerate(images):
-            for cell, sign in cells:
-                partners.setdefault(cell, []).append((mask, sign))
+            for cell in cells:
+                partners.setdefault(cell, []).append(mask)
         for mask, cells in enumerate(images):
             gram_row = {mask: -self.norm}
-            for cell, sign in cells:
-                for other, other_sign in partners[cell]:
-                    gram_row[other] = gram_row.get(other, 0) + sign * other_sign
+            for cell in cells:
+                for other in partners[cell]:
+                    gram_row[other] = gram_row.get(other, 0) + 1
+                for other in partners.get(cell - total if cell >= total else cell + total, ()):
+                    gram_row[other] = gram_row.get(other, 0) - 1
             bad = [m for m, x in gram_row.items() if x]
             if bad:
                 raise NotInImageError(

@@ -38,7 +38,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .algebra import Multivector, Signature
@@ -106,13 +105,14 @@ def _signs(blades: Sequence[Multivector], what: str) -> list[tuple[int, int]]:
     return [term for blade in blades for term in blade._num.items()]
 
 
-def _read(entry: Multivector, signed: Sequence[tuple[int, int]], what: str) -> list[int]:
-    """Numerators over ``entry._den`` of ``entry``'s coordinates on the
-    (mask, sign) blades; any leftover component is an equality violation."""
-    residue = dict(entry._num)
+def _read(grid: MvMatrix, cell: dict, signed: Sequence[tuple[int, int]], what: str) -> list[int]:
+    """Numerators over ``grid``'s denominator of the stored entry ``cell``'s
+    coordinates on the (mask, sign) blades; any leftover component is an
+    equality violation."""
+    residue = dict(cell)
     coords = [residue.pop(mask, 0) * sign for mask, sign in signed]
     if residue:
-        leftover = Multivector._raw(entry.sig, residue, entry._den)
+        leftover = Multivector._raw(grid.sig, residue, grid._den)
         raise EqualityViolationError(f"entry has residue {leftover} outside {what}")
     return coords
 
@@ -130,17 +130,16 @@ def _matrix_from_mv(grid: MvMatrix, spec: RepSpec) -> RingMatrix | BlockPair:
 
     def block(start: int, size: int) -> RingMatrix:
         cells = range(start, start + size)
-        entries = [grid.rows[r][c] for r in cells for c in cells]
-        den = lcm(*(x._den for x in entries))
-        nums = [v * (den // x._den) for x in entries for v in _read(x, signed, "the ring units")]
-        return from_numerators(ring, size, nums, den)
+        entries = [grid._cells[r][c] for r in cells for c in cells]
+        nums = [v for x in entries for v in _read(grid, x, signed, "the ring units")]
+        return from_numerators(ring, size, nums, grid._den)
 
     if target.ring not in BLOCK_RING:
         return block(0, grid.nrows)
     s = target.size
     for r in range(2 * s):
         for c in range(2 * s):
-            if (r < s) != (c < s) and grid.rows[r][c]:
+            if (r < s) != (c < s) and grid._cells[r][c]:
                 raise EqualityViolationError(
                     f"off-diagonal block entry ({r},{c}) = {grid.rows[r][c]} is non-zero"
                 )
@@ -154,8 +153,8 @@ def _stage_one(a: Multivector, spec: RepSpec) -> list[list[Multivector]]:
     outer = node.basis.outer
     signed = _signs([outer.product(m) for m in range(1 << len(outer))], "the outer products")
     grid = spec.transform.conjugate(spec.replication.diagonal_for(a))
-    coords = [[(_read(x, signed, "the outer products"), x._den) for x in row] for row in grid.rows]
-    return [[Multivector._raw(node.reduced, dict(enumerate(c)), d) for c, d in row] for row in coords]
+    coords = [[_read(grid, x, signed, "the outer products") for x in row] for row in grid._cells]
+    return [[Multivector._raw(node.reduced, dict(enumerate(c)), grid._den) for c in row] for row in coords]
 
 
 def _inner_oracle(spec: RepSpec, stage1: list[list[Multivector]]) -> RingMatrix | BlockPair:

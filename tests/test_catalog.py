@@ -118,6 +118,78 @@ def test_dense_leaf_with_a_smaller_inverse_is_refused():
         short.identity_defect()
 
 
+# -- the one product kernel against a written-out triple loop
+
+
+def _random_mv(sig: Signature, rng: random.Random) -> Multivector:
+    """Zero a fifth of the time, else up to four blades with small rationals."""
+    if rng.random() < 0.2:
+        return Multivector.zero(sig)
+    terms = {}
+    for _ in range(4):
+        terms[rng.randrange(sig.dim)] = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+    return Multivector(sig, terms)
+
+
+def _random_matrix(sig: Signature, rng: random.Random, nrows: int, ncols: int) -> MvMatrix:
+    return MvMatrix(sig, [[_random_mv(sig, rng) for _ in range(ncols)] for _ in range(nrows)])
+
+
+def _reference_sandwich_sum(left, middles, right, factor) -> MvMatrix:
+    """factor * sum_k left[r][k] * middles[k] * right[k][s] per block, entry by
+    entry over ``rows`` in Multivector arithmetic."""
+    h = middles[0].nrows
+    rows = []
+    for r in range(left.nrows):
+        for i in range(h):
+            line = []
+            for s in range(right.ncols):
+                for j in range(h):
+                    acc = Multivector.zero(left.sig)
+                    for k in range(left.ncols):
+                        acc = acc + left.rows[r][k] * middles[k].rows[i][j] * right.rows[k][s]
+                    line.append(acc * factor)
+            rows.append(line)
+    return MvMatrix(left.sig, rows)
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (1, 3), (3, 3)])
+@pytest.mark.parametrize("h", [1, 2, 4])
+def test_kernel_matches_written_out_triple_loop(pq, h):
+    sig = Signature(*pq)
+    rng = random.Random(f"kernel:{pq}:{h}")
+    for factor in (1, HALF, Fraction(1, 4), Fraction(3, 7)):
+        nrows, inner, ncols = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        left = _random_matrix(sig, rng, nrows, inner)
+        middles = [_random_matrix(sig, rng, h, h) for _ in range(inner)]
+        right = _random_matrix(sig, rng, inner, ncols)
+        # the same term twice, its right factor negated in block column 0:
+        # that block column cancels to zero entry by entry
+        lead = right.rows[0][0] or Multivector.generator(sig, 1) * HALF
+        twice = MvMatrix(sig, [[row[0], row[0]] for row in left.rows])
+        signs = MvMatrix(sig, [[lead] + list(right.rows[0][1:]), [-lead] + list(right.rows[0][1:])])
+        for case in ((left, middles, right), (twice, middles[:1] * 2, signs)):
+            got = catalog_mod._sandwich_sum(*case, factor)
+            want = _reference_sandwich_sum(*case, factor)
+            assert (got.nrows, got.ncols) == (nrows * h, ncols * h)
+            assert got == want and hash(got) == hash(want)
+            assert got._den == want._den and got.rows == want.rows
+        assert not any(row[j] for row in got.rows for j in range(h))
+        zero = catalog_mod._sandwich_sum(left, middles, right, 0)
+        assert zero._den == 1 and not any(x for row in zero.rows for x in row)
+
+
+def test_kernel_refuses_mismatched_middles():
+    one = MvMatrix(_S21, [[_ONE21]])
+    pair = MvMatrix.identity(_S21, 2)
+    for middles in ([one], [one, one, one], [one, pair], [pair, MvMatrix(_S21, [[_ONE21, _E1]])]):
+        with pytest.raises(ValueError, match="shape mismatch in product"):
+            catalog_mod._sandwich_sum(pair, middles, pair, 1)
+    other = MvMatrix.identity(Signature(3, 0), 1)
+    with pytest.raises(SignatureMismatchError, match="different algebras"):
+        catalog_mod._sandwich_sum(pair, [one, other], pair, 1)
+
+
 def test_quaternion_real4_recipe():
     spec = get_spec(Signature(0, 2), "real4")
     assert spec.target.ring == "R" and spec.target.size == 4
@@ -453,16 +525,16 @@ def test_identity_defect_computed_once_per_pair(monkeypatch):
     from cliffrep.verify import check_transform_pair
 
     products = []
-    multiply = MvMatrix.__mul__
+    kernel = catalog_mod._sandwich_sum
 
-    def counted(self, other):
-        products.append(self.nrows)
-        return multiply(self, other)
+    def counted(left, middles, right, factor):
+        products.append(left.nrows)
+        return kernel(left, middles, right, factor)
 
     good = get_spec(Signature(2, 0)).transform
     parts = (good.P, good.Pinv, good.scale)
     bad = _corrupted_two_zero()
-    monkeypatch.setattr(MvMatrix, "__mul__", counted)
+    monkeypatch.setattr(catalog_mod, "_sandwich_sum", counted)
     # a reindexed pair's check and its later reads share one product
     pair = _reindexed_copy(TransformPair(*parts), "(2,0) copy")
     assert pair.identity_defect() is None

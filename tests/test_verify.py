@@ -95,7 +95,7 @@ def test_oracle_wide_signatures_spot_blades():
 
 def test_oracle_largest_transforms_single_blade():
     # the size-32 transforms get one direct conjugation each; slow but it
-    # exercises the full sandwich with no shared lifting helpers, on the
+    # exercises the full sandwich as one dense leaf product, on the
     # materialized P and Pinv (a dense pair, not the step-wise evaluation)
     for p, q in [(5, 5), (6, 4), (5, 4)]:
         sig = Signature(p, q)
