@@ -56,7 +56,6 @@ from .algebra import (
     StructureError,
     _mul_accumulate,
     _square_sign,
-    reindex,
 )
 
 HALF = Fraction(1, 2)
@@ -118,8 +117,8 @@ class MvMatrix:
 
     @classmethod
     def identity(cls, sig: Signature, size: int) -> "MvMatrix":
-        eye = [[{0: 1} if r == c else {} for c in range(size)] for r in range(size)]
-        return _stored(sig, eye, 1)
+        one, zero = Multivector.scalar(sig, 1), Multivector.zero(sig)
+        return cls(sig, [[one if r == c else zero for c in range(size)] for r in range(size)])
 
     def scale(self, value: Fraction | int) -> "MvMatrix":
         f = Fraction(value)
@@ -196,6 +195,8 @@ def _sandwich_sum(
 
 
 def reindex_matrix(matrix: MvMatrix, gens: GeneratorList) -> MvMatrix:
+    from .algebra import reindex
+
     return MvMatrix(gens.sig, [[reindex(x, gens) for x in row] for row in matrix.rows])
 
 
@@ -519,6 +520,8 @@ def _sub_gens(sig: Signature, sub_spec: RepSpec, masks: Sequence[int]) -> Genera
 
 
 def _inherit_units(sub: RepSpec, gens: GeneratorList) -> dict[str, Multivector]:
+    from .algebra import reindex
+
     return {name: reindex(mv, gens) for name, mv in sub.unit_blades.items()}
 
 
