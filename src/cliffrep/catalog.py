@@ -405,41 +405,25 @@ class ReplicationSpec:
 
 
 @dataclass(frozen=True)
-class LeafNode:
-    """A leaf recipe: its blades split over the basis's outer generators, and
-    ``kind`` names the image pattern of each outer product: "units" (a
-    scalar-sized R, C or H target), "real_pair" (the size-2 real image of
-    (0,1)), "complex_pair" and "real_quad" (the size-2 complex and size-4
-    real images of the quaternions)."""
+class StepNode:
+    """A tensor-factor step: a blade's image is the image of its outer
+    product under ``kind`` (a pattern of the represent module) times the sub
+    recipe's image of its sub blade, the 1x1 unit at a leaf (no sub).  Kinds:
+    "units" (ring units 1, i, j, k), "real_pair" (0,1), "complex_pair" and
+    "real_quad" (0,2), "quad" and "quad_flip" (doubling by u, v with v^2 = +1
+    or -1) and "split" (the conjugate split along u)."""
 
     basis: SplitBasis
     kind: str
-
-
-@dataclass(frozen=True)
-class ExtendNode:
-    sub: "RepSpec"
-    basis: SplitBasis
-
-
-@dataclass(frozen=True)
-class QuadNode:
-    sub: "RepSpec"
-    basis: SplitBasis
-    sign: int
-
-
-@dataclass(frozen=True)
-class SplitNode:
-    sub: "RepSpec"
-    basis: SplitBasis
+    sub: "RepSpec | None" = None
 
 
 @dataclass(frozen=True)
 class PeriodicNode:
+    """Sixteen-fold step: core image of the sub blade times inner image of the outer product."""
+
     core: "RepSpec"
     basis: SplitBasis
-    reduced: Signature
     inner: "RepSpec"
 
 
@@ -546,7 +530,7 @@ def _spec_ring_units(sig: Signature, route: str, unit_masks: Sequence[int]) -> R
         transform=_leaf_pair(identity, identity, Fraction(1), f"{sig} {route}"),
         replication=ReplicationSpec(1),
         unit_blades=dict(zip("ij", units.elements)),
-        node=LeafNode(basis, "units"),
+        node=StepNode(basis, "units"),
     )
 
 
@@ -563,7 +547,7 @@ def _spec_real_pair(sig: Signature) -> RepSpec:
         transform=_leaf_pair(P, P, HALF, "(0,1) real pair"),
         replication=ReplicationSpec(2, basis),
         unit_blades={},
-        node=LeafNode(basis, "real_pair"),
+        node=StepNode(basis, "real_pair"),
     )
 
 
@@ -587,7 +571,7 @@ def _spec_complex_pair(sig: Signature) -> RepSpec:
         transform=_leaf_pair(P, Pinv, HALF, "(0,2) complex pair"),
         replication=ReplicationSpec(2),
         unit_blades={"i": i1},
-        node=LeafNode(SplitBasis(_empty_gens(sig), _gens(sig, [1, 2])), "complex_pair"),
+        node=StepNode(SplitBasis(_empty_gens(sig), _gens(sig, [1, 2])), "complex_pair"),
     )
 
 
@@ -611,7 +595,7 @@ def _spec_real_quad(sig: Signature) -> RepSpec:
         transform=_leaf_pair(P, P, Fraction(1), "(0,2) real quad"),
         replication=ReplicationSpec(4),
         unit_blades={},
-        node=LeafNode(SplitBasis(_empty_gens(sig), _gens(sig, [1, 2])), "real_quad"),
+        node=StepNode(SplitBasis(_empty_gens(sig), _gens(sig, [1, 2])), "real_quad"),
     )
 
 
@@ -638,7 +622,7 @@ def _spec_extend(
         transform=tp,
         replication=ReplicationSpec(tp.size),
         unit_blades=dict(zip("ij", units.elements)),
-        node=ExtendNode(sub_spec, basis),
+        node=StepNode(basis, "units", sub_spec),
     )
 
 
@@ -672,7 +656,7 @@ def _spec_quad(
         transform=tp,
         replication=ReplicationSpec(tp.size),
         unit_blades=_inherit_units(sub_spec, sub_gens),
-        node=QuadNode(sub_spec, basis, sgn),
+        node=StepNode(basis, "quad" if sgn > 0 else "quad_flip", sub_spec),
     )
 
 
@@ -703,7 +687,7 @@ def _spec_split(
         transform=tp,
         replication=ReplicationSpec(tp.size, basis),
         unit_blades=_inherit_units(sub_spec, sub_gens),
-        node=SplitNode(sub_spec, basis),
+        node=StepNode(basis, "split", sub_spec),
     )
 
 
@@ -866,7 +850,7 @@ def _periodic_spec(sig: Signature, route: str) -> RepSpec:
         transform=tp,
         replication=ReplicationSpec(16),
         unit_blades=units,
-        node=PeriodicNode(core, basis, reduced, inner),
+        node=PeriodicNode(core, basis, inner),
     )
 
 

@@ -1,13 +1,13 @@
 """Applying catalog recipes: element images, reconstruction and pullbacks.
 
 Under every recipe a basis blade maps to a signed monomial matrix with unit
-entries; represent() sums an element's coefficients along these blade images,
-compiled lazily from the recipe's steps and memoized on the spec (the fast
-path).  The symbolic conjugation in the verify module must agree exactly.
-reconstruct() reads coefficients back off the same images by the real trace
-form, after an exact certificate that they are orthogonal, so inverses,
-determinants and characteristic polynomials of matrix images pull back to
-the algebra.
+entries; represent() sums an element's coefficients along these blade images
+(the fast path), each compiled lazily as one Kronecker product per recipe step
+and memoized on the spec.  The symbolic conjugation in the verify module must
+agree exactly.  reconstruct() reads coefficients back off the same images by
+the real trace form, after an exact certificate that they are orthogonal, so
+inverses, determinants and characteristic polynomials of matrix images pull
+back to the algebra.
 """
 
 from __future__ import annotations
@@ -27,12 +27,8 @@ from .algebra import (
 from .catalog import (
     CatalogError,
     CatalogMissError,
-    ExtendNode,
-    LeafNode,
     PeriodicNode,
-    QuadNode,
     RepSpec,
-    SplitNode,
     Target,
     default_route,
     get_spec,
@@ -87,13 +83,16 @@ class RepImage:
 # Row r of a blade image holds one signed unit in column cols[r].  A block of
 # size s is stored as bytes: s column indices, then s row codes unit*2+sign
 # (units 0..3 are 1, i, j, k; the low bit marks -1); doubled rings store a
-# (plus, minus) pair.  Each step kind has one rule over its child's images.
+# (plus, minus) pair.  Every step is one rule: a Kronecker product of two
+# compiled images.
 
 _XOR = [bytes(c ^ k for c in range(256)) for k in range(8)]
 
-# leaf images by kind, indexed by outer mask: a ring unit 1, i, j or k, then
-# the real pair (0,1), the complex pair and the real quad (0,2)
-_LEAVES = {
+# compiled images of each step kind's outer products, indexed by outer mask:
+# a ring unit 1, i, j or k, the real pair (0,1), the complex pair and the
+# real quad (0,2), the doubling pair u, v with v^2 = +1 or -1, and the
+# conjugate split along u, a doubled (plus, minus) pair of 1x1 blocks
+_PATTERNS = {
     "units": tuple(bytes((0, 2 * unit)) for unit in range(4)),
     "real_pair": tuple(map(bytes, [(0, 1, 0, 0), (1, 0, 1, 0)])),
     "complex_pair": tuple(map(bytes, [(0, 1, 0, 0), (0, 1, 2, 3), (1, 0, 1, 0), (1, 0, 3, 3)])),
@@ -101,37 +100,33 @@ _LEAVES = {
         (0, 1, 2, 3, 0, 0, 0, 0), (1, 0, 3, 2, 1, 0, 1, 0),
         (2, 3, 0, 1, 1, 0, 0, 1), (3, 2, 1, 0, 1, 1, 0, 0),
     ])),
+    "quad": tuple(map(bytes, [(0, 1, 0, 0), (0, 1, 0, 1), (1, 0, 0, 0), (1, 0, 0, 1)])),
+    "quad_flip": tuple(map(bytes, [(0, 1, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0), (1, 0, 1, 1)])),
+    "split": ((bytes((0, 0)), bytes((0, 0))), (bytes((0, 0)), bytes((0, 1)))),
 }
 
 
-def _xor_codes(block: bytes, k: int) -> bytes:
-    """XOR every row code with k: k=1 negates, k=unit*2 tags a real block."""
-    size = len(block) // 2
-    return block[:size] + block[size:].translate(_XOR[k])
-
-
-def _per_block(image, fn):
-    return tuple(fn(b) for b in image) if isinstance(image, tuple) else fn(image)
-
-
-def _quad_block(block: bytes, outer: int, flip_top: bool, neg: int) -> bytes:
-    """[[M, 0], [0, +-M]] for outer 0/1, [[0, +-M], [+-M, 0]] for outer 2/3."""
-    t = len(block) // 2
-    cols, codes = block[:t], block[t:]
-    shifted = bytes(c + t for c in cols)
-    top, bottom = (cols, shifted) if outer < 2 else (shifted, cols)
-    top_neg = neg ^ (flip_top and outer >= 2)
-    bottom_neg = neg ^ (outer & 1)
-    return top + bottom + codes.translate(_XOR[top_neg]) + codes.translate(_XOR[bottom_neg])
-
-
-def _kron_block(core: bytes, block: bytes, neg: int) -> bytes:
-    """Kronecker product of a real core monomial with an inner image block."""
-    w, t = len(core) // 2, len(block) // 2
+def _kron(left, right, neg: int):
+    """Kronecker product left (x) right of two compiled images, every row
+    code XORed with ``neg``.  Either side, not both, may be a doubled
+    (plus, minus) pair, which gives the pair of products.  Codes combine by
+    XOR, which multiplies the units only when at most one factor carries
+    them; every recipe meets this by construction: a unit extension needs a
+    real sub, the quad and split patterns are real, the periodic core is
+    R(16), and a leaf's sub image is the 1x1 unit."""
+    if isinstance(left, tuple):
+        return _kron(left[0], right, neg), _kron(left[1], right, neg)
+    if isinstance(right, tuple):
+        return _kron(left, right[0], neg), _kron(left, right[1], neg)
+    w, t = len(left) // 2, len(right) // 2
+    if w == 1 or t == 1:  # a 1x1 factor only XORs the other factor's codes
+        other, code = (right, left[1]) if w == 1 else (left, right[1])
+        return other[: w * t] + other[w * t :].translate(_XOR[code ^ neg])
+    right_cols, right_codes = right[:t], right[t:]
     cols, codes = bytearray(), bytearray()
-    for col, code in zip(core[:w], core[w:]):
-        cols += bytes(col * t + c for c in block[:t])
-        codes += block[t:].translate(_XOR[code ^ neg])
+    for col, code in zip(left[:w], left[w:]):
+        cols += bytes(col * t + c for c in right_cols) if col else right_cols
+        codes += right_codes.translate(_XOR[code ^ neg])
     return bytes(cols + codes)
 
 
@@ -162,20 +157,10 @@ def blade_image(spec: RepSpec, mask: int) -> bytes | tuple[bytes, bytes]:
 
 def _compile_blade(node, mask: int) -> bytes | tuple[bytes, bytes]:
     outer, sub, neg = _step(node, mask)
-    if isinstance(node, LeafNode):
-        return _xor_codes(_LEAVES[node.kind][outer], neg)
-    if isinstance(node, ExtendNode):
-        return _xor_codes(blade_image(node.sub, sub), outer * 2 + neg)
-    if isinstance(node, QuadNode):
-        child = blade_image(node.sub, sub)
-        return _per_block(child, lambda b: _quad_block(b, outer, node.sign < 0, neg))
-    if isinstance(node, SplitNode):
-        child = blade_image(node.sub, sub)
-        return (_xor_codes(child, neg), _xor_codes(child, neg ^ outer))
     if isinstance(node, PeriodicNode):
-        core = blade_image(node.core, sub)
-        return _per_block(blade_image(node.inner, outer), lambda b: _kron_block(core, b, neg))
-    raise TypeError(f"unknown node type {type(node).__name__}")
+        return _kron(blade_image(node.core, sub), blade_image(node.inner, outer), neg)
+    child = bytes(2) if node.sub is None else blade_image(node.sub, sub)  # 1x1 unit at a leaf
+    return _kron(_PATTERNS[node.kind][outer], child, neg)
 
 
 def _blocks(image):
@@ -243,7 +228,7 @@ def periodic_stage1(node: PeriodicNode, a: Multivector) -> list[list[Multivector
         for row, col, code in zip(cells, core, core[width:]):
             cell = row[col]
             cell[outer] = cell.get(outer, 0) + (-num if (code ^ neg) & 1 else num)
-    return [[Multivector._raw(node.reduced, cell, a._den) for cell in row] for row in cells]
+    return [[Multivector._raw(node.inner.signature, cell, a._den) for cell in row] for row in cells]
 
 
 def assemble_entry_images(
@@ -300,6 +285,20 @@ def _trace_sums(spec: RepSpec, counts: list[int]) -> list[int]:
 _CERTIFICATE_MAX_ENTRIES = 1 << 20
 
 
+def _certificate_norm(spec: RepSpec) -> int:
+    """N = size * blocks, the certificate's Gram diagonal; a recipe whose
+    certificate is over the bound is refused before any work on it."""
+    target = spec.target
+    norm = target.size * (2 if target.ring in BLOCK_RING else 1)
+    entries = spec.signature.dim * norm
+    if entries > _CERTIFICATE_MAX_ENTRIES:
+        raise CatalogMissError(
+            f"no reconstruction for {spec.signature} route {spec.route}: its certificate "
+            f"needs {entries} blade-image rows, over the bound of {_CERTIFICATE_MAX_ENTRIES}"
+        )
+    return norm
+
+
 class BasisImageTable:
     """The compiled images of all basis blades of one recipe, certified.
 
@@ -311,18 +310,11 @@ class BasisImageTable:
 
     def __init__(self, spec: RepSpec):
         self.spec = spec
-        target = spec.target
-        self.norm = target.size * (2 if target.ring in BLOCK_RING else 1)
-        entries = spec.signature.dim * self.norm
-        if entries > _CERTIFICATE_MAX_ENTRIES:
-            raise CatalogMissError(
-                f"no reconstruction for {spec.signature} route {spec.route}: its certificate "
-                f"needs {entries} blade-image rows, over the bound of {_CERTIFICATE_MAX_ENTRIES}"
-            )
+        self.norm = _certificate_norm(spec)
         # Gram entry (m, m') is the signed count of cells (block, row, column,
         # unit) the two images share: a partner filed under the same signed
         # cell adds one, one filed under its twin (offset by _cell_count) takes one
-        total = _cell_count(target)
+        total = _cell_count(spec.target)
         images = [_blade_cells(spec, mask) for mask in range(spec.signature.dim)]
         partners: dict[int, list[int]] = {}
         for mask, cells in enumerate(images):
@@ -381,8 +373,10 @@ def element_inverse(a: Multivector, route: str | None = None) -> Multivector | N
     """Inverse of ``a`` in the algebra, or None for zero divisors.
 
     Non-invertibility is an ordinary outcome in the split signatures, so it
-    is a return value rather than an error.
+    is a return value rather than an error.  A recipe too wide to read the
+    inverse back is refused before inverting.
     """
+    _certificate_norm(get_spec(a.sig, route))
     image = represent(a, route)
     inv = mat_inverse(image.value)
     if inv is None:

@@ -149,12 +149,11 @@ def _matrix_from_mv(grid: MvMatrix, spec: RepSpec) -> RingMatrix | BlockPair:
 def _stage_one(a: Multivector, spec: RepSpec) -> list[list[Multivector]]:
     """A periodic recipe's sandwich, each entry read back over the outer
     generators' products as an element of the reduced signature."""
-    node = spec.node
-    outer = node.basis.outer
+    outer, reduced = spec.node.basis.outer, spec.node.inner.signature
     signed = _signs([outer.product(m) for m in range(1 << len(outer))], "the outer products")
     grid = spec.transform.conjugate(spec.replication.diagonal_for(a))
     coords = [[_read(grid, x, signed, "the outer products") for x in row] for row in grid._cells]
-    return [[Multivector._raw(node.reduced, dict(enumerate(c)), grid._den) for c in row] for row in coords]
+    return [[Multivector._raw(reduced, dict(enumerate(c)), grid._den) for c in row] for row in coords]
 
 
 def _inner_oracle(spec: RepSpec, stage1: list[list[Multivector]]) -> RingMatrix | BlockPair:

@@ -18,17 +18,20 @@ from cliffrep.algebra import (
 from cliffrep.catalog import (
     CatalogError,
     CatalogMissError,
-    LeafNode,
+    PeriodicNode,
+    StepNode,
     Target,
     catalog_signatures,
     get_spec,
 )
 from cliffrep.represent import (
+    _PATTERNS,
     BasisImageTable,
     InversePullbackError,
     NonMonomialStepError,
     NotInImageError,
     RepImage,
+    _kron,
     basis_table,
     blade_image,
     charpoly_evaluate,
@@ -41,7 +44,9 @@ from cliffrep.represent import (
     represent_with,
 )
 from cliffrep.rings import (
+    BLOCK_RING,
     COMPLEX,
+    COMPONENTS,
     DOUBLE_REAL,
     QUATERNION,
     REAL,
@@ -203,6 +208,18 @@ def test_certificate_size_bound():
     with pytest.raises(CatalogMissError, match="over the bound"):
         basis_table(Signature(17, 0))
     assert len(spec.blade_images) == compiled and spec.basis_table is None
+
+
+def test_inverse_over_the_bound_is_refused_before_inverting(monkeypatch):
+    # (7,7) is R(128): the refusal comes before the Gauss-Jordan pass, for a
+    # singular element (1+e1) as for an invertible one (2+e1)
+    represent_module = importlib.import_module("cliffrep.represent")
+    calls = []
+    monkeypatch.setattr(represent_module, "mat_inverse", calls.append)
+    for text in ("1+e1", "2+e1"):
+        with pytest.raises(CatalogMissError, match="over the bound"):
+            element_inverse(parse_multivector(Signature(7, 7), text))
+    assert calls == []
 
 
 # -- inverses
@@ -559,7 +576,7 @@ def test_non_blade_step_basis_is_rejected():
     sig = Signature(3, 0)
     h = Multivector(sig, {0b001: Fraction(3, 5), 0b010: Fraction(4, 5)})
     basis = SplitBasis(GeneratorList(sig, [h]), GeneratorList(sig, [Multivector.pseudoscalar(sig)]))
-    spec = dataclasses.replace(get_spec(sig), node=LeafNode(basis, "units"))
+    spec = dataclasses.replace(get_spec(sig), node=StepNode(basis, "units"))
     with pytest.raises(NonMonomialStepError):
         represent_with(spec, Multivector.generator(sig, 1))
 
@@ -570,6 +587,97 @@ def test_blade_image_unit_outside_the_target_ring_raises():
     assert blade_image(spec, 0b01) == bytes((0, 2))
     with pytest.raises(CatalogError, match="unit outside C"):
         blade_image(spec, 0b10)
+
+
+# -- the one compile rule: a Kronecker product of compiled images
+
+
+def _dense(image):
+    """The quaternion matrix (or pair) a compiled image stands for."""
+    if isinstance(image, tuple):
+        return tuple(map(_dense, image))
+    size = len(image) // 2
+    rows = [[(0, 0, 0, 0)] * size for _ in range(size)]
+    for r, (col, code) in enumerate(zip(image, image[size:])):
+        rows[r][col] = tuple((-1 if code & 1 else 1) * (u == code >> 1) for u in range(4))
+    return RingMatrix.from_components(QUATERNION, rows)
+
+
+def _written_kron(left, right, neg):
+    """Entry (i*t + j, a*t + b) is left[i][a] * right[j][b], negated by neg."""
+    if isinstance(left, tuple):
+        return tuple(_written_kron(b, right, neg) for b in left)
+    if isinstance(right, tuple):
+        return tuple(_written_kron(left, b, neg) for b in right)
+    rows = [[x * y for x in lrow for y in rrow] for lrow in left.rows for rrow in right.rows]
+    return RingMatrix(QUATERNION, rows).scale(-1 if neg else 1)
+
+
+def _image_of(p, q, mask, route=None):
+    return blade_image(get_spec(Signature(p, q), route), mask)
+
+
+# each case's operands, built when its test runs
+_KRON_CASES = {
+    "real x real": lambda: (_PATTERNS["quad_flip"][3], _image_of(2, 2, 0b1011)),
+    "core x real": lambda: (_image_of(8, 0, 0b10110101), _image_of(2, 2, 0b0110)),
+    "i x real": lambda: (_PATTERNS["units"][1], _image_of(2, 2, 0b0111)),
+    "j x real": lambda: (_PATTERNS["units"][2], _image_of(2, 2, 0b1100)),
+    "k x real": lambda: (_PATTERNS["units"][3], _image_of(2, 2, 0b1101)),
+    "real x complex": lambda: (_PATTERNS["quad"][2], _image_of(0, 2, 0b11, "complex2")),
+    "real x quaternion": lambda: (_PATTERNS["quad"][3], _image_of(0, 2, 0b11, "quaternion")),
+    "real x quaternion 2x2": lambda: (_PATTERNS["quad"][2], _image_of(1, 3, 0b1011)),
+    "leaf x 1x1 unit": lambda: (_PATTERNS["complex_pair"][3], bytes(2)),
+    "split x real": lambda: (_PATTERNS["split"][1], _image_of(2, 2, 0b1001)),
+    "real x doubled real": lambda: (_PATTERNS["quad_flip"][2], _image_of(2, 1, 0b111)),
+    "real x doubled quaternion": lambda: (_PATTERNS["real_quad"][3], _image_of(0, 3, 0b110)),
+}
+
+
+@pytest.mark.parametrize("neg", [0, 1])
+@pytest.mark.parametrize("case", sorted(_KRON_CASES))
+def test_kron_matches_written_out_kronecker_product(case, neg):
+    left, right = _KRON_CASES[case]()
+    assert _dense(_kron(left, right, neg)) == _written_kron(_dense(left), _dense(right), neg)
+
+
+def _factors(ring):
+    """(carries units, doubled) of an image over ``ring``."""
+    return COMPONENTS[ring] > 1, ring in BLOCK_RING
+
+
+def _pattern_factors(kind):
+    """(carries units, doubled) of a step kind's outer-product images."""
+    patterns = _PATTERNS[kind]
+    doubled = isinstance(patterns[0], tuple)
+    blocks = [b for p in patterns for b in (p if doubled else (p,))]
+    return any(code >> 1 for b in blocks for code in b[len(b) // 2 :]), doubled
+
+
+def test_no_step_multiplies_units_by_units_or_pairs_by_pairs():
+    # _kron XORs row codes, which multiplies units only when one factor is
+    # real, and pairs up blocks only when one factor is a single block
+    seen, kinds, stack = set(), set(), []
+    for sig, routes in catalog_signatures():
+        stack += [get_spec(sig, route) for route in routes]
+    stack.append(get_spec(Signature(17, 0)))
+    while stack:
+        spec = stack.pop()
+        if id(spec) in seen:
+            continue
+        seen.add(id(spec))
+        node = spec.node
+        if isinstance(node, PeriodicNode):
+            left, right = _factors(node.core.target.ring), _factors(node.inner.target.ring)
+            stack += [node.core, node.inner]
+        else:
+            kinds.add(node.kind)
+            left = _pattern_factors(node.kind)
+            right = _factors(REAL if node.sub is None else node.sub.target.ring)
+            stack += [node.sub] if node.sub is not None else []
+        assert not (left[0] and right[0]), (spec, "units on both factors")
+        assert not (left[1] and right[1]), (spec, "two doubled factors")
+    assert kinds == set(_PATTERNS)
 
 
 # -- rectangular lifts

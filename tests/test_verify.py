@@ -19,7 +19,7 @@ from cliffrep.catalog import (
 )
 from cliffrep.cli import main
 from cliffrep.represent import (
-    _xor_codes,
+    _kron,
     assemble_entry_images,
     blade_image,
     periodic_stage1,
@@ -401,7 +401,7 @@ def test_inverse_pullback_check_reports_a_wrong_inverse(monkeypatch):
 
 def test_negated_generator_image_fails_homomorphism_and_similarity(monkeypatch):
     sig = Signature(2, 0)
-    _registered_copy(monkeypatch, sig, "negated-e1", {1: _xor_codes(blade_image(get_spec(sig), 1), 1)})
+    _registered_copy(monkeypatch, sig, "negated-e1", {1: _kron(bytes(2), blade_image(get_spec(sig), 1), 1)})
     report = check_homomorphism(sig, "negated-e1", trials=3, seed=0)
     assert not report.passed
     assert report.counterexample.startswith("trial 0: product image mismatch for a=")
@@ -413,7 +413,7 @@ def test_negated_generator_image_fails_homomorphism_and_similarity(monkeypatch):
 
 def test_negated_unit_image_fails_unit_check(monkeypatch):
     sig = Signature(2, 0)
-    _registered_copy(monkeypatch, sig, "negated-unit", {0: _xor_codes(blade_image(get_spec(sig), 0), 1)})
+    _registered_copy(monkeypatch, sig, "negated-unit", {0: _kron(bytes(2), blade_image(get_spec(sig), 0), 1)})
     report = check_unit(sig, "negated-unit")
     assert not report.passed
     assert report.counterexample == "image of 1 is not the identity matrix"
