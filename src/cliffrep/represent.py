@@ -119,9 +119,6 @@ def _kron(left, right, neg: int):
     if isinstance(right, tuple):
         return _kron(left, right[0], neg), _kron(left, right[1], neg)
     w, t = len(left) // 2, len(right) // 2
-    if w == 1 or t == 1:  # a 1x1 factor only XORs the other factor's codes
-        other, code = (right, left[1]) if w == 1 else (left, right[1])
-        return other[: w * t] + other[w * t :].translate(_XOR[code ^ neg])
     right_cols, right_codes = right[:t], right[t:]
     cols, codes = bytearray(), bytearray()
     for col, code in zip(left[:w], left[w:]):
