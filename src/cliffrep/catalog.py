@@ -15,7 +15,11 @@ Three step constructions cover the whole catalog:
 * conjugate split: a commuting u with u^2 = +1 that splits the algebra into
   a doubled ring acting on diag(a I, conj(a) I).
 
-Recipes recurse over these steps; wide signatures reduce through the
+Every recipe is a chain of these steps that ends at one of two kinds of
+leaf: the scalar (0,0), or one of the three embeddings the source prints,
+Eq. (1.1)'s real form of (0,1) (``real2``) and the complex and real forms
+of (0,2) (``complex2``, ``real4``).  So ``complex1`` and ``quaternion`` are
+unit extensions of (0,0).  Wide signatures reduce through the
 sixteen-fold periodicity step.  A signature's routes are listed in one
 place, ``_routes``: the entries of the explicit route table (keyed by
 (p, q), then by route, default first), then the diagonal family, then the
@@ -55,7 +59,7 @@ from .algebra import (
     SplitBasis,
     StructureError,
     _mul_accumulate,
-    _square_sign,
+    reindex,
 )
 
 HALF = Fraction(1, 2)
@@ -195,8 +199,6 @@ def _sandwich_sum(
 
 
 def reindex_matrix(matrix: MvMatrix, gens: GeneratorList) -> MvMatrix:
-    from .algebra import reindex
-
     return MvMatrix(gens.sig, [[reindex(x, gens) for x in row] for row in matrix.rows])
 
 
@@ -486,10 +488,6 @@ def _gens(sig: Signature, masks: Sequence[int]) -> GeneratorList:
     return GeneratorList(sig, [Multivector.blade(sig, m) for m in masks])
 
 
-def _empty_gens(sig: Signature) -> GeneratorList:
-    return GeneratorList(sig, [])
-
-
 def _check_transform(tp: TransformPair, where: str) -> None:
     defect = tp.identity_defect()
     if defect is not None:
@@ -504,54 +502,45 @@ def _sub_gens(sig: Signature, sub_spec: RepSpec, masks: Sequence[int]) -> Genera
 
 
 def _inherit_units(sub: RepSpec, gens: GeneratorList) -> dict[str, Multivector]:
-    from .algebra import reindex
-
     return {name: reindex(mv, gens) for name, mv in sub.unit_blades.items()}
 
 
-def _leaf_pair(P: MvMatrix, Pinv: MvMatrix, scale: Fraction, where: str) -> TransformPair:
-    """A leaf transform, checked as the catalog makes it."""
+def _spec_leaf(
+    sig: Signature, route: str, kind: str, outer_masks: Sequence[int], target: Target,
+    P: MvMatrix, Pinv: MvMatrix, scale: Fraction, units: dict[str, Multivector], split: bool = False,
+) -> RepSpec:
+    """A leaf recipe: a dense transform over the outer generators
+    ``outer_masks`` alone, checked as the catalog makes it, replicating
+    ``a`` on every copy or, with ``split``, in conjugate pairs."""
+    basis = SplitBasis(_gens(sig, []), _gens(sig, outer_masks))
     tp = TransformPair(P, Pinv, scale)
-    _check_transform(tp, where)
-    return tp
-
-
-def _spec_ring_units(sig: Signature, route: str, unit_masks: Sequence[int]) -> RepSpec:
-    units = _gens(sig, unit_masks)
-    if any(s != -1 for s in units.squares):
-        raise StructureError("ring units must square to -1")
-    basis = SplitBasis(_empty_gens(sig), units)
-    ring = {0: "R", 1: "C", 2: "H"}[len(unit_masks)]
-    identity = MvMatrix.identity(sig, 1)
+    _check_transform(tp, f"{sig} {route}")
     return RepSpec(
         signature=sig,
         route=route,
-        target=Target(ring, 1),
-        transform=_leaf_pair(identity, identity, Fraction(1), f"{sig} {route}"),
-        replication=ReplicationSpec(1),
-        unit_blades=dict(zip("ij", units.elements)),
-        node=StepNode(basis, "units"),
+        target=target,
+        transform=tp,
+        replication=ReplicationSpec(tp.size, basis if split else None),
+        unit_blades=units,
+        node=StepNode(basis, kind),
     )
 
 
-def _spec_real_pair(sig: Signature) -> RepSpec:
+def _spec_scalar(sig: Signature, route: str) -> RepSpec:
+    """(0,0): the reals, with the 1x1 identity transform."""
+    identity = MvMatrix.identity(sig, 1)
+    return _spec_leaf(sig, route, "units", [], Target("R", 1), identity, identity, Fraction(1), {})
+
+
+def _spec_real_pair(sig: Signature, route: str) -> RepSpec:
     """(0,1): conjugate pair diagonal into the 2x2 real form."""
     one = Multivector.scalar(sig, 1)
     u = Multivector.generator(sig, 1)
     P = MvMatrix(sig, [[one, u], [-u, -one]])
-    basis = SplitBasis(_empty_gens(sig), _gens(sig, [1]))
-    return RepSpec(
-        signature=sig,
-        route="real2",
-        target=Target("R", 2),
-        transform=_leaf_pair(P, P, HALF, "(0,1) real pair"),
-        replication=ReplicationSpec(2, basis),
-        unit_blades={},
-        node=StepNode(basis, "real_pair"),
-    )
+    return _spec_leaf(sig, route, "real_pair", [1], Target("R", 2), P, P, HALF, {}, split=True)
 
 
-def _spec_complex_pair(sig: Signature) -> RepSpec:
+def _spec_complex_pair(sig: Signature, route: str) -> RepSpec:
     """(0,2): complex 2x2 route.
 
     The printed claim that this transform is its own inverse fails the
@@ -564,18 +553,10 @@ def _spec_complex_pair(sig: Signature) -> RepSpec:
     i12 = i1 * i2
     P = MvMatrix(sig, [[one, -i1], [-i2, i12]])
     Pinv = MvMatrix(sig, [[one, i2], [i1, -i12]])
-    return RepSpec(
-        signature=sig,
-        route="complex2",
-        target=Target("C", 2),
-        transform=_leaf_pair(P, Pinv, HALF, "(0,2) complex pair"),
-        replication=ReplicationSpec(2),
-        unit_blades={"i": i1},
-        node=StepNode(SplitBasis(_empty_gens(sig), _gens(sig, [1, 2])), "complex_pair"),
-    )
+    return _spec_leaf(sig, route, "complex_pair", [1, 2], Target("C", 2), P, Pinv, HALF, {"i": i1})
 
 
-def _spec_real_quad(sig: Signature) -> RepSpec:
+def _spec_real_quad(sig: Signature, route: str) -> RepSpec:
     """(0,2): real 4x4 route with its size-4 involutive transform."""
     one = Multivector.scalar(sig, 1)
     i1 = Multivector.generator(sig, 1)
@@ -588,15 +569,7 @@ def _spec_real_quad(sig: Signature) -> RepSpec:
         [-i12, i2, -i1, one],
     ]
     P = MvMatrix(sig, rows).scale(HALF)
-    return RepSpec(
-        signature=sig,
-        route="real4",
-        target=Target("R", 4),
-        transform=_leaf_pair(P, P, Fraction(1), "(0,2) real quad"),
-        replication=ReplicationSpec(4),
-        unit_blades={},
-        node=StepNode(SplitBasis(_empty_gens(sig), _gens(sig, [1, 2])), "real_quad"),
-    )
+    return _spec_leaf(sig, route, "real_quad", [1, 2], Target("R", 4), P, P, Fraction(1), {})
 
 
 def _spec_extend(
@@ -635,14 +608,12 @@ def _spec_quad(
     v_mask: int,
 ) -> RepSpec:
     sub_gens = _sub_gens(sig, sub_spec, sub_masks)
-    u = Multivector.blade(sig, u_mask)
-    v = Multivector.blade(sig, v_mask)
-    if _square_sign(u) != 1:
+    outer = _gens(sig, [u_mask, v_mask])
+    if outer.squares[0] != 1:
         raise StructureError("the first doubling element must square to +1")
-    sgn = _square_sign(v)
-    if u * v != -(v * u):
-        raise StructureError("doubling pair must anticommute")
-    basis = SplitBasis(sub_gens, GeneratorList(sig, [u, v]))
+    sgn = outer.squares[1]
+    u, v = outer.elements
+    basis = SplitBasis(sub_gens, outer)
     mu = u * v
     one = Multivector.scalar(sig, 1)
     fplus, fminus = one + u, one - u
@@ -668,10 +639,11 @@ def _spec_split(
     u_mask: int,
 ) -> RepSpec:
     sub_gens = _sub_gens(sig, sub_spec, sub_masks)
-    u = Multivector.blade(sig, u_mask)
-    if _square_sign(u) != 1:
+    outer = _gens(sig, [u_mask])
+    if outer.squares[0] != 1:
         raise StructureError("the splitting element must square to +1")
-    basis = SplitBasis(sub_gens, GeneratorList(sig, [u]))
+    (u,) = outer.elements
+    basis = SplitBasis(sub_gens, outer)
     one = Multivector.scalar(sig, 1)
     fplus, fminus = one + u, one - u
     left = [[fplus, -fminus], [fminus, fplus]]
@@ -725,17 +697,17 @@ Builder = Callable[[Signature, str], RepSpec]
 # The explicit recipes by (p, q), then by route, default route first; only
 # signatures outside the diagonal family are listed here.
 _EXPLICIT_RECIPES: dict[tuple[int, int], dict[str, Builder]] = {
-    (0, 0): {"scalar": lambda s, r: _spec_ring_units(s, r, [])},
+    (0, 0): {"scalar": _spec_scalar},
     (1, 0): {"explicit": lambda s, r: _spec_split(s, r, _sub(0, 0), [], _mask([1]))},
     (0, 1): {
-        "real2": lambda s, r: _spec_real_pair(s),
-        "complex1": lambda s, r: _spec_ring_units(s, r, _ids(1)),
+        "real2": _spec_real_pair,
+        "complex1": lambda s, r: _spec_extend(s, r, _sub(0, 0), [], _ids(1)),
     },
     (2, 0): {"explicit": lambda s, r: _spec_quad(s, r, _sub(0, 0), [], _mask([1]), _mask([2]))},
     (0, 2): {
-        "quaternion": lambda s, r: _spec_ring_units(s, r, _ids(1, 2)),
-        "complex2": lambda s, r: _spec_complex_pair(s),
-        "real4": lambda s, r: _spec_real_quad(s),
+        "quaternion": lambda s, r: _spec_extend(s, r, _sub(0, 0), [], _ids(1, 2)),
+        "complex2": _spec_complex_pair,
+        "real4": _spec_real_quad,
     },
     (3, 0): {"explicit": lambda s, r: _spec_extend(s, r, _sub(2, 0), _ids(1, 2), [_e_range(s, 3)])},
     (1, 2): {"explicit": lambda s, r: _spec_extend(
@@ -831,8 +803,6 @@ def _periodic_spec(sig: Signature, route: str) -> RepSpec:
     The empty-subset outer product is the unit element, not the core
     pseudoscalar the source text prints (see corrections).
     """
-    from .algebra import reindex
-
     reduced = _periodic_reduction(sig)
     core = get_spec(Signature(sig.p - reduced.p, sig.q - reduced.q))
     inner = get_spec(reduced, canonical_route(reduced))
@@ -842,14 +812,13 @@ def _periodic_spec(sig: Signature, route: str) -> RepSpec:
     outer_gens = _gens(sig, [_mask([*range(1, 9), g]) for g in range(9, sig.n + 1)])
     basis = SplitBasis(core_gens, outer_gens)
     tp = TransformPair.reindexed(core.transform, core_gens, f"{sig} {route}")
-    units = {name: reindex(mv, outer_gens) for name, mv in inner.unit_blades.items()}
     return RepSpec(
         signature=sig,
         route=route,
         target=Target(inner.target.ring, 16 * inner.target.size),
         transform=tp,
         replication=ReplicationSpec(16),
-        unit_blades=units,
+        unit_blades=_inherit_units(inner, outer_gens),
         node=PeriodicNode(core, basis, inner),
     )
 

@@ -35,7 +35,6 @@ from .catalog import (
 )
 from .rings import (
     BLOCK_RING,
-    COMPLEX,
     COMPONENTS,
     DOUBLE_REAL,
     REAL,
@@ -70,11 +69,6 @@ class RepImage:
     signature: Signature
     route: str
     value: RingMatrix | BlockPair
-
-    @property
-    def target(self) -> Target:
-        size = self.value.plus.nrows if isinstance(self.value, BlockPair) else self.value.nrows
-        return Target(self.value.ring, size)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +380,7 @@ def element_inverse(a: Multivector, route: str | None = None) -> Multivector | N
 
 
 def _as_real_block(value: RingMatrix | BlockPair) -> RingMatrix:
-    """Real square form used for determinants over R and the doubled reals."""
+    """Block-diagonal real form of a doubled-real pair; a plain matrix passes unchanged."""
     if isinstance(value, BlockPair):
         if value.ring != DOUBLE_REAL:
             raise UnsupportedRingError("determinant over doubled quaternions is unsupported")
@@ -397,20 +391,15 @@ def _as_real_block(value: RingMatrix | BlockPair) -> RingMatrix:
 
 def element_det(a: Multivector, route: str | None = None) -> RingScalar:
     """Determinant of the matrix image; commutative targets only."""
-    image = represent(a, route)
-    value = image.value
-    if isinstance(value, BlockPair) or value.ring not in (REAL, COMPLEX):
-        value = _as_real_block(value)
-    return mat_det(value)
+    return mat_det(_as_real_block(represent(a, route).value))
 
 
 def element_charpoly(a: Multivector, route: str | None = None) -> list[Fraction]:
     """Monic characteristic polynomial of the image over a real target."""
-    image = represent(a, route)
-    value = _as_real_block(image.value)
-    if value.ring != REAL:
+    value = represent(a, route).value
+    if value.ring not in (REAL, DOUBLE_REAL):
         raise UnsupportedRingError("characteristic polynomial needs a real target")
-    return char_poly(value)
+    return char_poly(_as_real_block(value))
 
 
 def charpoly_evaluate(coeffs: Sequence[Fraction], a: Multivector) -> Multivector:

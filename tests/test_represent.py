@@ -303,6 +303,14 @@ def test_det_unsupported_for_quaternion_targets():
         element_charpoly(Multivector.scalar(S02, 1))
 
 
+def test_charpoly_refusal_on_doubled_quaternions_names_the_charpoly():
+    a = parse_multivector(Signature(0, 3), "1 + eps1")
+    with pytest.raises(UnsupportedRingError, match="characteristic polynomial"):
+        element_charpoly(a)
+    with pytest.raises(UnsupportedRingError, match="determinant over doubled quaternions"):
+        element_det(a)
+
+
 def test_det_over_complex_targets():
     sig = Signature(3, 0)
     rng = random.Random(19)
@@ -672,6 +680,9 @@ def test_no_step_multiplies_units_by_units_or_pairs_by_pairs():
             stack += [node.core, node.inner]
         else:
             kinds.add(node.kind)
+            # a chain of steps ends at the scalar or at a printed embedding
+            assert node.sub is not None or spec.signature == Signature(0, 0) or node.kind in (
+                "real_pair", "complex_pair", "real_quad"), (spec, "leaf")
             left = _pattern_factors(node.kind)
             right = _factors(REAL if node.sub is None else node.sub.target.ring)
             stack += [node.sub] if node.sub is not None else []
