@@ -485,13 +485,6 @@ class SplitBasis:
             return {am: Multivector(sub_sig, terms) for am, terms in buckets.items()}
         return self._solver.decompose(a)
 
-    def recompose(self, components: Mapping[int, Multivector]) -> Multivector:
-        """Inverse of decompose: sum of reindex(component) * outer product."""
-        total = Multivector.zero(self.sig)
-        for amask, comp in components.items():
-            total = total + reindex(comp, self.sub) * self.outer.product(amask)
-        return total
-
 
 class _DenseBasisSolver:
     """Exact Gaussian-elimination fallback for non-blade basis changes."""

@@ -134,15 +134,7 @@ def blade_image(spec: RepSpec, mask: int) -> bytes | tuple[bytes, bytes]:
     """Compiled image of one basis blade, memoized on the spec."""
     image = spec.blade_images.get(mask)
     if image is None:
-        image = _compile_blade(spec.node, mask)
-        # a unit past the target ring's components would land on the next
-        # entry of the flat numerator layout
-        ring = spec.target.ring
-        if any(max(b[len(b) // 2 :]) >> 1 >= COMPONENTS[ring] for b in _blocks(image)):
-            raise CatalogError(
-                f"{spec.signature} route {spec.route}: blade {mask:#x} has a unit outside {ring}"
-            )
-        spec.blade_images[mask] = image
+        image = spec.blade_images[mask] = _compile_blade(spec.node, mask)
     return image
 
 
@@ -173,10 +165,17 @@ def _blade_cells(spec: RepSpec, mask: int) -> array:
     doubled count fits."""
     cells = spec.blade_cells.get(mask)
     if cells is None:
-        size, rank = spec.target.size, COMPONENTS[spec.target.ring]
+        ring, size = spec.target.ring, spec.target.size
+        rank = COMPONENTS[ring]
         span, total = rank * size * size, _cell_count(spec.target)
         cells = array("H" if 2 * total <= 1 << 16 else "i")
         for b, block in enumerate(_blocks(blade_image(spec, mask))):
+            # a unit past the ring's components would land on the next entry
+            if max(block[size:]) >> 1 >= rank:
+                raise CatalogError(
+                    f"{spec.signature} route {spec.route}: blade {mask:#x} has a unit "
+                    f"outside {ring}"
+                )
             row_base = range(b * span, (b + 1) * span, rank * size)
             cells.extend(
                 base + rank * col + (code >> 1) + (total if code & 1 else 0)

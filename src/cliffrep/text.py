@@ -10,10 +10,11 @@ factors in the order written, so ``e2*e1`` reads as ``-e12``; a generator may
 appear once per term.  Numbers and indices are runs of the ASCII
 digits 0-9 only.  Whitespace, meaning whatever ``str.isspace`` accepts, may
 stand between tokens but not inside a name or a rational.  The parser makes
-one pass over the text, matching one token pattern at each position, and
-sums the terms as integer numerators over one running denominator.  The
-printer emits blades in ascending mask order and sticks to forms the parser
-accepts.
+one pass over the text, matching one token pattern at each position, where
+a ``*`` and the name after it are read as one token; it resolves each
+distinct name to its blade mask once per call, and sums the terms as
+integer numerators over one running denominator.  The printer emits blades
+in ascending mask order and sticks to forms the parser accepts.
 """
 
 from __future__ import annotations
@@ -40,10 +41,14 @@ def ascii_digits(text: str) -> bool:
 
 
 # One token after whitespace (group 1): a generator name (family 2, digits 3),
-# a rational (numerator 4, the denominator digits 5 after a "/") or an
-# operator (6).  The token is optional, so every match succeeds and
-# ``m.end(1)`` is where the token, or the text that is none, starts.
-_TOKEN = re.compile(r"(\s*)(?:(eps|e)([0-9]+)|([0-9]+)(?:/([0-9]*))?|([-+*]))?")
+# a rational (numerator 4, the denominator digits 5 after a "/"), a "*" and
+# the name after it (family 6, digits 7) or an operator (8), which is a "*"
+# only when no name follows it.  The token is optional, so every match
+# succeeds and ``m.end(1)`` is where the token, or the text that is none,
+# starts.
+_TOKEN = re.compile(
+    r"(\s*)(?:(eps|e)([0-9]+)|([0-9]+)(?:/([0-9]*))?|\*\s*(eps|e)([0-9]+)|([-+*]))?"
+)
 
 
 def _to_int(digits: str, position: int) -> int:
@@ -83,43 +88,48 @@ def _blade_mask(sig: Signature, family: str, digits: str, start: int) -> int:
 def parse_multivector(sig: Signature, source: str) -> Multivector:
     """Parse the multivector grammar; raises ParseError with a position."""
     match = _TOKEN.match
+    masks: dict[tuple[str, str], int] = {}  # the mask of each (family, digits) read so far
     m = match(source)
     if m.end(1) == len(source):
         raise ParseError("empty expression", len(source))
     nums: dict[int, int] = {}
     den = 1
-    sign = -1 if m[6] == "-" else 1
-    if m[6] in ("+", "-"):
+    sign = -1 if m[8] == "-" else 1
+    if m[8] in ("+", "-"):
         m = match(source, m.end())
     while True:
-        # one term: a rational or a first generator name, then "*" and a name
-        # as often as written; its value is sign * num / d on the blade mask
+        # one term: a rational or a first generator name (groups 2, 3), then
+        # "*" and a name (groups 6, 7) as often as written; its value is
+        # sign * num / d on the blade mask
         num = d = 1
         mask = 0
-        need_factor = m[4] is None
-        if not need_factor:
+        name = 2
+        if m[4] is not None:
             num = _to_int(m[4], m.start(4))
             if m[5] is not None:
                 d = _to_int(m[5], m.start(5)) if m[5] else 0
                 if not d:
                     raise ParseError("expected a non-zero denominator", m.start(5))
             m = match(source, m.end())
-        while need_factor or m[6] == "*":
-            if not need_factor:
-                m = match(source, m.end())
-            if m[2] is None:
-                raise _name_error(source, m.end(1))
-            start = m.start(2)
-            factor = _blade_mask(sig, m[2], m[3], start)
+            name = 6
+        elif m[2] is None:
+            raise _name_error(source, m.end(1))
+        while m[name] is not None:
+            key = m.group(name, name + 1)
+            factor = masks.get(key)
+            if factor is None:  # a name's first appearance; a bad name raises here
+                factor = masks[key] = _blade_mask(sig, *key, m.start(name))
             if factor & mask:
-                raise ParseError("repeated generator in a term", start)
+                raise ParseError("repeated generator in a term", m.start(name))
             # a factor below a generator already read is reordered past it; the
             # term is the product in the order written
             if mask > factor & -factor:
                 num *= _pair_sign(mask, factor, sig.neg_mask)
             mask |= factor
             m = match(source, m.end())
-            need_factor = False
+            name = 6
+        if m[8] == "*":  # no name follows it
+            raise _name_error(source, match(source, m.end()).end(1))
         if d != den:
             if den % d:
                 scale = lcm(den, d) // den
@@ -127,12 +137,12 @@ def parse_multivector(sig: Signature, source: str) -> Multivector:
                 den *= scale
             num *= den // d
         nums[mask] = nums.get(mask, 0) + sign * num
-        if m[6] is None:
+        if m[8] is None:
             at = m.end(1)
             if at == len(source):
                 return Multivector._raw(sig, nums, den)
             raise ParseError(f"unexpected character {source[at]!r}", at)
-        sign = -1 if m[6] == "-" else 1
+        sign = -1 if m[8] == "-" else 1
         m = match(source, m.end())
 
 

@@ -31,6 +31,7 @@ from cliffrep.represent import (
     NonMonomialStepError,
     NotInImageError,
     RepImage,
+    _blade_cells,
     _kron,
     basis_table,
     blade_image,
@@ -590,11 +591,12 @@ def test_non_blade_step_basis_is_rejected():
 
 
 def test_blade_image_unit_outside_the_target_ring_raises():
-    # under a complex target the quaternion leaf's j would alias the next entry
+    # under a complex target the quaternion leaf's j would alias the next
+    # entry; the flat layout is read, and the units checked, in _blade_cells
     spec = dataclasses.replace(get_spec(S02, "quaternion"), target=Target(COMPLEX, 1))
     assert blade_image(spec, 0b01) == bytes((0, 2))
     with pytest.raises(CatalogError, match="unit outside C"):
-        blade_image(spec, 0b10)
+        _blade_cells(spec, 0b10)
 
 
 # -- the one compile rule: a Kronecker product of compiled images
