@@ -165,8 +165,7 @@ def _blade_cells(spec: RepSpec, mask: int) -> array:
     doubled count fits."""
     cells = spec.blade_cells.get(mask)
     if cells is None:
-        ring, size = spec.target.ring, spec.target.size
-        rank = COMPONENTS[ring]
+        size, rank = spec.target.size, COMPONENTS[spec.target.ring]
         span, total = rank * size * size, _cell_count(spec.target)
         cells = array("H" if 2 * total <= 1 << 16 else "i")
         for b, block in enumerate(_blocks(blade_image(spec, mask))):
@@ -174,7 +173,7 @@ def _blade_cells(spec: RepSpec, mask: int) -> array:
             if max(block[size:]) >> 1 >= rank:
                 raise CatalogError(
                     f"{spec.signature} route {spec.route}: blade {mask:#x} has a unit "
-                    f"outside {ring}"
+                    f"outside {spec.target.ring}"
                 )
             row_base = range(b * span, (b + 1) * span, rank * size)
             cells.extend(
