@@ -107,6 +107,19 @@ def _sign_mask(a: int, neg_mask: int) -> int:
     return x ^ (a & neg_mask)
 
 
+def _mirror_mask(b: int, neg_mask: int) -> int:
+    """Mask m with sign(a*b) = (-1)**popcount(a & m) for every blade a."""
+    # bit i of y: parity of b's generators below slot i, which generator i of
+    # a passes; five doubling shifts cover 32 generators, the Signature bound
+    y = b << 1
+    y ^= y << 1
+    y ^= y << 2
+    y ^= y << 4
+    y ^= y << 8
+    y ^= y << 16
+    return y ^ (b & neg_mask)
+
+
 def _pair_sign(a: int, b: int, neg_mask: int) -> int:
     """Sign of the blade product a*b."""
     return -1 if (_sign_mask(a, neg_mask) & b).bit_count() & 1 else 1

@@ -17,6 +17,8 @@ from cliffrep.algebra import (
     SignatureMismatchError,
     SplitBasis,
     StructureError,
+    _mirror_mask,
+    _pair_sign,
     blade_product,
     pseudoscalar_square,
     reindex,
@@ -66,24 +68,55 @@ def _check_blade_sign(sig, a, b):
     assert product == Multivector.blade(sig, a ^ b, sign), (sig, a, b)
 
 
-def test_blade_signs_match_transposition_count():
-    # every pair of blades of every signature with at most 6 generators
+def _sign_test_pairs():
+    """Every pair of blades of every signature with at most 6 generators,
+    then seeded pairs on wider signatures up to the 32-generator bound."""
     for n in range(7):
         for p in range(n + 1):
             sig = Signature(p, n - p)
             for a in range(sig.dim):
                 for b in range(sig.dim):
-                    _check_blade_sign(sig, a, b)
-    # seeded pairs on wider signatures, up to the 32-generator bound
+                    yield sig, a, b
     rng = random.Random(2020)
     for n in range(7, 33):
         for p in sorted({0, n, rng.randint(1, n - 1)}):
             sig = Signature(p, n - p)
             full = sig.full_mask
             for a, b in [(full, full), (full, 1), (1 << (n - 1), full)]:
-                _check_blade_sign(sig, a, b)
+                yield sig, a, b
             for _ in range(20):
-                _check_blade_sign(sig, rng.getrandbits(n), rng.getrandbits(n))
+                yield sig, rng.getrandbits(n), rng.getrandbits(n)
+
+
+def test_blade_signs_match_transposition_count():
+    for sig, a, b in _sign_test_pairs():
+        _check_blade_sign(sig, a, b)
+
+
+def test_mirror_mask_matches_transposition_count():
+    # the right blade's mask gives the same sign against every left blade
+    for sig, a, b in _sign_test_pairs():
+        sign = -1 if (a & _mirror_mask(b, sig.neg_mask)).bit_count() & 1 else 1
+        assert sign == _transposition_sign(sig, a, b), (sig, a, b)
+
+
+@pytest.mark.parametrize("n, left, right", [(8, 8, 2), (8, 2, 8), (8, 64, 1), (8, 1, 64), (6, 64, 64)])
+def test_products_with_either_side_shorter_match_pair_signs(n, left, right):
+    # the kernel loops over the operand with fewer blades; either way round
+    # each term is the sum of coefficient products signed by _pair_sign
+    rng = random.Random(n * 1000 + left * 10 + right)
+    for p in (0, n // 2, n):
+        sig = Signature(p, n - p)
+        xa = {m: rng.choice((-3, -1, 1, 2)) for m in rng.sample(range(sig.dim), left)}
+        xb = {m: rng.choice((-2, -1, 1, 5)) for m in rng.sample(range(sig.dim), right)}
+        expected: dict[int, int] = {}
+        for ma, ca in xa.items():
+            for mb, cb in xb.items():
+                term = _pair_sign(ma, mb, sig.neg_mask) * ca * cb
+                expected[ma ^ mb] = expected.get(ma ^ mb, 0) + term
+        product = Multivector(sig, xa) * Multivector(sig, xb)
+        for mask in range(sig.dim):
+            assert product.coefficient(mask) == expected.get(mask, 0), (sig, mask)
 
 
 def test_blade_product_width_error():
