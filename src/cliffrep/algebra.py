@@ -11,7 +11,9 @@ The product sign of two blades is the parity of the transpositions needed to
 interleave their generators, times the metric signs of the generators they
 share.  One mask of the left blade (`_sign_mask`) gives that sign against
 every right blade at any width, with no table (bitmap blades, as in Dorst,
-Fontijne & Mann, *Geometric Algebra for Computer Science*).
+Fontijne & Mann, *Geometric Algebra for Computer Science*), and its mirror
+image, one mask of the right blade (`_mirror_mask`), gives it against every
+left blade; the product loops over whichever operand has fewer blades.
 """
 
 from __future__ import annotations
@@ -352,9 +354,22 @@ class Multivector:
 
 
 def _mul_accumulate(sig: Signature, out: dict[int, int], xa: dict[int, int], xb: dict[int, int]) -> None:
-    """Accumulate the integer-numerator blade products of xa*xb into out."""
+    """Accumulate the integer-numerator blade products of xa*xb into out.
+
+    The operand with fewer blades runs the outer loop, so each of its blades
+    pays for one sign mask: `_sign_mask` for a left blade, `_mirror_mask`
+    for a right one.  Only the order in which out's keys appear depends on it.
+    """
     neg = sig.neg_mask
     get = out.get
+    if len(xb) < len(xa):
+        for mb, cb in xb.items():
+            flip = _mirror_mask(mb, neg)
+            signed = (cb, -cb)
+            for ma, ca in xa.items():
+                k = ma ^ mb
+                out[k] = get(k, 0) + signed[(flip & ma).bit_count() & 1] * ca
+        return
     for ma, ca in xa.items():
         flip = _sign_mask(ma, neg)
         signed = (ca, -ca)
