@@ -333,6 +333,38 @@ def test_charpoly_annihilates_element():
             assert charpoly_evaluate(coeffs, a).is_zero
 
 
+def _horner(coeffs, a):
+    """Written-out Horner in a over the descending coefficients."""
+    acc = Multivector.zero(a.sig)
+    for c in coeffs:
+        acc = acc * a + Multivector.scalar(a.sig, c)
+    return acc
+
+
+def test_charpoly_evaluate_edge_degrees():
+    sig = Signature(2, 1)
+    a = rand_mv(sig, random.Random(5))
+    assert charpoly_evaluate([], a) == Multivector.zero(sig)
+    assert charpoly_evaluate([Fraction(-3, 2)], a) == Multivector.scalar(sig, Fraction(-3, 2))
+    assert charpoly_evaluate([1, Fraction(2, 3)], a) == a + Fraction(2, 3)
+    assert charpoly_evaluate([Fraction(0), Fraction(0)], a).is_zero
+
+
+def test_charpoly_evaluate_matches_horner_on_every_real_target():
+    # chunked evaluation agrees with Horner at every degree up to 8, on
+    # every signature with n <= 6 whose default recipe has a real target
+    rng = random.Random(2025)
+    sigs = [sig for sig, _ in catalog_signatures() if sig.n <= 6]
+    real = [sig for sig in sigs if get_spec(sig).target.ring in (REAL, DOUBLE_REAL)]
+    assert Signature(3, 3) in real and Signature(0, 0) in real
+    for sig in real:
+        for _ in range(2):
+            a = random_multivector(sig, rng)
+            for degree in range(9):
+                coeffs = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5))) for _ in range(degree + 1)]
+                assert charpoly_evaluate(coeffs, a) == _horner(coeffs, a), (sig, degree)
+
+
 # -- homomorphism and similarity transfer
 
 
