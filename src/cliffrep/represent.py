@@ -220,17 +220,6 @@ def periodic_stage1(node: PeriodicNode, a: Multivector) -> list[list[Multivector
     return [[Multivector._raw(node.inner.signature, cell, a._den) for cell in row] for row in cells]
 
 
-def assemble_entry_images(
-    target: Target, images: Sequence[Sequence[RingMatrix | BlockPair]], t: int
-) -> RingMatrix | BlockPair:
-    """Paste a grid of equal-size entry images into the composed matrix."""
-    if target.ring in BLOCK_RING:
-        plus = _paste_grid([[m.plus for m in row] for row in images], t)
-        minus = _paste_grid([[m.minus for m in row] for row in images], t)
-        return BlockPair(target.ring, plus, minus)
-    return _paste_grid(images, t)
-
-
 def _paste_grid(grid: Sequence[Sequence[RingMatrix]], t: int) -> RingMatrix:
     ring = grid[0][0].ring
     parts = [[to_numerators(block) for block in row] for row in grid]

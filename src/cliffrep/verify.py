@@ -30,7 +30,10 @@ sandwich and the read-back, so for a stage-one entry x the sum of
 x_m * O(e_m), with O(e_m) the direct sandwich of inner basis blade e_m
 (taken once per call), is exactly the direct sandwich of x.  A residue on
 any blade it uses raises, which covers every case where the sandwich of
-x would raise, and more.  The stage-one sandwich of a stays direct.
+x would raise, and more.  The sum is taken in place: each entry adds x_m
+times O(e_m)'s integer numerators into its block of the composed image's
+flat numerators, over one common denominator, and each block of the
+result is built once.  The stage-one sandwich of a stays direct.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 from .algebra import Multivector, Signature
@@ -46,7 +51,6 @@ from .represent import (
     InversePullbackError,
     NotInImageError,
     RepImage,
-    assemble_entry_images,
     basis_table,
     charpoly_evaluate,
     element_charpoly,
@@ -57,12 +61,14 @@ from .represent import (
 )
 from .rings import (
     BLOCK_RING,
+    COMPONENTS,
     DOUBLE_REAL,
     REAL,
     BlockPair,
     RingMatrix,
     from_numerators,
     ring_identity,
+    to_numerators,
 )
 
 
@@ -157,20 +163,33 @@ def _stage_one(a: Multivector, spec: RepSpec) -> list[list[Multivector]]:
 
 
 def _inner_oracle(spec: RepSpec, stage1: list[list[Multivector]]) -> RingMatrix | BlockPair:
-    """The inner oracle on every stage-one entry, pasted together: by
-    linearity, from one direct sandwich per inner basis blade used."""
+    """The inner oracle on every stage-one entry, summed in place: by
+    linearity, c_m times the direct sandwich of each inner basis blade e_m
+    the entry uses, added into the composed image's numerators over one
+    common denominator."""
     inner = spec.node.inner
-    zero = ring_identity(inner.target.ring, inner.target.size).scale(0)
-    sandwiches: dict[int, RingMatrix | BlockPair] = {}
-
-    def image(x: Multivector) -> RingMatrix | BlockPair:
-        for mask in x._num.keys() - sandwiches.keys():
-            sandwiches[mask] = oracle_represent(Multivector.blade(inner.signature, mask), inner)
-        terms = [sandwiches[m].scale(Fraction(c, x._den)) for m, c in x._num.items()]
-        return sum(terms[1:], terms[0]) if terms else zero
-
-    images = [[image(x) for x in row] for row in stage1]
-    return assemble_entry_images(spec.target, images, inner.target.size)
+    sandwiches = {}
+    for m in sorted({m for row in stage1 for x in row for m in x._num}):
+        value = oracle_represent(Multivector.blade(inner.signature, m), inner)
+        parts = (value.plus, value.minus) if isinstance(value, BlockPair) else (value,)
+        sandwiches[m] = [to_numerators(part) for part in parts]
+    ring = BLOCK_RING.get(spec.target.ring, spec.target.ring)
+    rank, t, size = COMPONENTS[ring], inner.target.size, spec.target.size
+    span = t * rank  # numerators in one row of an entry's image
+    xden = lcm(*(x._den for row in stage1 for x in row))
+    sden = lcm(*(d for parts in sandwiches.values() for _, d in parts))
+    outs = [[0] * (size * size * rank) for _ in range(1 + (ring != spec.target.ring))]
+    for r, row in enumerate(stage1):
+        for c, x in enumerate(row):
+            for m, cm in x._num.items():
+                for out, (nums, d) in zip(outs, sandwiches[m]):
+                    f = cm * (xden // x._den) * (sden // d)
+                    for i in range(t):
+                        at = ((r * t + i) * size + c * t) * rank
+                        cells = slice(at, at + span)
+                        out[cells] = map(add, out[cells], [f * v for v in nums[i * span : i * span + span]])
+    blocks = [from_numerators(ring, size, out, xden * sden) for out in outs]
+    return BlockPair(spec.target.ring, *blocks) if len(blocks) == 2 else blocks[0]
 
 
 def oracle_represent(a: Multivector, spec: RepSpec) -> RingMatrix | BlockPair:

@@ -20,12 +20,12 @@ from cliffrep.catalog import (
 from cliffrep.cli import main
 from cliffrep.represent import (
     _kron,
-    assemble_entry_images,
+    _paste_grid,
     blade_image,
     periodic_stage1,
     represent_with,
 )
-from cliffrep.rings import REAL, RingMatrix
+from cliffrep.rings import BLOCK_RING, REAL, BlockPair, RingMatrix
 from cliffrep.verify import (
     CheckReport,
     EqualityViolationError,
@@ -305,7 +305,12 @@ def _direct_nested(spec: RepSpec, stage1) -> object:
     """The inner recipe's own oracle on each stage-one entry, pasted."""
     inner = spec.node.inner
     images = [[oracle_represent(x, inner) for x in row] for row in stage1]
-    return assemble_entry_images(spec.target, images, inner.target.size)
+    t = inner.target.size
+    if spec.target.ring in BLOCK_RING:
+        plus = _paste_grid([[m.plus for m in row] for row in images], t)
+        minus = _paste_grid([[m.minus for m in row] for row in images], t)
+        return BlockPair(spec.target.ring, plus, minus)
+    return _paste_grid(images, t)
 
 
 def test_linear_inner_oracle_matches_the_direct_nested_oracle():
@@ -339,6 +344,26 @@ def test_negated_inner_unit_fails_similarity_through_the_inner_oracle():
     assert _stage_one(a, broken) == periodic_stage1(broken.node, a)
     assert _similarity_once(broken, a) == "oracle and fast path disagree"
     assert _similarity_once(spec, a) is None
+
+
+def test_sign_flipped_inner_sandwich_fails_periodic_similarity(monkeypatch):
+    # negative control for the in-place inner sum: the (9,0) recipe's inner
+    # sandwich of e1 comes back negated; stage one and the scalar's are kept
+    verify_mod = importlib.import_module("cliffrep.verify")
+    sig = Signature(9, 0)
+    inner = get_spec(sig, "periodic").node.inner
+    direct = verify_mod.oracle_represent
+    assert check_similarity(sig, "periodic", trials=3).passed
+
+    def flipped(a, spec):
+        value = direct(a, spec)
+        return -value if spec is inner and a == Multivector.blade(inner.signature, 1) else value
+
+    monkeypatch.setattr(verify_mod, "oracle_represent", flipped)
+    report = check_similarity(sig, "periodic", trials=3)
+    assert not report.passed
+    assert report.counterexample.startswith("trial 0: a = ")
+    assert report.counterexample.endswith("oracle and fast path disagree")
 
 
 def test_reader_refuses_a_ring_unit_that_is_not_a_signed_blade():
