@@ -358,24 +358,21 @@ def _mul_accumulate(sig: Signature, out: dict[int, int], xa: dict[int, int], xb:
 
     The operand with fewer blades runs the outer loop, so each of its blades
     pays for one sign mask: `_sign_mask` for a left blade, `_mirror_mask`
-    for a right one.  Only the order in which out's keys appear depends on it.
+    for a right one, either read against the other side's blades.  Only the
+    order in which out's keys appear depends on it.
     """
     neg = sig.neg_mask
     get = out.get
     if len(xb) < len(xa):
-        for mb, cb in xb.items():
-            flip = _mirror_mask(mb, neg)
-            signed = (cb, -cb)
-            for ma, ca in xa.items():
-                k = ma ^ mb
-                out[k] = get(k, 0) + signed[(flip & ma).bit_count() & 1] * ca
-        return
-    for ma, ca in xa.items():
-        flip = _sign_mask(ma, neg)
-        signed = (ca, -ca)
-        for mb, cb in xb.items():
-            k = ma ^ mb
-            out[k] = get(k, 0) + signed[(flip & mb).bit_count() & 1] * cb
+        outer, inner, mask = xb, xa, _mirror_mask
+    else:
+        outer, inner, mask = xa, xb, _sign_mask
+    for mo, co in outer.items():
+        flip = mask(mo, neg)
+        signed = (co, -co)
+        for mi, ci in inner.items():
+            k = mo ^ mi
+            out[k] = get(k, 0) + signed[(flip & mi).bit_count() & 1] * ci
 
 
 # ---------------------------------------------------------------------------

@@ -401,7 +401,8 @@ def charpoly_evaluate(coeffs: Sequence[Fraction], a: Multivector) -> Multivector
     rising = list(reversed(coeffs))
     if not rising:
         return Multivector.zero(a.sig)
-    k = isqrt(len(rising) - 2) + 1 if len(rising) > 1 else 1
+    degree = len(rising) - 1
+    k = isqrt(degree - 1) + 1 if degree else 1
     powers = [Multivector.scalar(a.sig, 1), a]
     while len(powers) <= k:
         powers.append(powers[-1] * a)

@@ -42,7 +42,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add
 from typing import Callable, Iterable, Sequence
 
 from .algebra import Multivector, Signature
@@ -173,12 +172,13 @@ def _inner_oracle(spec: RepSpec, stage1: list[list[Multivector]]) -> RingMatrix 
         value = oracle_represent(Multivector.blade(inner.signature, m), inner)
         parts = (value.plus, value.minus) if isinstance(value, BlockPair) else (value,)
         sandwiches[m] = [to_numerators(part) for part in parts]
-    ring = BLOCK_RING.get(spec.target.ring, spec.target.ring)
-    rank, t, size = COMPONENTS[ring], inner.target.size, spec.target.size
+    target = spec.target
+    ring = BLOCK_RING.get(target.ring, target.ring)
+    rank, t, size = COMPONENTS[ring], inner.target.size, target.size
     span = t * rank  # numerators in one row of an entry's image
     xden = lcm(*(x._den for row in stage1 for x in row))
     sden = lcm(*(d for parts in sandwiches.values() for _, d in parts))
-    outs = [[0] * (size * size * rank) for _ in range(1 + (ring != spec.target.ring))]
+    outs = [[0] * (size * size * rank) for _ in range(2 if target.ring in BLOCK_RING else 1)]
     for r, row in enumerate(stage1):
         for c, x in enumerate(row):
             for m, cm in x._num.items():
@@ -186,10 +186,10 @@ def _inner_oracle(spec: RepSpec, stage1: list[list[Multivector]]) -> RingMatrix 
                     f = cm * (xden // x._den) * (sden // d)
                     for i in range(t):
                         at = ((r * t + i) * size + c * t) * rank
-                        cells = slice(at, at + span)
-                        out[cells] = map(add, out[cells], [f * v for v in nums[i * span : i * span + span]])
+                        line = nums[i * span : (i + 1) * span]
+                        out[at : at + span] = [o + f * v for o, v in zip(out[at : at + span], line)]
     blocks = [from_numerators(ring, size, out, xden * sden) for out in outs]
-    return BlockPair(spec.target.ring, *blocks) if len(blocks) == 2 else blocks[0]
+    return BlockPair(target.ring, *blocks) if target.ring in BLOCK_RING else blocks[0]
 
 
 def oracle_represent(a: Multivector, spec: RepSpec) -> RingMatrix | BlockPair:
