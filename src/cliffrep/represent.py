@@ -399,22 +399,15 @@ def charpoly_evaluate(coeffs: Sequence[Fraction], a: Multivector) -> Multivector
     list is the zero polynomial.
     """
     rising = list(reversed(coeffs))
-    if not rising:
-        return Multivector.zero(a.sig)
     degree = len(rising) - 1
-    k = isqrt(degree - 1) + 1 if degree else 1
+    k = isqrt(degree - 1) + 1 if degree > 0 else 1
     powers = [Multivector.scalar(a.sig, 1), a]
     while len(powers) <= k:
         powers.append(powers[-1] * a)
-
-    def chunk(start: int) -> Multivector:
+    zero = acc = Multivector.zero(a.sig)
+    for start in reversed(range(0, len(rising), k)):
         terms = zip(powers, rising[start : start + k])
-        return sum((x * c for x, c in terms), Multivector.zero(a.sig))
-
-    starts = range(0, len(rising), k)
-    acc = chunk(starts[-1])
-    for start in reversed(starts[:-1]):
-        acc = acc * powers[k] + chunk(start)
+        acc = acc * powers[k] + sum((x * c for x, c in terms), zero)
     return acc
 
 
