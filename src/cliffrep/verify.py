@@ -167,7 +167,7 @@ def _inner_oracle(spec: RepSpec, stage1: list[list[Multivector]]) -> RingMatrix 
     the entry uses, added into the composed image's numerators over one
     common denominator."""
     inner = spec.node.inner
-    sandwiches = {}
+    sandwiches: dict[int, list[tuple[list[int], int]]] = {}
     for m in sorted({m for row in stage1 for x in row for m in x._num}):
         value = oracle_represent(Multivector.blade(inner.signature, m), inner)
         parts = (value.plus, value.minus) if isinstance(value, BlockPair) else (value,)
