@@ -9,6 +9,7 @@ import pytest
 
 from cliffrep.algebra import Multivector, Signature
 from cliffrep.catalog import MvMatrix
+from cliffrep.represent import represent
 from cliffrep.rings import (
     COMPLEX,
     DOUBLE_QUATERNION,
@@ -525,6 +526,35 @@ def test_formatter_reduces_non_reduced_numerators():
     c = from_numerators(COMPLEX, 1, [6, -4, 0, 0, -9, 3], 6)
     assert format_matrix(c) == "C(3x1)\n[    1-2/3i ]\n[         0 ]\n[ -3/2+1/2i ]"
     assert format_matrix(c) == _reference_format(c)
+
+
+# the signatures and routes a `cliffrep rep` stream serves: targets R, C, 2R
+# and the real4 embedding of (0,2)
+REP_SIGNATURES = [(2, 1, None), (0, 2, "real4"), (3, 3, None), (0, 6, None), (7, 0, None),
+                  (8, 0, None), (5, 5, None), (9, 0, None), (8, 1, None)]
+
+
+def _rep_terms(rng, n: int, density: str) -> dict[int, Fraction]:
+    """A single blade, 2 to 5 blades, or every blade (64 random ones past n = 6),
+    with fractional and negative coefficients."""
+    def coeff():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 3)))
+    if density == "single":
+        return {rng.randrange(1 << n): coeff()}
+    if density == "sparse":
+        return {rng.randrange(1 << n): coeff() for _ in range(rng.randint(2, 5))}
+    masks = range(1 << n) if n <= 6 else {rng.randrange(1 << n) for _ in range(64)}
+    return {m: coeff() for m in masks}
+
+
+@pytest.mark.parametrize("p,q,route", REP_SIGNATURES)
+def test_formatter_matches_format_scalar_on_rep_images(p, q, route):
+    sig = Signature(p, q)
+    rng = random.Random(f"formatter:rep:{p},{q}")
+    for density in ("single", "sparse", "dense"):
+        for _ in range(2):
+            image = represent(Multivector(sig, _rep_terms(rng, sig.n, density)), route).value
+            assert format_matrix(image) == _reference_format(image)
 
 
 @pytest.mark.parametrize("ring", [REAL, COMPLEX, QUATERNION])
