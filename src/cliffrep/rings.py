@@ -738,8 +738,8 @@ def _format_rows(a: RingMatrix) -> str:
 
     Each distinct value (over C and H, each distinct tuple of ``rank``
     numerators) is printed once, the cells are looked up from those texts,
-    and one row template, repeated over the rows, is filled by one
-    ``str.format`` call."""
+    and one ``%``-style row template, repeated over the rows, is filled from
+    the tuple of cell texts in one step."""
     rank, den, nums, width = COMPONENTS[a.ring], a._den, a._nums, a.ncols
     if rank == 1:
         keys = nums
@@ -750,10 +750,10 @@ def _format_rows(a: RingMatrix) -> str:
     else:
         keys = list(zip(*[iter(nums)] * rank))  # one rank-tuple per entry
         text = {part: _cell_text(part, den) for part in set(keys)}
-    cells = list(map(text.__getitem__, keys))
+    cells = tuple(map(text.__getitem__, keys))
     widths = [max(map(len, cells[c::width])) for c in range(width)]
-    row = "[ " + "  ".join(f"{{:>{w}}}" for w in widths) + " ]"
-    return "\n".join([row] * a.nrows).format(*cells)
+    row = "[ " + "  ".join([f"%{w}s" for w in widths]) + " ]"
+    return "\n".join([row] * a.nrows) % cells
 
 
 def format_ratio(x: int, den: int) -> str:

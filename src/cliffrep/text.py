@@ -9,12 +9,19 @@ generators in ascending order.  A term is the Clifford product of its
 factors in the order written, so ``e2*e1`` reads as ``-e12``; a generator may
 appear once per term.  Numbers and indices are runs of the ASCII
 digits 0-9 only.  Whitespace, meaning whatever ``str.isspace`` accepts, may
-stand between tokens but not inside a name or a rational.  The parser makes
-one pass over the text, matching one token pattern at each position, where
-a ``*`` and the name after it are read as one token; it resolves each
-distinct name to its blade mask once per call, and sums the terms as
-integer numerators over one running denominator.  The printer emits blades
-in ascending mask order and sticks to forms the parser accepts.
+stand between tokens but not inside a name or a rational.
+
+The parser reads one term per match of one pattern: its sign, its rational
+or first name, and the run of ``*`` and a name after it.  One ``findall``
+splits the run into names, each distinct name is resolved to its blade mask
+once per call, and the terms are summed as integer numerators over one
+running denominator.  No positions are kept on the way.  When a term fails a
+check, its match is walked again name by name to find the first failure in
+the order written; the position reported is that failure's, and an error
+between terms is placed from the match of the next term.
+
+The printer emits blades in ascending mask order and sticks to forms the
+parser accepts.
 """
 
 from __future__ import annotations
@@ -40,22 +47,27 @@ def ascii_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-# One token after whitespace (group 1): a generator name (family 2, digits 3),
-# a rational (numerator 4, the denominator digits 5 after a "/"), a "*" and
-# the name after it (family 6, digits 7) or an operator (8), which is a "*"
-# only when no name follows it.  The token is optional, so every match
-# succeeds and ``m.end(1)`` is where the token, or the text that is none,
-# starts.
-_TOKEN = re.compile(
-    r"(\s*)(?:(eps|e)([0-9]+)|([0-9]+)(?:/([0-9]*))?|\*\s*(eps|e)([0-9]+)|([-+*]))?"
+# One term after whitespace (group 1): the operator before it (2), a
+# rational (numerator 3, the denominator digits 4 after a "/") with the run
+# of "*" and a name after it (5), or a generator name with that run (6).
+# Every part is optional, so every match succeeds, and when neither a
+# rational nor a name matched, ``m.end()`` is where one had to start.  A
+# run takes every "*" that a name follows, so a "*" read as an operator has
+# none after it.
+_TERM = re.compile(
+    r"(\s*)(?:([-+*])\s*)?"
+    r"(?:([0-9]+)(?:/([0-9]*))?((?:\s*\*\s*(?:eps|e)[0-9]+)*)"
+    r"|((?:eps|e)[0-9]+(?:\s*\*\s*(?:eps|e)[0-9]+)*))?"
 )
+_NAME = re.compile(r"(?:eps|e)[0-9]+")
 
 
-def _to_int(digits: str, position: int) -> int:
+def _to_int(digits: str) -> int:
+    """``int(digits)``; a ValueError past the interpreter's digit limit."""
     try:
         return int(digits)
-    except ValueError:  # past the interpreter's limit on int() digits
-        raise ParseError(f"number of {len(digits)} digits is too long", position) from None
+    except ValueError:
+        raise ValueError(f"number of {len(digits)} digits is too long") from None
 
 
 def _name_error(source: str, at: int) -> ParseError:
@@ -67,83 +79,106 @@ def _name_error(source: str, at: int) -> ParseError:
     return ParseError("expected a generator name", at)
 
 
-def _blade_mask(sig: Signature, family: str, digits: str, start: int) -> int:
-    """Mask of one matched generator-family name such as ``e12`` or ``eps3``."""
+def _blade_mask(sig: Signature, name: str) -> int:
+    """Mask of one generator-family name such as ``e12`` or ``eps3``; a
+    ValueError says what is wrong with the name."""
+    family = "eps" if name.startswith("eps") else "e"
+    digits = name[len(family) :]
     size, offset = (sig.q, sig.p) if family == "eps" else (sig.p, 0)
-    value = _to_int(digits, start)
+    value = _to_int(digits)
     if len(digits) == 1 or 1 <= value <= size:
         indices = [value]
     else:
         indices = [int(d) for d in digits]
         if any(nxt <= prev for prev, nxt in zip(indices, indices[1:])):
-            raise ParseError("generator indices must be strictly ascending", start)
+            raise ValueError("generator indices must be strictly ascending")
     mask = 0
     for idx in indices:
         if not 1 <= idx <= size:
-            raise ParseError(f"generator index {idx} outside the signature", start)
+            raise ValueError(f"generator index {idx} outside the signature")
         mask |= 1 << (offset + idx - 1)
     return mask
 
 
+def _term_error(sig: Signature, m: re.Match) -> ParseError:
+    """The first error in the term that ``m`` matched, at its position: the
+    checks of ``parse_multivector`` in the order the text is written, from the
+    numerator and the denominator to each name, which may not name a
+    generator of ``sig`` or may repeat one of the names before it."""
+    at = m.start(3)
+    try:
+        if m[3] is not None:
+            _to_int(m[3])
+            if m[4] is not None:
+                at = m.start(4)
+                if not (m[4] and _to_int(m[4])):
+                    return ParseError("expected a non-zero denominator", at)
+        names = 5 if m[3] is not None else 6
+        mask = 0
+        for name in _NAME.finditer(m.string, m.start(names), m.end(names)):
+            at = name.start()
+            factor = _blade_mask(sig, name[0])
+            if factor & mask:
+                return ParseError("repeated generator in a term", at)
+            mask |= factor
+    except ValueError as err:
+        return ParseError(str(err), at)
+    raise ValueError("no check fails in the term")  # parse_multivector saw one fail
+
+
 def parse_multivector(sig: Signature, source: str) -> Multivector:
     """Parse the multivector grammar; raises ParseError with a position."""
-    match = _TOKEN.match
-    masks: dict[tuple[str, str], int] = {}  # the mask of each (family, digits) read so far
-    m = match(source)
-    if m.end(1) == len(source):
-        raise ParseError("empty expression", len(source))
+    match, find_names, neg_mask = _TERM.match, _NAME.findall, sig.neg_mask
+    masks: dict[str, int] = {}  # the mask of each name read so far
     nums: dict[int, int] = {}
-    den = 1
-    sign = -1 if m[8] == "-" else 1
-    if m[8] in ("+", "-"):
-        m = match(source, m.end())
+    den, end = 1, len(source)
+    m = match(source)
+    _, op, digits, under, run, names = m.groups()
+    if op is None and m.end(1) == end:
+        raise ParseError("empty expression", end)
+    if op == "*":
+        raise _name_error(source, m.end(1))
     while True:
-        # one term: a rational or a first generator name (groups 2, 3), then
-        # "*" and a name (groups 6, 7) as often as written; its value is
-        # sign * num / d on the blade mask
-        num = d = 1
+        # one term: its value is sign * num / d on the blade mask of its names
+        if digits is None and names is None:
+            raise _name_error(source, m.end())
         mask = 0
-        name = 2
-        if m[4] is not None:
-            num = _to_int(m[4], m.start(4))
-            if m[5] is not None:
-                d = _to_int(m[5], m.start(5)) if m[5] else 0
+        try:
+            if digits is None:
+                num = d = 1
+            else:
+                num, d, names = int(digits), 1 if under is None else int(under), run
                 if not d:
-                    raise ParseError("expected a non-zero denominator", m.start(5))
-            m = match(source, m.end())
-            name = 6
-        elif m[2] is None:
-            raise _name_error(source, m.end(1))
-        while m[name] is not None:
-            key = m.group(name, name + 1)
-            factor = masks.get(key)
-            if factor is None:  # a name's first appearance; a bad name raises here
-                factor = masks[key] = _blade_mask(sig, *key, m.start(name))
-            if factor & mask:
-                raise ParseError("repeated generator in a term", m.start(name))
-            # a factor below a generator already read is reordered past it; the
-            # term is the product in the order written
-            if mask > factor & -factor:
-                num *= _pair_sign(mask, factor, sig.neg_mask)
-            mask |= factor
-            m = match(source, m.end())
-            name = 6
-        if m[8] == "*":  # no name follows it
-            raise _name_error(source, match(source, m.end()).end(1))
+                    raise ValueError("zero denominator")
+            for name in find_names(names):
+                factor = masks.get(name)
+                if factor is None:  # a name's first appearance; a bad name raises here
+                    factor = masks[name] = _blade_mask(sig, name)
+                if factor & mask:
+                    raise ValueError("repeated generator")
+                # a factor below a generator already read is reordered past it;
+                # the term is the product in the order written
+                if mask > factor & -factor:
+                    num *= _pair_sign(mask, factor, neg_mask)
+                mask |= factor
+        except ValueError:  # a check failed; find the first one and its position
+            raise _term_error(sig, m) from None
         if d != den:
             if den % d:
                 scale = lcm(den, d) // den
                 nums = {b: c * scale for b, c in nums.items()}
                 den *= scale
             num *= den // d
-        nums[mask] = nums.get(mask, 0) + sign * num
-        if m[8] is None:
+        nums[mask] = nums.get(mask, 0) + (-num if op == "-" else num)
+        m = match(source, m.end())
+        _, op, digits, under, run, names = m.groups()
+        if op is None:
             at = m.end(1)
-            if at == len(source):
+            if at == end:
                 return Multivector._raw(sig, nums, den)
             raise ParseError(f"unexpected character {source[at]!r}", at)
-        sign = -1 if m[8] == "-" else 1
-        m = match(source, m.end())
+        if op == "*":  # no name follows it, so a rational or nothing does
+            raise _name_error(source, m.end() if digits is None else m.start(3))
 
 
 def blade_name(sig: Signature, mask: int) -> str:
