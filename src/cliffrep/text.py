@@ -15,10 +15,12 @@ The parser reads one term per match of one pattern: its sign, its rational
 or first name, and the run of ``*`` and a name after it.  One ``findall``
 splits the run into names, each distinct name is resolved to its blade mask
 once per call, and the terms are summed as integer numerators over one
-running denominator.  No positions are kept on the way.  When a term fails a
-check, its match is walked again name by name to find the first failure in
-the order written; the position reported is that failure's, and an error
-between terms is placed from the match of the next term.
+running denominator.  No positions are kept on the way: the checks run in
+the order the term is written, and the first to fail raises its message and
+leaves the index of its step (the numerator, the denominator or the i-th
+name of the run).  That index is turned into a position once, from the
+term's match: the i-th name is the i-th match of the name pattern over the
+run.  An error between terms is placed from the match of the next term.
 
 The printer emits blades in ascending mask order and sticks to forms the
 parser accepts.
@@ -27,6 +29,7 @@ parser accepts.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from math import lcm
 
 from .algebra import Multivector, Signature, _pair_sign
@@ -100,30 +103,15 @@ def _blade_mask(sig: Signature, name: str) -> int:
     return mask
 
 
-def _term_error(sig: Signature, m: re.Match) -> ParseError:
-    """The first error in the term that ``m`` matched, at its position: the
-    checks of ``parse_multivector`` in the order the text is written, from the
-    numerator and the denominator to each name, which may not name a
-    generator of ``sig`` or may repeat one of the names before it."""
-    at = m.start(3)
-    try:
-        if m[3] is not None:
-            _to_int(m[3])
-            if m[4] is not None:
-                at = m.start(4)
-                if not (m[4] and _to_int(m[4])):
-                    return ParseError("expected a non-zero denominator", at)
-        names = 5 if m[3] is not None else 6
-        mask = 0
-        for name in _NAME.finditer(m.string, m.start(names), m.end(names)):
-            at = name.start()
-            factor = _blade_mask(sig, name[0])
-            if factor & mask:
-                return ParseError("repeated generator in a term", at)
-            mask |= factor
-    except ValueError as err:
-        return ParseError(str(err), at)
-    raise ValueError("no check fails in the term")  # parse_multivector saw one fail
+def _term_position(m: re.Match, step: int) -> int:
+    """Where the term that ``m`` matched failed the check at ``step``: its
+    numerator at -2, its denominator at -1, and from 0 on the name of that
+    index in its run of names, which is that match of ``_NAME`` in the run."""
+    if step < 0:
+        return m.start(4 if step == -1 else 3)
+    run = 5 if m[3] is not None else 6
+    names = _NAME.finditer(m.string, m.start(run), m.end(run))
+    return next(islice(names, step, None)).start()
 
 
 def parse_multivector(sig: Signature, source: str) -> Multivector:
@@ -143,26 +131,29 @@ def parse_multivector(sig: Signature, source: str) -> Multivector:
         if digits is None and names is None:
             raise _name_error(source, m.end())
         mask = 0
-        try:
+        try:  # ``step`` names the check being made, for _term_position
             if digits is None:
                 num = d = 1
             else:
-                num, d, names = int(digits), 1 if under is None else int(under), run
+                step = -2
+                num = _to_int(digits)
+                step, names = -1, run
+                d = 1 if under is None else _to_int(under or "0")  # "3/" has a zero one
                 if not d:
-                    raise ValueError("zero denominator")
-            for name in find_names(names):
+                    raise ValueError("expected a non-zero denominator")
+            for step, name in enumerate(find_names(names)):
                 factor = masks.get(name)
                 if factor is None:  # a name's first appearance; a bad name raises here
                     factor = masks[name] = _blade_mask(sig, name)
                 if factor & mask:
-                    raise ValueError("repeated generator")
+                    raise ValueError("repeated generator in a term")
                 # a factor below a generator already read is reordered past it;
                 # the term is the product in the order written
                 if mask > factor & -factor:
                     num *= _pair_sign(mask, factor, neg_mask)
                 mask |= factor
-        except ValueError:  # a check failed; find the first one and its position
-            raise _term_error(sig, m) from None
+        except ValueError as err:
+            raise ParseError(str(err), _term_position(m, step)) from None
         if d != den:
             if den % d:
                 scale = lcm(den, d) // den
