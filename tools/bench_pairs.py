@@ -5,7 +5,7 @@ Usage, from the repository root, with the parent commit checked out (by
 
     python3 tools/bench_pairs.py --parent ../parent --out BENCH_26.json \\
         --pairs rep-stream=10 --pairs pullback=3 --pairs verify-sweep=3 \\
-        --seed 2601 --split-rounds 40 --split-reps 5
+        --seed 2601 --split-reps 5
 
 For each workload, pair i runs ``perfbench/run.py --trace 0`` once in each
 checkout at seed ``--seed + 100 * w + i`` (w the workload's place on the
@@ -16,15 +16,18 @@ The summary gives, per end-to-end metric, the median and quartiles
 pairs in which the change reads better.
 
 ``--split-reps`` adds the rep-stream operations timed stage by stage in
-fresh processes, the sides alternating: ``parse_multivector``,
-``represent`` and ``format_matrix`` over the expressions of
-``--split-rounds`` rep-stream rounds, with no checks, best of three passes
+fresh processes, the sides alternating: the operations of the first 40
+rounds of perfbench's own ``RepStream``, warmed by its own warmers, are run
+with no checks through a copy of the library whose ``parse_multivector``,
+``represent`` and ``format_matrix`` add up their time; best of three passes
 per process.  The rep-stream runs of both sides also give a least-squares
 fit of ``peak_rss_mb`` against ``attempted``: the bytes the harness keeps
 per operation, and the factor on the operation count at which the change's
-runs would cross the 10% ``peak_rss_mb`` bound.
+runs would cross the ``peak_rss_mb`` bound.
 
-Standard library only; perfbench/ is run as it is.
+The metrics and their bounds are read from BENCHMARK.json and every run has
+perfbench/run.py's own length.  Standard library only; perfbench/ is run as
+it is.
 """
 
 from __future__ import annotations
@@ -36,17 +39,20 @@ import statistics
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
-METRICS = {"ops_per_s": "higher", "p50_ms": "lower", "tail_ms": "lower",
-           "setup_s": "lower", "peak_rss_mb": "lower"}
-RSS_BOUND = 0.1  # BENCHMARK.json's bound on peak_rss_mb
-STAGES = ("parse", "represent", "format")
+ROOT = Path(__file__).resolve().parent.parent
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+METRICS = {metric["name"]: metric["better"] for metric in END_TO_END}
+RSS_BOUND = next(metric["bound"] for metric in END_TO_END if metric["name"] == "peak_rss_mb")
+STAGES = {"parse": "parse_multivector", "represent": "represent", "format": "format_matrix"}
+SPLIT_ROUNDS = 40
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
@@ -59,9 +65,8 @@ def quartiles(values: list[float]) -> dict:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def summarize(runs: dict[str, list[dict]], seeds: list[int], first: list[str],
-              seconds: float) -> dict:
-    out = {"k_pairs": len(seeds), "seeds": seeds, "seconds": seconds, "first": first}
+def summarize(runs: dict[str, list[dict]], seeds: list[int], first: list[str]) -> dict:
+    out = {"k_pairs": len(seeds), "seeds": seeds, "first": first}
     for name, better in METRICS.items():
         parent = [r[name] for r in runs["parent"]]
         change = [r[name] for r in runs["change"]]
@@ -100,8 +105,8 @@ def rss_fit(runs: dict[str, list[dict]]) -> dict:
     ops = statistics.fmean(r["attempted"] for r in change)
     return {
         "what": "least squares of rep-stream peak_rss_mb (MiB) on attempted, every run of "
-                "both sides; crossing_factor is 1 + 0.1 * P / (b * N), with P the change's "
-                "median peak, N its mean attempted and b the fitted bytes per operation",
+                f"both sides; crossing_factor is 1 + {RSS_BOUND} * P / (b * N), with P the "
+                "change's median peak, N its mean attempted and b the fitted bytes per operation",
         "runs": len(points), "bytes_per_op": round(slope * 2**20, 1),
         "intercept_mb": round(intercept, 3),
         "change_median_peak_mb": peak, "change_mean_attempted": round(ops),
@@ -109,60 +114,59 @@ def rss_fit(runs: dict[str, list[dict]]) -> dict:
     }
 
 
-def split_one(root: Path, rounds: int, seed: int) -> dict[str, float]:
+def split_child(seed: int) -> None:
+    """Print one process's stage times; run with a checkout as the working
+    directory, whose perfbench/ and src/ it imports."""
+    sys.path[:0] = ["perfbench"]
+    from run import import_library
+    from workloads import RepStream
+
+    lib = import_library()
+    spent = dict.fromkeys(STAGES, 0.0)
+
+    def timed(stage: str, fn):
+        def call(*args):
+            start = time.perf_counter()
+            out = fn(*args)
+            spent[stage] += time.perf_counter() - start
+            return out
+        return call
+
+    stream = RepStream(types.SimpleNamespace(**{
+        **vars(lib), **{fn: timed(stage, getattr(lib, fn)) for stage, fn in STAGES.items()}}))
+    for _, warm in stream.warmers():
+        warm()
+    ops = [op for index in range(SPLIT_ROUNDS) for op in stream.round(seed, index)]
+    best = None
+    for _ in range(3):
+        spent.update(dict.fromkeys(STAGES, 0.0))
+        for op in ops:
+            op.run()
+        if best is None or sum(spent.values()) < sum(best.values()):
+            best = dict(spent)
+    print(json.dumps({"ops": len(ops), **best}))
+
+
+def split_one(root: Path, seed: int) -> dict[str, float]:
     """Time each stage of rep-stream's operations in a fresh process."""
-    code = f"""
-import json, sys, time
-sys.path[:0] = ["src", "perfbench"]
-from workloads import RepStream, expression, round_rng
-from cliffrep.algebra import Signature
-from cliffrep.catalog import get_spec
-from cliffrep.represent import represent
-from cliffrep.rings import format_matrix
-from cliffrep.text import parse_multivector
-ops = []
-for p, q, route in RepStream.SIGNATURES:
-    get_spec(Signature(p, q), route)
-for index in range({rounds}):
-    rng = round_rng(RepStream.name, {seed}, index)
-    for p, q, route in RepStream.SIGNATURES:
-        for _ in range(RepStream.ELEMENTS.get((p, q), 1)):
-            for _, make in RepStream.DENSITIES:
-                ops.append((Signature(p, q), route, expression(p, q, make(rng, p + q))))
-best = None
-for _ in range(3):
-    spent = [0.0, 0.0, 0.0]
-    for sig, route, source in ops:
-        t0 = time.perf_counter()
-        a = parse_multivector(sig, source)
-        t1 = time.perf_counter()
-        image = represent(a, route)
-        t2 = time.perf_counter()
-        format_matrix(image.value)
-        t3 = time.perf_counter()
-        spent[0] += t1 - t0
-        spent[1] += t2 - t1
-        spent[2] += t3 - t2
-    best = spent if best is None or sum(spent) < sum(best) else best
-print(json.dumps({{"ops": len(ops), "seconds": best}}))
-"""
+    code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+            f"import bench_pairs; bench_pairs.split_child({seed})")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
                           capture_output=True, text=True, check=True)
-    result = json.loads(done.stdout)
-    return {"ops": result["ops"], **dict(zip(STAGES, result["seconds"]))}
+    return json.loads(done.stdout)
 
 
-def split(roots: dict[str, Path], reps: int, rounds: int, seed: int) -> dict:
+def split(roots: dict[str, Path], reps: int, seed: int) -> dict:
     samples: dict[str, list[dict]] = {"parent": [], "change": []}
     for rep in range(reps):
         order = ("parent", "change") if rep % 2 == 0 else ("change", "parent")
         for side in order:
-            samples[side].append(split_one(roots[side], rounds, seed))
+            samples[side].append(split_one(roots[side], seed))
     out = {"what": f"fresh processes, sides alternating, {reps} each: parse_multivector, "
-                   f"represent and format_matrix over the operations of rep-stream rounds "
-                   f"0-{rounds - 1} at seed {seed}, no checks; each process reports the "
-                   f"best of 3 passes; ms per pass, best and median over the processes",
+                   f"represent and format_matrix over the operations of RepStream rounds "
+                   f"0-{SPLIT_ROUNDS - 1} at seed {seed}, no checks; each process reports "
+                   f"the best of 3 passes; ms per pass, best and median over the processes",
            "ops_per_pass": samples["parent"][0]["ops"]}
     for side, runs in samples.items():
         totals = [sum(r[s] for s in STAGES) for r in runs]
@@ -187,9 +191,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--pairs", action="append", default=[], metavar="WORKLOAD=K")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--split-reps", type=int, default=0)
-    parser.add_argument("--split-rounds", type=int, default=40)
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     report: dict = {
@@ -197,8 +199,8 @@ def main(argv=None) -> int:
                        "--trace 0, the side that runs first alternating from pair to pair; "
                        "medians and quartiles (inclusive method) of each side; change_wins "
                        "counts the pairs in which the change read better.",
-        "command": f"PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py --workload W "
-                   f"--seed S --seconds {args.seconds:g} --trace 0",
+        "command": "PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py --workload W "
+                   "--seed S --trace 0",
         "python": sys.version.split()[0], "nproc": os.cpu_count(),
         "workloads": {}, "findings": {},
     }
@@ -212,17 +214,17 @@ def main(argv=None) -> int:
         for seed, lead in zip(seeds, first):
             for side in (lead, "change" if lead == "parent" else "parent"):
                 start = time.perf_counter()
-                runs[side].append(run_once(roots[side], workload, seed, args.seconds))
+                runs[side].append(run_once(roots[side], workload, seed))
                 print(f"{workload} seed {seed} {side}: ops_per_s "
                       f"{runs[side][-1]['ops_per_s']:.1f} ({time.perf_counter() - start:.0f} s)",
                       file=sys.stderr)
-        summary = report["workloads"][workload] = summarize(runs, seeds, first, args.seconds)
+        summary = report["workloads"][workload] = summarize(runs, seeds, first)
         report["findings"][workload] = finding(summary)
         if workload == "rep-stream":
             report["rep_stream_rss_fit"] = rss_fit(runs)
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     if args.split_reps:
-        report["rep_stream_split"] = split(roots, args.split_reps, args.split_rounds, args.seed)
+        report["rep_stream_split"] = split(roots, args.split_reps, args.seed)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
