@@ -56,6 +56,7 @@ from cliffrep.rings import (
     RingScalar,
     UnsupportedRingError,
     format_matrix,
+    from_numerators,
     mat_inverse,
     ring_identity,
 )
@@ -635,14 +636,16 @@ def test_blade_image_unit_outside_the_target_ring_raises():
 
 
 def _dense(image):
-    """The quaternion matrix (or pair) a compiled image stands for."""
+    """The quaternion matrix (or pair) a compiled image stands for, written
+    row by row as four components per entry."""
     if isinstance(image, tuple):
         return tuple(map(_dense, image))
     size = len(image) // 2
-    rows = [[(0, 0, 0, 0)] * size for _ in range(size)]
-    for r, (col, code) in enumerate(zip(image, image[size:])):
-        rows[r][col] = tuple((-1 if code & 1 else 1) * (u == code >> 1) for u in range(4))
-    return RingMatrix.from_components(QUATERNION, rows)
+    comps = []
+    for col, code in zip(image, image[size:]):
+        unit = tuple((-1 if code & 1 else 1) * (u == code >> 1) for u in range(4))
+        comps += (0, 0, 0, 0) * col + unit + (0, 0, 0, 0) * (size - 1 - col)
+    return from_numerators(QUATERNION, size, comps, 1)
 
 
 def _written_kron(left, right, neg):
@@ -723,6 +726,82 @@ def test_no_step_multiplies_units_by_units_or_pairs_by_pairs():
         assert not (left[0] and right[0]), (spec, "units on both factors")
         assert not (left[1] and right[1]), (spec, "two doubled factors")
     assert kinds == set(_PATTERNS)
+
+
+# -- the fast path against the written-out blade images
+
+
+def _as_quaternion(value):
+    """A fast-path image (or pair) with every entry padded to four components."""
+    if isinstance(value, BlockPair):
+        return _as_quaternion(value.plus), _as_quaternion(value.minus)
+    rank = COMPONENTS[value.ring]
+    nums, den = rings.to_numerators(value)
+    comps = [x for i in range(0, len(nums), rank) for x in nums[i : i + rank] + [0] * (4 - rank)]
+    return from_numerators(QUATERNION, value.ncols, comps, den)
+
+
+def _written_sum(a, dense):
+    """sum(a_m * rho(e_m)) over the quaternion matrices ``dense[m]``."""
+    total = None
+    for mask, coeff in a.terms():
+        term = tuple(b.scale(coeff) for b in dense[mask])
+        total = term if total is None else tuple(x + y for x, y in zip(total, term))
+    return total
+
+
+def _blades(image):
+    return image if isinstance(image, tuple) else (image,)
+
+
+def _cancelling(spec, masks):
+    """The first blade in ``masks`` whose image holds -1 on the diagonal, where
+    the unit's image holds +1, or None."""
+    size = spec.target.size
+    for mask in masks:
+        blocks = _blades(blade_image(spec, mask))
+        if any(c == r and code == 1 for b in blocks for r, (c, code) in enumerate(zip(b, b[size:]))):
+            return mask
+    return None
+
+
+def _reference_cases():
+    """(label, spec, elements, blades): seeded single, sparse and dense
+    elements, and one whose coefficients cancel in some cells, on every
+    listed recipe with n <= 8 and on 20 seeded blades at (17,0)."""
+    specs = [get_spec(sig, route) for sig, routes in catalog_signatures() if sig.n <= 8
+             for route in routes]
+    specs.append(get_spec(Signature(17, 0)))
+    for spec in specs:
+        sig = spec.signature
+        rng = random.Random(f"reference:{sig.p},{sig.q},{spec.route}")
+        flip = _cancelling(spec, range(1, sig.dim))
+        masks = list(range(sig.dim)) if sig.n <= 8 else [0] + rng.sample(range(1, sig.dim), 19)
+        if flip is not None and flip not in masks:
+            masks[-1] = flip
+        elements = {
+            "single": Multivector(sig, {rng.choice(masks): _coeff(rng)}),
+            "sparse": Multivector(sig, {rng.choice(masks): _coeff(rng) for _ in range(3)}),
+            "dense": Multivector(sig, {m: _coeff(rng) for m in masks}),
+        }
+        if flip is not None:
+            x, extra = _coeff(rng), rng.choice(masks)  # an extra blade of 0 or flip is overridden
+            elements["cancel"] = Multivector(sig, {extra: _coeff(rng), 0: x, flip: x})
+        yield f"{sig.p},{sig.q},{spec.route}", spec, elements, masks
+
+
+def test_images_match_the_written_out_sum_of_blade_images():
+    uncancelled = set()
+    for label, spec, elements, masks in _reference_cases():
+        dense = {m: _blades(_dense(blade_image(spec, m))) for m in masks}
+        for kind, a in elements.items():
+            image = _blades(_as_quaternion(represent_with(spec, a)))
+            assert image == _written_sum(a, dense), (label, kind)
+        if "cancel" not in elements:
+            uncancelled.add(label)
+    # as algebras R, C and H have no two blades whose images share a cell
+    assert uncancelled == {"0,0,scalar", "0,1,real2", "0,1,complex1", "0,2,quaternion",
+                           "0,2,complex2", "0,2,real4"}
 
 
 # -- rectangular lifts
