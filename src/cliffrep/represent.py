@@ -16,6 +16,7 @@ import operator
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
 from math import isqrt, lcm
 from typing import Sequence
 
@@ -156,43 +157,66 @@ def _cell_count(target: Target) -> int:
     return blocks * COMPONENTS[target.ring] * target.size * target.size
 
 
-def _blade_cells(spec: RepSpec, mask: int) -> array:
-    """The cells of a blade image's entries, memoized on the spec.  A cell
-    numbers the block, row, column and unit as the flat numerators of the
-    image's blocks laid end to end, ((block*size + row)*size + col)*rank +
-    unit; a -1 entry's cell is offset by _cell_count.  A spec keeps one per
-    blade it has represented, so they are arrays of 16-bit cells where the
-    doubled count fits."""
+# row-code masks for itertools.compress: the +1 entries, then the -1 entries
+_PLUS = bytes(1 - (code & 1) for code in range(256))
+_MINUS = bytes(code & 1 for code in range(256))
+
+
+class _Cells(array):
+    """The cells of a blade image's +1 entries, carrying those of its -1
+    entries as ``minus``; a slot rather than a tuple of the two runs keeps the
+    memo to one array header a blade more than a single run."""
+
+    __slots__ = ("minus",)
+
+
+def _blade_cells(spec: RepSpec, mask: int) -> _Cells:
+    """The cells of a blade image's +1 entries, and of its -1 entries as
+    ``minus``, memoized on the spec.  A cell numbers the block, row, column
+    and unit as the flat numerators of the image's blocks laid end to end,
+    ((block*size + row)*size + col)*rank + unit, so both runs hold cells
+    below _cell_count and together one cell per row of each block.  A spec
+    keeps the runs of every blade it has represented, so they are arrays of
+    16-bit cells where the count fits."""
     cells = spec.blade_cells.get(mask)
     if cells is None:
         size, rank = spec.target.size, COMPONENTS[spec.target.ring]
         span, total = rank * size * size, _cell_count(spec.target)
-        cells = array("H" if 2 * total <= 1 << 16 else "i")
+        plus: list[int] = []
+        minus: list[int] = []
         for b, block in enumerate(_blocks(blade_image(spec, mask))):
+            codes = block[size:]
             # a unit past the ring's components would land on the next entry
-            if max(block[size:]) >> 1 >= rank:
+            if max(codes) >> 1 >= rank:
                 raise CatalogError(
                     f"{spec.signature} route {spec.route}: blade {mask:#x} has a unit "
                     f"outside {spec.target.ring}"
                 )
             row_base = range(b * span, (b + 1) * span, rank * size)
-            cells.extend(
-                base + rank * col + (code >> 1) + (total if code & 1 else 0)
-                for base, col, code in zip(row_base, block, block[size:])
-            )
-        spec.blade_cells[mask] = cells
+            flat = [base + rank * col + (code >> 1) for base, col, code in zip(row_base, block, codes)]
+            plus += compress(flat, codes.translate(_PLUS))
+            minus += compress(flat, codes.translate(_MINUS))
+        typecode = "H" if total <= 1 << 16 else "i"
+        cells = spec.blade_cells[mask] = _Cells(typecode, plus)
+        cells.minus = array(typecode, minus)
     return cells
 
 
 def _counters(spec: RepSpec, num: dict[int, int]) -> list[int]:
     """Flat numerators of sum(num[m] * rho(e_m)), its blocks end to end, each
-    laid out as rings.to_numerators reads a block."""
-    total = _cell_count(spec.target)
-    counts = [0] * (2 * total)  # the +1 entries' sums, then the -1 entries'
+    laid out as rings.to_numerators reads a block: each coefficient is added
+    along its blade's +1 cells and subtracted along its -1 cells."""
+    counts = [0] * _cell_count(spec.target)
+    memo = spec.blade_cells
     for mask, x in num.items():
-        for cell in _blade_cells(spec, mask):
+        plus = memo.get(mask)
+        if plus is None:
+            plus = _blade_cells(spec, mask)
+        for cell in plus:
             counts[cell] += x
-    return list(map(operator.sub, counts[:total], counts[total:]))
+        for cell in plus.minus:
+            counts[cell] -= x
+    return counts
 
 
 def _image(spec: RepSpec, a: Multivector) -> RingMatrix | BlockPair:
@@ -250,11 +274,12 @@ def represent_with(spec: RepSpec, a: Multivector) -> RingMatrix | BlockPair:
 # reconstruction
 
 
-def _trace_sums(spec: RepSpec, counts: list[int]) -> list[int]:
-    """Re tr(rho(e_m)* X), summed over blocks, for every mask m: on the flat
-    numerators of X, a signed sum of one component per row of rho(e_m)."""
-    signed = counts + [-x for x in counts]
-    return [sum(map(signed.__getitem__, _blade_cells(spec, m))) for m in range(spec.signature.dim)]
+def _trace_sums(cells: Sequence[_Cells], counts: list[int]) -> list[int]:
+    """Re tr(rho(e_m)* X), summed over blocks, for every blade m given its
+    cells: on the flat numerators of X, the sum at rho(e_m)'s +1 cells less
+    the sum at its -1 cells."""
+    get = counts.__getitem__
+    return [sum(map(get, plus)) - sum(map(get, plus.minus)) for plus in cells]
 
 
 # The certificate holds one entry per row of every blade image, dim * N in
@@ -277,33 +302,40 @@ def _certificate_norm(spec: RepSpec) -> int:
     return norm
 
 
+def _signed_keys(plus: _Cells):
+    """A blade's cells filed by sign: each +1 cell as itself, each -1 cell as ~cell."""
+    return chain(plus, map(operator.invert, plus.minus))
+
+
 class BasisImageTable:
     """The compiled images of all basis blades of one recipe, certified.
 
     The exact certificate: under the real trace form the Gram matrix of the
     images is N = size * blocks times the identity, so the 2^n images are
     independent (the representation is faithful) and each coefficient of an
-    element is its trace form against that blade's image, over N.
+    element is its trace form against that blade's image, over N.  The table
+    holds every blade's cell runs in mask order; the Gram pass files each
+    cell's partners by sign, and a trace form is the sum at a blade's +1
+    cells less the sum at its -1 cells.
     """
 
     def __init__(self, spec: RepSpec):
         self.spec = spec
         self.norm = _certificate_norm(spec)
+        self.cells = [_blade_cells(spec, mask) for mask in range(spec.signature.dim)]
         # Gram entry (m, m') is the signed count of cells (block, row, column,
         # unit) the two images share: a partner filed under the same signed
-        # cell adds one, one filed under its twin (offset by _cell_count) takes one
-        total = _cell_count(spec.target)
-        images = [_blade_cells(spec, mask) for mask in range(spec.signature.dim)]
+        # key adds one, one filed under the key of the other sign takes one
         partners: dict[int, list[int]] = {}
-        for mask, cells in enumerate(images):
-            for cell in cells:
-                partners.setdefault(cell, []).append(mask)
-        for mask, cells in enumerate(images):
+        for mask, plus in enumerate(self.cells):
+            for key in _signed_keys(plus):
+                partners.setdefault(key, []).append(mask)
+        for mask, plus in enumerate(self.cells):
             gram_row = {mask: -self.norm}
-            for cell in cells:
-                for other in partners[cell]:
+            for key in _signed_keys(plus):
+                for other in partners[key]:
                     gram_row[other] = gram_row.get(other, 0) + 1
-                for other in partners.get(cell - total if cell >= total else cell + total, ()):
+                for other in partners.get(~key, ()):
                     gram_row[other] = gram_row.get(other, 0) - 1
             bad = [m for m, x in gram_row.items() if x]
             if bad:
@@ -322,7 +354,7 @@ class BasisImageTable:
         parts = [to_numerators(b) for b in blocks]
         den = lcm(*(d for _, d in parts))
         counts = [x * (den // d) for nums, d in parts for x in nums]
-        coeffs = {m: x for m, x in enumerate(_trace_sums(self.spec, counts)) if x}
+        coeffs = {m: x for m, x in enumerate(_trace_sums(self.cells, counts)) if x}
         result = Multivector._raw(self.spec.signature, coeffs, den * self.norm)
         if represent_with(self.spec, result) != value:
             raise NotInImageError("matrix lies outside the representation's image space")

@@ -32,6 +32,7 @@ from cliffrep.represent import (
     NotInImageError,
     RepImage,
     _blade_cells,
+    _cell_count,
     _kron,
     basis_table,
     blade_image,
@@ -802,6 +803,18 @@ def test_images_match_the_written_out_sum_of_blade_images():
     # as algebras R, C and H have no two blades whose images share a cell
     assert uncancelled == {"0,0,scalar", "0,1,real2", "0,1,complex1", "0,2,quaternion",
                            "0,2,complex2", "0,2,real4"}
+
+
+def test_blade_cell_runs_are_disjoint_and_hold_one_cell_per_row():
+    for label, spec, _, masks in _reference_cases():
+        target = spec.target
+        total, width = _cell_count(target), COMPONENTS[target.ring] * target.size
+        rows = total // width  # size rows in each block
+        for mask in masks:
+            plus = _blade_cells(spec, mask)
+            assert not set(plus) & set(plus.minus), (label, mask)
+            assert sorted(c // width for c in [*plus, *plus.minus]) == list(range(rows)), (label, mask)
+            assert max(plus, default=0) < total and max(plus.minus, default=0) < total, (label, mask)
 
 
 # -- rectangular lifts
