@@ -12,8 +12,11 @@ checkout at seed ``--seed + 100 * w + i`` (w the workload's place on the
 command line), the parent first in even pairs and the change first in odd
 ones.  Each run is a fresh process, started with PYTHONDONTWRITEBYTECODE=1.
 The summary gives, per end-to-end metric, the median and quartiles
-(inclusive method) of each side, the ratio of the medians, and the number of
-pairs in which the change reads better.
+(inclusive method) of each side, the ratio of the medians, the number of
+pairs in which the change reads better, and whether the gain rule holds: the
+change wins at least nine tenths of the pairs, ties counting for neither,
+and its median is better than the parent's by more than the distance between
+the parent's quartiles.  Each ``findings`` line says so per metric.
 
 ``--split-reps`` adds the rep-stream operations timed stage by stage in
 fresh processes, the sides alternating: the operations of the first 40
@@ -66,16 +69,25 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(runs: dict[str, list[dict]], seeds: list[int], first: list[str]) -> dict:
+    """Per metric: each side's quartiles, the ratio of the medians, the pairs
+    the change won (ties count for neither side), and whether the gain rule
+    holds: at least nine tenths of the pairs won, and the medians apart, in
+    the better direction, by more than the parent's quartile spread."""
     out = {"k_pairs": len(seeds), "seeds": seeds, "first": first}
     for name, better in METRICS.items():
         parent = [r[name] for r in runs["parent"]]
         change = [r[name] for r in runs["change"]]
         ratios = [c / p for p, c in zip(parent, change)]
         wins = sum(r > 1 if better == "higher" else r < 1 for r in ratios)
+        q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+        gap = statistics.median(change) - statistics.median(parent)
+        gap = gap if better == "higher" else -gap
         out[name] = {
             "parent": quartiles(parent), "change": quartiles(change),
             "change_over_parent": round(statistics.median(change) / statistics.median(parent), 4),
             "change_wins": wins,
+            "median_gap": round(gap, 4), "parent_spread": round(q3 - q1, 4),
+            "gain_rule": wins >= 0.9 * len(ratios) and gap > q3 - q1,
             "per_pair_change_over_parent": [round(r, 4) for r in ratios],
             "parent_runs": [round(x, 4) for x in parent],
             "change_runs": [round(x, 4) for x in change],
@@ -89,8 +101,9 @@ def finding(summary: dict) -> str:
     parts = []
     for metric in METRICS:
         m = summary[metric]
+        rule = "gain rule met" if m["gain_rule"] else "gain rule not met"
         parts.append(f"{metric} {m['parent']['median']} -> {m['change']['median']} "
-                     f"({m['change_over_parent'] - 1:+.1%}, {m['change_wins']} wins)")
+                     f"({m['change_over_parent'] - 1:+.1%}, {m['change_wins']} wins, {rule})")
     failed = summary["failed"]
     return (f"{summary['k_pairs']} pairs: " + "; ".join(parts)
             + f"; failed {sum(failed['parent'])} and {sum(failed['change'])}.")
@@ -198,7 +211,10 @@ def main(argv=None) -> int:
         "description": "Parent against this change: alternating runs of perfbench/run.py "
                        "--trace 0, the side that runs first alternating from pair to pair; "
                        "medians and quartiles (inclusive method) of each side; change_wins "
-                       "counts the pairs in which the change read better.",
+                       "counts the pairs in which the change read better; gain_rule holds "
+                       "when it won at least 9/10 of the pairs and median_gap, the medians' "
+                       "distance in the better direction, exceeds parent_spread, the "
+                       "distance between the parent's quartiles.",
         "command": "PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py --workload W "
                    "--seed S --trace 0",
         "python": sys.version.split()[0], "nproc": os.cpu_count(),
