@@ -182,8 +182,7 @@ def _blade_cells(spec: RepSpec, mask: int) -> _Cells:
     if cells is None:
         size, rank = spec.target.size, COMPONENTS[spec.target.ring]
         span, total = rank * size * size, _cell_count(spec.target)
-        plus: list[int] = []
-        minus: list[int] = []
+        plus, minus = [], []
         for b, block in enumerate(_blocks(blade_image(spec, mask))):
             codes = block[size:]
             # a unit past the ring's components would land on the next entry
@@ -193,7 +192,8 @@ def _blade_cells(spec: RepSpec, mask: int) -> _Cells:
                     f"outside {spec.target.ring}"
                 )
             row_base = range(b * span, (b + 1) * span, rank * size)
-            flat = [base + rank * col + (code >> 1) for base, col, code in zip(row_base, block, codes)]
+            flat = [base + rank * col + (code >> 1)
+                    for base, col, code in zip(row_base, block, codes)]
             plus += compress(flat, codes.translate(_PLUS))
             minus += compress(flat, codes.translate(_MINUS))
         typecode = "H" if total <= 1 << 16 else "i"
@@ -302,11 +302,6 @@ def _certificate_norm(spec: RepSpec) -> int:
     return norm
 
 
-def _signed_keys(plus: _Cells):
-    """A blade's cells filed by sign: each +1 cell as itself, each -1 cell as ~cell."""
-    return chain(plus, map(operator.invert, plus.minus))
-
-
 class BasisImageTable:
     """The compiled images of all basis blades of one recipe, certified.
 
@@ -324,15 +319,16 @@ class BasisImageTable:
         self.norm = _certificate_norm(spec)
         self.cells = [_blade_cells(spec, mask) for mask in range(spec.signature.dim)]
         # Gram entry (m, m') is the signed count of cells (block, row, column,
-        # unit) the two images share: a partner filed under the same signed
-        # key adds one, one filed under the key of the other sign takes one
+        # unit) the two images share.  Cells are filed by sign, a +1 cell as
+        # itself and a -1 cell as ~cell: a partner filed under the same key
+        # adds one, one filed under the key of the other sign takes one
         partners: dict[int, list[int]] = {}
         for mask, plus in enumerate(self.cells):
-            for key in _signed_keys(plus):
+            for key in chain(plus, map(operator.invert, plus.minus)):
                 partners.setdefault(key, []).append(mask)
         for mask, plus in enumerate(self.cells):
             gram_row = {mask: -self.norm}
-            for key in _signed_keys(plus):
+            for key in chain(plus, map(operator.invert, plus.minus)):
                 for other in partners[key]:
                     gram_row[other] = gram_row.get(other, 0) + 1
                 for other in partners.get(~key, ()):

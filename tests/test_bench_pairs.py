@@ -22,7 +22,8 @@ def _runs(bp, parent_p50, change_p50):
     more operations, and the peak grows by 128 B an operation over 20 MiB."""
     runs = {"parent": [], "change": []}
     for i, (p50_a, p50_b) in enumerate(zip(parent_p50, change_p50)):
-        for side, p50, ops in (("parent", p50_a, 10_000 + 100 * i), ("change", p50_b, 11_000 + 110 * i)):
+        sides = (("parent", p50_a, 10_000 + 100 * i), ("change", p50_b, 11_000 + 110 * i))
+        for side, p50, ops in sides:
             run = {name: 1.0 for name in bp["METRICS"]}
             run.update(p50_ms=p50, attempted=ops, failed=0,
                        peak_rss_mb=20 + ops * 128 / 2**20)
@@ -41,7 +42,8 @@ def test_a_lower_is_better_gain_meets_the_rule(bp):
     summary = _summary(bp, _runs(bp, parent, change))
     p50 = summary["p50_ms"]
     assert p50["change_wins"] == 9
-    assert p50["median_gap"] == pytest.approx(0.10) and p50["parent_spread"] == pytest.approx(0.0175)
+    assert p50["median_gap"] == pytest.approx(0.10)
+    assert p50["parent_spread"] == pytest.approx(0.0175)
     assert p50["gain_rule"] is True
     assert "p50_ms 1.0 -> 0.9 (-10.0%, 9 wins, gain rule met)" in bp["finding"](summary)
 

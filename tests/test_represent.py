@@ -761,7 +761,8 @@ def _cancelling(spec, masks):
     size = spec.target.size
     for mask in masks:
         blocks = _blades(blade_image(spec, mask))
-        if any(c == r and code == 1 for b in blocks for r, (c, code) in enumerate(zip(b, b[size:]))):
+        rows = (enumerate(zip(b, b[size:])) for b in blocks)
+        if any(c == r and code == 1 for block in rows for r, (c, code) in block):
             return mask
     return None
 
@@ -813,8 +814,9 @@ def test_blade_cell_runs_are_disjoint_and_hold_one_cell_per_row():
         for mask in masks:
             plus = _blade_cells(spec, mask)
             assert not set(plus) & set(plus.minus), (label, mask)
-            assert sorted(c // width for c in [*plus, *plus.minus]) == list(range(rows)), (label, mask)
-            assert max(plus, default=0) < total and max(plus.minus, default=0) < total, (label, mask)
+            cells = [*plus, *plus.minus]
+            assert sorted(c // width for c in cells) == list(range(rows)), (label, mask)
+            assert max(cells) < total, (label, mask)
 
 
 # -- rectangular lifts
