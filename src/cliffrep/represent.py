@@ -165,7 +165,7 @@ _MINUS = bytes(code & 1 for code in range(256))
 class _Cells(array):
     """The cells of a blade image's +1 entries, carrying those of its -1
     entries as ``minus``; a slot rather than a tuple of the two runs keeps the
-    memo to one array header a blade more than a single run."""
+    memo to about one array header a blade more than a single run."""
 
     __slots__ = ("minus",)
 

@@ -32,6 +32,7 @@ from cliffrep.represent import (
     NotInImageError,
     RepImage,
     _blade_cells,
+    _blocks,
     _cell_count,
     _kron,
     basis_table,
@@ -751,16 +752,12 @@ def _written_sum(a, dense):
     return total
 
 
-def _blades(image):
-    return image if isinstance(image, tuple) else (image,)
-
-
 def _cancelling(spec, masks):
     """The first blade in ``masks`` whose image holds -1 on the diagonal, where
     the unit's image holds +1, or None."""
     size = spec.target.size
     for mask in masks:
-        blocks = _blades(blade_image(spec, mask))
+        blocks = _blocks(blade_image(spec, mask))
         rows = (enumerate(zip(b, b[size:])) for b in blocks)
         if any(c == r and code == 1 for block in rows for r, (c, code) in block):
             return mask
@@ -795,9 +792,9 @@ def _reference_cases():
 def test_images_match_the_written_out_sum_of_blade_images():
     uncancelled = set()
     for label, spec, elements, masks in _reference_cases():
-        dense = {m: _blades(_dense(blade_image(spec, m))) for m in masks}
+        dense = {m: _blocks(_dense(blade_image(spec, m))) for m in masks}
         for kind, a in elements.items():
-            image = _blades(_as_quaternion(represent_with(spec, a)))
+            image = _blocks(_as_quaternion(represent_with(spec, a)))
             assert image == _written_sum(a, dense), (label, kind)
         if "cancel" not in elements:
             uncancelled.add(label)
