@@ -14,6 +14,10 @@ every right blade at any width, with no table (bitmap blades, as in Dorst,
 Fontijne & Mann, *Geometric Algebra for Computer Science*), and its mirror
 image, one mask of the right blade (`_mirror_mask`), gives it against every
 left blade; the product loops over whichever operand has fewer blades.
+
+A split over two commuting generator lists (`SplitBasis`) must be a signed
+permutation of the blades, checked when it is made, so each recipe step
+reads the factors of a blade off one lookup.
 """
 
 from __future__ import annotations
@@ -430,53 +434,15 @@ class GeneratorList:
         return value
 
 
-def _single_signed_blade(mv: Multivector) -> tuple[int, Fraction] | None:
-    if len(mv._num) != 1:
-        return None
-    ((mask, num),) = mv._num.items()
-    return mask, Fraction(num, mv._den)
-
-
-def _subset_blades(gens: GeneratorList) -> list[tuple[int, int]] | None:
-    """(sign, blade) of every ordered subset product of ``gens``, indexed by
-    subset mask, when each generator is a signed blade; else None."""
-    blades = [_single_signed_blade(g) for g in gens.elements]
-    if None in blades:
-        return None
-    neg = gens.sig.neg_mask
-    products = [(1, 0)]
-    for mask, coeff in blades:
-        # the new generator has the highest index, so it multiplies on the right
-        products += [(s * int(coeff) * _pair_sign(m, mask, neg), m ^ mask) for s, m in products]
-    return products
-
-
-def _blade_lookup(sub: GeneratorList, outer: GeneratorList) -> dict[int, tuple[int, int, int]] | None:
-    """Host blade -> (outer mask, sub mask, sign) when the products
-    (sub)_S * (outer)_A are distinct signed blades, by blade arithmetic;
-    otherwise None."""
-    sub_blades, outer_blades = _subset_blades(sub), _subset_blades(outer)
-    if sub_blades is None or outer_blades is None:
-        return None
-    neg = sub.sig.neg_mask
-    lookup: dict[int, tuple[int, int, int]] = {}
-    for amask, (asign, ablade) in enumerate(outer_blades):
-        for smask, (ssign, sblade) in enumerate(sub_blades):
-            mask = sblade ^ ablade
-            if mask in lookup:
-                return None
-            lookup[mask] = (amask, smask, ssign * asign * _pair_sign(sblade, ablade, neg))
-    return lookup
-
-
 class SplitBasis:
     """Rewriting of host elements over (sub generators) x (outer generators).
 
-    Solves the linear change of basis from host blades to the products
-    (sub)_S * (outer)_A.  When every product is a single signed blade the
-    basis change is a signed permutation and decomposition is a per-blade
-    lookup; otherwise an exact dense solve over the 2^n blade coordinates
-    is factored once and reused.
+    Every generator is a signed blade and the products (sub)_S * (outer)_A
+    are distinct signed blades, so the change of basis from host blades to
+    these products is a signed permutation: ``_lookup`` maps a host blade to
+    (outer mask, sub mask, sign), built by blade arithmetic when the split is
+    made.  A split that is not a signed permutation raises StructureError
+    there; this module is the one place that decides it.
     """
 
     def __init__(self, sub: GeneratorList, outer: GeneratorList):
@@ -489,69 +455,45 @@ class SplitBasis:
         self.sig = sub.sig
         self.sub = sub
         self.outer = outer
-        self._lookup = _blade_lookup(sub, outer)
-        self._solver = _DenseBasisSolver(sub, outer) if self._lookup is None else None
+        # (sub)_S * (outer)_A is the ordered product of the subset S | A << len(sub)
+        # of sub's generators then outer's, as (sign, blade); each new
+        # generator has the highest index, so it multiplies on the right
+        products = [(1, 0)]
+        for g in sub.elements + outer.elements:
+            if len(g._num) != 1:
+                raise StructureError(f"generator {g} is not a signed blade")
+            ((mask, sign),) = g._num.items()  # +1 or -1, as g squares to +1 or -1
+            flip, signed = _mirror_mask(mask, self.sig.neg_mask), (sign, -sign)
+            products += [(s * signed[(flip & m).bit_count() & 1], m ^ mask) for s, m in products]
+        width, low = len(sub), (1 << len(sub)) - 1
+        self._lookup = {m: (i >> width, i & low, s) for i, (s, m) in enumerate(products)}
+        if len(self._lookup) < len(products):
+            raise StructureError("the sub x outer products are not distinct blades")
 
     def decompose(self, a: Multivector) -> dict[int, Multivector]:
-        """Components of ``a`` keyed by outer subset mask, as abstract sub elements."""
+        """Components of ``a`` keyed by outer subset mask, as abstract sub
+        elements.  The recipes read ``_lookup`` itself; this stays while
+        perfbench/tracing.py traces it by name (tests/test_tracer_targets.py)."""
         if a.sig != self.sig:
             raise SignatureMismatchError("element from a different algebra")
-        if self._lookup is not None:
-            buckets: dict[int, dict[int, Fraction]] = {}
-            for mask, coeff in a.terms():
-                hit = self._lookup.get(mask)
-                if hit is None:
-                    raise DecompositionError(
-                        f"blade {mask:#x} is not reachable from the given generators"
-                    )
-                amask, smask, factor = hit
-                buckets.setdefault(amask, {})[smask] = coeff / factor
-            sub_sig = self.sub.abstract_signature
-            return {am: Multivector(sub_sig, terms) for am, terms in buckets.items()}
-        return self._solver.decompose(a)
-
-
-class _DenseBasisSolver:
-    """Exact Gaussian-elimination fallback for non-blade basis changes."""
-
-    def __init__(self, sub: GeneratorList, outer: GeneratorList):
-        self.sig = sub.sig
-        self.sub_sig = sub.abstract_signature
-        self.ko = len(outer)
-        self.ks = len(sub)
-        dim = self.sig.dim
-        cols = []
-        for amask in range(1 << self.ko):
-            for smask in range(1 << self.ks):
-                prod = sub.product(smask) * outer.product(amask)
-                vec = [Fraction(0)] * dim
-                for mask, coeff in prod.terms():
-                    vec[mask] = coeff
-                cols.append(vec)
-        self._solver = LinearSolver(cols)
-
-    def decompose(self, a: Multivector) -> dict[int, Multivector]:
-        dim = self.sig.dim
-        vec = [Fraction(0)] * dim
+        buckets: dict[int, dict[int, Fraction]] = {}
         for mask, coeff in a.terms():
-            vec[mask] = coeff
-        coords = self._solver.solve(vec)
-        if coords is None:
-            raise DecompositionError("element outside the span of the generator products")
-        out: dict[int, Multivector] = {}
-        width = 1 << self.ks
-        for amask in range(1 << self.ko):
-            terms = {s: coords[amask * width + s] for s in range(width)}
-            mv = Multivector(self.sub_sig, terms)
-            if not mv.is_zero:
-                out[amask] = mv
-        return out
+            hit = self._lookup.get(mask)
+            if hit is None:
+                raise DecompositionError(
+                    f"blade {mask:#x} is not reachable from the given generators"
+                )
+            amask, smask, factor = hit
+            buckets.setdefault(amask, {})[smask] = coeff / factor
+        sub_sig = self.sub.abstract_signature
+        return {am: Multivector(sub_sig, terms) for am, terms in buckets.items()}
 
 
 class LinearSolver:
     """Exact rational solver for a fixed column family, factored once.
 
     Solves ``sum x_j col_j = target`` and reports inconsistency with None.
+    Nothing calls it; it stays while perfbench/tracing.py traces it by name.
     """
 
     def __init__(self, columns: Sequence[Sequence[Fraction]]):

@@ -55,10 +55,6 @@ class NotInImageError(Exception):
     """The matrix is not the image of any element under this recipe."""
 
 
-class NonMonomialStepError(CatalogError):
-    """A recipe step splits over generators that are not signed blades."""
-
-
 class InversePullbackError(Exception):
     """The pulled-back matrix inverse does not invert the element."""
 
@@ -124,10 +120,7 @@ def _kron(left, right, neg: int):
 
 def _step(node, mask: int) -> tuple[int, int, int]:
     """(outer mask, sub mask, sign bit) of a host blade under a recipe step."""
-    lookup = node.basis._lookup
-    if lookup is None:
-        raise NonMonomialStepError(f"{type(node).__name__} splits over non-blade generators")
-    outer, sub, factor = lookup[mask]
+    outer, sub, factor = node.basis._lookup[mask]
     return outer, sub, int(factor < 0)
 
 

@@ -360,6 +360,19 @@ def test_split_unreachable_blade():
         SplitBasis(sub, GeneratorList(sig, [u])).decompose(Multivector.generator(sig, 3))
 
 
+def test_split_with_products_that_meet_is_refused():
+    # the sub x outer products must be distinct blades; a blade in both lists
+    # gives each of its products twice, and the split is refused when made
+    sig = S30
+    e1 = GeneratorList(sig, [Multivector.generator(sig, 1)])
+    with pytest.raises(StructureError, match="not distinct blades"):
+        SplitBasis(e1, e1)
+    sig = Signature(2, 2)
+    blade = GeneratorList(sig, [Multivector.blade(sig, 0b1101)])
+    with pytest.raises(StructureError, match="not distinct blades"):
+        SplitBasis(blade, blade)
+
+
 def test_split_noncommuting_structure_error():
     sig = S20
     u = Multivector.generator(sig, 1)
@@ -411,29 +424,6 @@ def test_reindex_signature_check():
     gens = GeneratorList(S20, [Multivector.generator(S20, 1)])
     with pytest.raises(StructureError):
         reindex(Multivector.generator(Signature(0, 1), 1), gens)
-
-
-def test_dense_split_basis_fallback():
-    # a generator that is not a single blade forces the dense exact solve
-    sig = S30
-    h = mv(sig, {0b001: Fraction(3, 5), 0b010: Fraction(4, 5)})
-    assert h * h == 1
-    u = Multivector.pseudoscalar(sig)  # central, squares -1
-    basis = SplitBasis(GeneratorList(sig, [h]), GeneratorList(sig, [u]))
-    assert basis._lookup is None  # dense path engaged
-    rng = random.Random(3)
-    span = [Multivector.scalar(sig, 1), h, u, h * u]
-    for _ in range(10):
-        a = Multivector.zero(sig)
-        for elem in span:
-            a = a + elem * Fraction(rng.randint(-5, 5))
-        comps = basis.decompose(a)
-        rebuilt = Multivector.zero(sig)
-        for amask, comp in comps.items():
-            rebuilt = rebuilt + reindex(comp, basis.sub) * basis.outer.product(amask)
-        assert rebuilt == a
-    with pytest.raises(DecompositionError):
-        basis.decompose(Multivector.generator(sig, 1))
 
 
 def test_blade_lookup_matches_generator_products():

@@ -16,6 +16,7 @@ from cliffrep.catalog import (
     CatalogMissError,
     CORRECTIONS,
     MvMatrix,
+    PeriodicNode,
     TransformCheckError,
     TransformPair,
     catalog_signatures,
@@ -38,6 +39,24 @@ def test_classify_spot_values():
     assert str(classify(Signature(2, 2))) == "R(4)"
     assert str(classify(Signature(9, 0))) == "2R(16)"
     assert str(classify(Signature(0, 9))) == "C(16)"
+
+
+def test_every_recipe_step_is_a_full_blade_lookup():
+    # every split of every listed route with n <= 10, its subs, cores and
+    # inners included, is a signed permutation of all the host's blades
+    for n in range(11):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            for route in routes_for(sig):
+                specs = [get_spec(sig, route)]
+                while specs:
+                    spec = specs.pop()
+                    node = spec.node
+                    assert len(node.basis._lookup) == spec.signature.dim, (sig, route, spec)
+                    if isinstance(node, PeriodicNode):
+                        specs += [node.core, node.inner]
+                    elif node.sub is not None:
+                        specs.append(node.sub)
 
 
 def test_classify_periodicity_size_rule():

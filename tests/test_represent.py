@@ -14,12 +14,12 @@ from cliffrep.algebra import (
     Signature,
     SignatureMismatchError,
     SplitBasis,
+    StructureError,
 )
 from cliffrep.catalog import (
     CatalogError,
     CatalogMissError,
     PeriodicNode,
-    StepNode,
     Target,
     catalog_signatures,
     get_spec,
@@ -28,7 +28,6 @@ from cliffrep.represent import (
     _PATTERNS,
     BasisImageTable,
     InversePullbackError,
-    NonMonomialStepError,
     NotInImageError,
     RepImage,
     _blade_cells,
@@ -616,13 +615,15 @@ def test_blade_images_are_signed_unit_monomials():
 
 
 def test_non_blade_step_basis_is_rejected():
-    # a sub generator mixing two blades leaves the step without a blade lookup
+    # a generator mixing two blades, on either side of the split, leaves no
+    # signed permutation of the blades, so the split itself is refused
     sig = Signature(3, 0)
     h = Multivector(sig, {0b001: Fraction(3, 5), 0b010: Fraction(4, 5)})
-    basis = SplitBasis(GeneratorList(sig, [h]), GeneratorList(sig, [Multivector.pseudoscalar(sig)]))
-    spec = dataclasses.replace(get_spec(sig), node=StepNode(basis, "units"))
-    with pytest.raises(NonMonomialStepError):
-        represent_with(spec, Multivector.generator(sig, 1))
+    central = GeneratorList(sig, [Multivector.pseudoscalar(sig)])
+    with pytest.raises(StructureError, match="not a signed blade"):
+        SplitBasis(GeneratorList(sig, [h]), central)
+    with pytest.raises(StructureError, match="not a signed blade"):
+        SplitBasis(GeneratorList(sig, []), GeneratorList(sig, [h]))
 
 
 def test_blade_image_unit_outside_the_target_ring_raises():
