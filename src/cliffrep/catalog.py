@@ -274,9 +274,9 @@ class TransformPair:
         return cls._made(2 * sub.size, where, step)
 
     @classmethod
-    def _made(cls, size, where, step) -> "TransformPair":
+    def _made(cls, size, where, step, carried=None) -> "TransformPair":
         pair = object.__new__(cls)
-        pair._init(size, where, step, None)
+        pair._init(size, where, step, carried)
         return pair
 
     def _init(self, size, where, step, carried) -> None:
@@ -289,6 +289,9 @@ class TransformPair:
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("TransformPair is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild rather than set slots
+        return TransformPair._made, (self.size, self._where, self._step, self._carried)
 
     def _materialized(self) -> tuple[MvMatrix, MvMatrix, Fraction]:
         if self._parts is None:
@@ -447,6 +450,9 @@ class RepSpec:
     blade_cells: dict = field(default_factory=dict, compare=False, init=False)
     # certified table of all blade images, set once by represent
     basis_table: object = field(default=None, compare=False, init=False)
+
+    def __getstate__(self):  # a copy or pickle starts with empty memos
+        return {**self.__dict__, "blade_images": {}, "blade_cells": {}, "basis_table": None}
 
     def __repr__(self):
         return f"<RepSpec {self.signature} route={self.route} target={self.target}>"

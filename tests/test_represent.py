@@ -1,8 +1,10 @@
 """Element images, reconstruction, inverses and the rectangular lifts."""
 
+import copy
 import dataclasses
 import hashlib
 import importlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -63,7 +65,7 @@ from cliffrep.rings import (
 )
 from cliffrep import rings
 from cliffrep.text import parse_multivector
-from cliffrep.verify import random_multivector
+from cliffrep.verify import _similarity_once, random_multivector
 
 S10 = Signature(1, 0)
 S01 = Signature(0, 1)
@@ -187,6 +189,25 @@ def test_basis_table_memoized_on_spec():
     table = basis_table(sig)
     assert basis_table(sig) is table and basis_table(sig, get_spec(sig).route) is table
     assert table.spec is get_spec(sig) and get_spec(sig).basis_table is table
+
+
+@pytest.mark.parametrize("pq, route", [((2, 1), None), ((0, 2), "quaternion"),
+                                       ((0, 1), "real2"), ((9, 0), None)])
+def test_spec_copy_and_pickle_round_trips(pq, route):
+    # a copy starts with empty memos, so no cell run goes without its -1 run
+    sig = Signature(*pq)
+    spec = get_spec(sig, route)
+    rng = random.Random(28)
+    elements = [random_multivector(sig, rng) for _ in range(3)]
+    images = [represent_with(spec, a) for a in elements]
+    if sig.n <= 2:
+        basis_table(sig, route)
+    for copied in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert copied is not spec and copied.transform is not spec.transform
+        assert (copied.blade_images, copied.blade_cells, copied.basis_table) == ({}, {}, None)
+        assert [represent_with(copied, a) for a in elements] == images
+        assert all(_similarity_once(copied, a) is None for a in elements)
+    assert spec.blade_cells
 
 
 def test_corrupted_blade_image_fails_certificate():
