@@ -39,7 +39,7 @@ COMMANDS = (
 ROUNDS = 2
 
 
-def _body_lines(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[int]:
+def _body_lines(fn: ast.FunctionDef) -> set[int]:
     """The lines of a function's statements, its docstring left out."""
     body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
     return {line for stmt in body for line in range(stmt.lineno, stmt.end_lineno + 1)}
@@ -52,10 +52,10 @@ def unreached(source: str, hits: set[int]) -> list[tuple[int, str]]:
 
     def visit(node: ast.AST, prefix: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(child, ast.FunctionDef):
                 own = _body_lines(child)
                 for inner in ast.walk(child):
-                    if inner is not child and isinstance(inner, type(child)):
+                    if inner is not child and isinstance(inner, ast.FunctionDef):
                         own -= _body_lines(inner)
                 if not own & hits:
                     found.append((child.lineno, prefix + child.name))
