@@ -43,6 +43,8 @@ from .rings import (
     RingMatrix,
     RingScalar,
     UnsupportedRingError,
+    _charpoly_numerators,
+    _det_numerators,
     char_poly,
     from_numerators,
     mat_det,
@@ -237,20 +239,6 @@ def periodic_stage1(node: PeriodicNode, a: Multivector) -> list[list[Multivector
     return [[Multivector._raw(node.inner.signature, cell, a._den) for cell in row] for row in cells]
 
 
-def _paste_grid(grid: Sequence[Sequence[RingMatrix]], t: int) -> RingMatrix:
-    ring = grid[0][0].ring
-    parts = [[to_numerators(block) for block in row] for row in grid]
-    den = lcm(*(d for row in parts for _, d in row))
-    width = t * COMPONENTS[ring]  # numerators in one row of a block
-    nums: list[int] = []
-    for row in parts:
-        scaled = [[x * (den // d) for x in block] for block, d in row]
-        for start in range(0, t * width, width):
-            for block in scaled:
-                nums += block[start : start + width]
-    return from_numerators(ring, t * len(grid[0]), nums, den)
-
-
 def represent(a: Multivector, route: str | None = None) -> RepImage:
     """Matrix image of ``a`` under the signature's recipe for ``route``."""
     spec = get_spec(a.sig, route if route is not None else default_route(a.sig))
@@ -387,27 +375,38 @@ def element_inverse(a: Multivector, route: str | None = None) -> Multivector | N
     return result
 
 
-def _as_real_block(value: RingMatrix | BlockPair) -> RingMatrix:
-    """Block-diagonal real form of a doubled-real pair; a plain matrix passes unchanged."""
-    if isinstance(value, BlockPair):
-        if value.ring != DOUBLE_REAL:
-            raise UnsupportedRingError("determinant over doubled quaternions is unsupported")
-        zero = RingMatrix.zeros(REAL, value.nrows)
-        return _paste_grid([[value.plus, zero], [zero, value.minus]], value.nrows)
-    return value
-
-
 def element_det(a: Multivector, route: str | None = None) -> RingScalar:
-    """Determinant of the matrix image; commutative targets only."""
-    return mat_det(_as_real_block(represent(a, route).value))
+    """Determinant of the matrix image; commutative targets only.  A 2R
+    image's is det(plus) * det(minus), each block's taken by Bareiss
+    elimination on its numerators."""
+    value = represent(a, route).value
+    if not isinstance(value, BlockPair):
+        return mat_det(value)
+    if value.ring != DOUBLE_REAL:
+        raise UnsupportedRingError("determinant over doubled quaternions is unsupported")
+    (plus, plus_den), (minus, minus_den) = map(_det_numerators, (value.plus, value.minus))
+    return RingScalar(REAL, Fraction(plus * minus, plus_den * minus_den))
 
 
 def element_charpoly(a: Multivector, route: str | None = None) -> list[Fraction]:
-    """Monic characteristic polynomial of the image over a real target."""
+    """Monic characteristic polynomial of the image over a real target.  A 2R
+    image's is the exact product of its two blocks' polynomials."""
     value = represent(a, route).value
-    if value.ring not in (REAL, DOUBLE_REAL):
+    if value.ring == REAL:
+        return char_poly(value)
+    if value.ring != DOUBLE_REAL:
         raise UnsupportedRingError("characteristic polynomial needs a real target")
-    return char_poly(_as_real_block(value))
+    (plus, plus_den), (minus, minus_den) = map(_charpoly_numerators, (value.plus, value.minus))
+    # a block's coefficient C_k / d^k is C_k (den/d)^k / den^k over the common
+    # denominator den, so the product's numerators are a convolution
+    den = lcm(plus_den, minus_den)
+    plus = [c * (den // plus_den) ** k for k, c in enumerate(plus)]
+    minus = [c * (den // minus_den) ** k for k, c in enumerate(minus)]
+    out = [0] * (len(plus) + len(minus) - 1)
+    for i, x in enumerate(plus):
+        for j, y in enumerate(minus):
+            out[i + j] += x * y
+    return [Fraction(x, den**k) for k, x in enumerate(out)]
 
 
 def charpoly_evaluate(coeffs: Sequence[Fraction], a: Multivector) -> Multivector:

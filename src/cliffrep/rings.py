@@ -209,6 +209,14 @@ def format_scalar(s: RingScalar) -> str:
     return _cell_text([x.numerator * (den // x.denominator) for x in parts], den)
 
 
+def _cell_parts(ring: str, r=0, i=0, j=0, k=0) -> tuple[Fraction, ...]:
+    """The components of a C or H cell, refused as RingScalar refuses them."""
+    parts = tuple(map(_frac, (r, i, j, k)))
+    if any(parts[COMPONENTS[ring] :]):
+        raise RingMismatchError(f"{ring} scalar with j/k components")
+    return parts[: COMPONENTS[ring]]
+
+
 def _plain_rank(ring: str) -> int:
     if ring not in PLAIN_RINGS:
         raise UnsupportedRingError(f"RingMatrix does not hold ring {ring!r}")
@@ -229,19 +237,13 @@ class RingMatrix:
     def __init__(self, ring: str, rows: Sequence[Sequence[RingScalar]]):
         rank = _plain_rank(ring)
         grid = tuple(tuple(row) for row in rows)
-        if not grid or not grid[0]:
-            raise RingMismatchError("empty matrix")
-        width = len(grid[0])
         for row in grid:
-            if len(row) != width:
-                raise RingMismatchError("ragged rows")
             for entry in row:
                 if not isinstance(entry, RingScalar) or entry.ring != ring:
                     raise RingMismatchError("entry ring tag differs from the matrix tag")
-        parts = [x for row in grid for s in row for x in (s.r, s.i, s.j, s.k)[:rank]]
-        den = lcm(*(x.denominator for x in parts))
-        nums = tuple(x.numerator * (den // x.denominator) for x in parts)
-        _init(self, ring, len(grid), width, nums, den, grid)
+        cells = [[s.r if rank == 1 else s.components() for s in row] for row in grid]
+        m = RingMatrix.from_components(ring, cells)
+        _init(self, ring, m.nrows, m.ncols, m._nums, m._den, grid)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("RingMatrix is immutable")
@@ -257,18 +259,23 @@ class RingMatrix:
 
     @classmethod
     def from_components(cls, ring: str, rows) -> "RingMatrix":
-        """Build from bare rationals (R), (r, i) pairs (C) or 4-tuples (H)."""
-        rank = COMPONENTS[ring]
-        out = []
-        for row in rows:
-            line = []
-            for cell in row:
-                if rank == 1:
-                    line.append(RingScalar(ring, cell))
-                else:
-                    line.append(RingScalar(ring, *cell))
-            out.append(line)
-        return cls(ring, out)
+        """Build from bare rationals (R), (r, i) pairs (C) or 4-tuples (H),
+        shorter tuples filled with zeros, over one common denominator and
+        without a RingScalar per entry; a cell is refused as RingScalar
+        refuses it."""
+        if ring not in COMPONENTS:
+            raise KeyError(ring)
+        if _plain_rank(ring) == 1:
+            grid = [[(_frac(cell),) for cell in row] for row in rows]
+        else:
+            grid = [[_cell_parts(ring, *cell) for cell in row] for row in rows]
+        if not grid or not grid[0]:
+            raise RingMismatchError("empty matrix")
+        if any(len(row) != len(grid[0]) for row in grid):
+            raise RingMismatchError("ragged rows")
+        parts = [x for row in grid for cell in row for x in cell]
+        den = lcm(*(x.denominator for x in parts))
+        return from_numerators(ring, len(grid[0]), [x.numerator * (den // x.denominator) for x in parts], den)
 
     @classmethod
     def identity(cls, ring: str, size: int) -> "RingMatrix":
@@ -636,44 +643,70 @@ def mat_inverse(a: RingElement) -> RingElement | None:
     return RingMatrix(a.ring, aug)
 
 
+def _det_numerators(a: RingMatrix) -> tuple[object, int]:
+    """det(a) as (det N, den^n) for the numerators N = den * a, by Bareiss
+    elimination on N: det N is an integer over R and a Gaussian integer
+    (re, im) over C, the sign of the row swaps taken."""
+    n, nums = a.size, a._nums
+    entries = nums if a.ring == REAL else list(zip(nums[0::2], nums[1::2]))
+    det, swaps = _bareiss([list(entries[i : i + n]) for i in range(0, n * n, n)], a.ring)
+    if swaps & 1:
+        det = -det if a.ring == REAL else (-det[0], -det[1])
+    return det, a._den**n
+
+
 def mat_det(a: RingMatrix) -> RingScalar:
     """Determinant over the commutative rings R and C: Bareiss elimination on
-    the integer (R) or Gaussian-integer (C) numerators, over den^n."""
+    the integer (R) or Gaussian-integer (C) numerators, over den^n.  A
+    doubled-ring pair is refused; represent.element_det takes the
+    determinant of a 2R image block by block."""
     if isinstance(a, BlockPair):
         raise UnsupportedRingError("determinant of a doubled-ring pair is taken blockwise")
     if a.ring == QUATERNION:
         raise UnsupportedRingError("no determinant over the quaternions")
     if not a.is_square:
         raise RingMismatchError("determinant of a non-square matrix")
-    n, nums, den = a.size, a._nums, a._den
-    entries = nums if a.ring == REAL else list(zip(nums[0::2], nums[1::2]))
-    det, swaps = _bareiss([list(entries[i : i + n]) for i in range(0, n * n, n)], a.ring)
-    sign = -1 if swaps & 1 else 1
+    det, scale = _det_numerators(a)
     parts = (det,) if a.ring == REAL else det
-    return RingScalar(a.ring, *(Fraction(sign * x, den**n) for x in parts))
+    return RingScalar(a.ring, *(Fraction(x, scale) for x in parts))
+
+
+def _charpoly_numerators(a: RingMatrix) -> tuple[list[int], int]:
+    """([1, C1, ..., Cn], den): the characteristic polynomial of the integer
+    numerators N = den * a, so that a's coefficients are c_k = C_k / den^k.
+
+    Faddeev-LeVerrier on row lists of N: M_0 = I, C_k = -tr(N M_(k-1)) / k
+    and M_k = N M_(k-1) + C_k I, each M_k kept by columns.  The C_k are
+    integers, so each division by k is exact.  N M_0 is N itself, and the
+    last step reads only the trace of N M_(n-1), n dot products."""
+    n, nums = a.size, a._nums
+    if n == 1:
+        return [1, -nums[0]], a._den
+    rows = [nums[i : i + n] for i in range(0, n * n, n)]
+    cols = [list(col) for col in zip(*rows)]  # N M_0
+    coeffs = [1]
+    for k in range(1, n):
+        if k > 1:
+            cols = [[sum(map(operator.mul, row, col)) for row in rows] for col in cols]
+        c = _divide_exact(-sum(col[j] for j, col in enumerate(cols)), k)
+        coeffs.append(c)
+        for j, col in enumerate(cols):
+            col[j] += c
+    trace = sum(sum(map(operator.mul, row, col)) for row, col in zip(rows, cols))
+    coeffs.append(_divide_exact(-trace, n))
+    return coeffs, a._den
 
 
 def char_poly(a: RingMatrix) -> list[Fraction]:
-    """Monic characteristic polynomial coefficients [1, c1, ..., cn] over R.
-
-    Faddeev-LeVerrier on the integer numerators N = den * a: M_0 = I, and
-    C_k = -tr(N M_(k-1)) / k, M_k = N M_(k-1) + C_k I.  The C_k are the
-    coefficients of N's characteristic polynomial, integers, so each division
-    by k is exact, and c_k = C_k / den^k.
-    """
+    """Monic characteristic polynomial coefficients [1, c1, ..., cn] over R,
+    by Faddeev-LeVerrier on the integer numerators (_charpoly_numerators).
+    represent.element_charpoly takes a 2R image block by block."""
     if isinstance(a, BlockPair) or a.ring != REAL:
         raise UnsupportedRingError("characteristic polynomial is computed over R")
     if not a.is_square:
         raise RingMismatchError("characteristic polynomial of a non-square matrix")
-    n, nums, den = a.size, a._nums, a._den
-    coeffs = [Fraction(1)]
-    m = [1 if i % (n + 1) == 0 else 0 for i in range(n * n)]
-    for k in range(1, n + 1):
-        m = _product(REAL, nums, m, n, n, n)
-        c = _divide_exact(-sum(m[:: n + 1]), k)
-        coeffs.append(Fraction(c, den**k))
-        m[:: n + 1] = [x + c for x in m[:: n + 1]]
-    return coeffs
+    coeffs, den = _charpoly_numerators(a)
+    return [Fraction(c, den**k) for k, c in enumerate(coeffs)]
 
 
 def poly_eval_matrix(coeffs: Sequence[Fraction], a: RingMatrix) -> RingMatrix:

@@ -1,6 +1,7 @@
 """The pair summary of tools/bench_pairs.py on fixed runs: wins, the gain rule
 and the memory fit, with no benchmark run."""
 
+import json
 import statistics
 from pathlib import Path
 
@@ -81,3 +82,57 @@ def test_the_memory_fit_recovers_bytes_per_operation_and_the_crossing(bp):
     assert bp["RSS_BOUND"] == 0.1
     assert fit["change_median_peak_mb"] == peak and fit["change_mean_attempted"] == round(ops)
     assert fit["crossing_factor"] == round(1 + 0.1 * peak * 2**20 / (128 * ops), 3)
+
+
+def test_every_workload_summary_carries_its_memory_fit_and_labels(bp):
+    # the same fixed runs, summed up as a pullback and as a verify-sweep workload
+    for workload in ("pullback", "verify-sweep"):
+        runs = _runs(bp, [1.0] * 10, [1.0] * 10)
+        for side, label in (("parent", "(2,2) charpoly"), ("change", "(2,1) det")):
+            for i, run in enumerate(runs[side]):
+                run["labels"] = {"p50": label, "p90": "(3,3) inverse" if i % 5 else "(0,6) inverse"}
+        summary = bp["workload_summary"](runs, list(range(10)), ["parent", "change"] * 5)
+        assert summary["rss_fit"] == bp["rss_fit"](runs), workload
+        assert summary["rss_fit"]["bytes_per_op"] == 128.0
+        assert summary["labels"]["parent"] == {
+            "p50": {"(2,2) charpoly": 10}, "p90": {"(3,3) inverse": 8, "(0,6) inverse": 2}}
+        assert summary["labels"]["change"]["p50"] == {"(2,1) det": 10}
+        assert summary["p50_ms"] == bp["summarize"](runs, list(range(10)), ["parent", "change"] * 5)["p50_ms"]
+
+
+def test_labels_at_the_median_and_p90_of_a_run(bp):
+    per_label = {
+        "(3,3) inverse": {"samples": 15, "p50_ms": 9.0, "min_ms": 8.0},
+        "(2,1) det": {"samples": 30, "p50_ms": 0.05, "min_ms": 0.04},
+        "(0,6) inverse": {"samples": 15, "p50_ms": 12.0, "min_ms": 11.0},
+        "(2,2) charpoly": {"samples": 20, "p50_ms": 0.09, "min_ms": 0.08},
+        "(2,2) det": {"samples": 20, "p50_ms": 0.4, "min_ms": 0.3},
+    }
+    # the running counts are 30, 50, 70, 85 and 100: the median is reached on
+    # the second label exactly, and p90 inside the last
+    assert bp["labels_at"](per_label) == {"p50": "(2,2) charpoly", "p90": "(0,6) inverse"}
+    one = {"(1,0) det": {"samples": 7, "p50_ms": 1.0, "min_ms": 1.0}}
+    assert bp["labels_at"](one) == {"p50": "(1,0) det", "p90": "(1,0) det"}
+
+
+def test_labels_are_read_from_the_result_file_of_the_run(bp, tmp_path):
+    out = tmp_path / ".bench_out"
+    out.mkdir()
+    per_label = {"a": {"samples": 1, "p50_ms": 1.0, "min_ms": 1.0},
+                 "b": {"samples": 9, "p50_ms": 2.0, "min_ms": 2.0}}
+    record = {"environment": {"workload": "pullback", "seed": 7}, "per_label": per_label}
+    (out / "result-pullback-7-trace0.json").write_text(json.dumps(record))
+    assert bp["read_labels"](tmp_path, "pullback", 7) == {"p50": "b", "p90": "b"}
+    with pytest.raises(FileNotFoundError):
+        bp["read_labels"](tmp_path, "pullback", 8)
+
+
+def test_a_peak_that_does_not_grow_with_the_operations_gives_no_crossing(bp):
+    runs = _runs(bp, [1.0] * 10, [1.0] * 10)
+    for i, run in enumerate(runs["parent"] + runs["change"]):
+        run["peak_rss_mb"] = 21.6 + (0.1 if i % 2 else -0.1)  # noise, no growth
+    fit = bp["rss_fit"](runs)
+    assert abs(fit["bytes_per_op"]) < 2 * fit["bytes_per_op_stderr"]
+    assert fit["crossing_factor"] is None
+    exact = bp["rss_fit"](_runs(bp, [1.0] * 10, [1.0] * 10))
+    assert exact["bytes_per_op_stderr"] == 0.0 and exact["crossing_factor"] is not None

@@ -33,7 +33,7 @@ from cliffrep.rings import (
     ring_embed_real,
     to_numerators,
 )
-from cliffrep.rings import _divide_exact, _gauss_divide_exact
+from cliffrep.rings import _divide_exact, _gauss_divide_exact, _product
 
 
 def _rand_frac(rng, lo=-9, hi=9):
@@ -391,6 +391,42 @@ def test_charpoly_cayley_hamilton():
             assert poly_eval_matrix(coeffs, m) == RingMatrix.zeros(REAL, size)
 
 
+def _faddeev_reference(a):
+    """Faddeev-LeVerrier with a full product N M_(k-1) at every step, the last
+    one too, through the plane-sliced kernel product."""
+    n = a.size
+    nums, den = to_numerators(a)
+    coeffs = [Fraction(1)]
+    m = [1 if i % (n + 1) == 0 else 0 for i in range(n * n)]
+    for k in range(1, n + 1):
+        m = _product(REAL, nums, m, n, n, n)
+        c = _divide_exact(-sum(m[:: n + 1]), k)
+        coeffs.append(Fraction(c, den**k))
+        m[:: n + 1] = [x + c for x in m[:: n + 1]]
+    return coeffs
+
+
+def test_char_poly_matches_the_full_product_reference():
+    rng = random.Random(29)
+    cases = []
+    for size in range(1, 17):
+        nums = [1] + [rng.randint(-9, 9) for _ in range(size * size - 1)]  # keeps den in lowest terms
+        cases.append(from_numerators(REAL, size, nums, rng.choice((2, 3, 6, 35))))
+    # a dependent row makes a singular matrix; strictly upper triangular ones are nilpotent
+    singular = [rng.randint(-9, 9) for _ in range(25)]
+    singular[15:20] = [3 * x for x in singular[0:5]]
+    cases.append(from_numerators(REAL, 5, singular, 7))
+    nilpotent = [from_numerators(REAL, n, [rng.randint(1, 9) * (c > r) for r in range(n) for c in range(n)], 4)
+                 for n in (1, 2, 6)]
+    cases += nilpotent + [RingMatrix.zeros(REAL, 1), RingMatrix.zeros(REAL, 7)]
+    assert all(to_numerators(m)[1] > 1 for m in cases[:17])
+    for m in cases:
+        assert char_poly(m) == _faddeev_reference(m), m.size
+    assert char_poly(cases[16])[-1] == 0
+    for m in nilpotent + cases[-2:]:
+        assert char_poly(m) == [1] + [0] * m.size
+
+
 # -- real embedding
 
 
@@ -590,6 +626,62 @@ def test_numerators_handed_out_do_not_alias_storage():
     built = from_numerators(REAL, 2, given, 3)
     given[0] = 99
     assert to_numerators(built) == ([1, 2, 3, 4], 3)
+
+
+def _scalar_built(ring, rows):
+    """from_components' input through one RingScalar per cell."""
+    lift = (lambda cell: RingScalar(ring, cell)) if ring == REAL else (lambda cell: RingScalar(ring, *cell))
+    return RingMatrix(ring, [[lift(cell) for cell in row] for row in rows])
+
+
+@pytest.mark.parametrize("ring", [REAL, COMPLEX, QUATERNION])
+def test_from_components_equals_the_scalar_built_matrix(ring):
+    rng = random.Random(f"from-components:{ring}")
+    rank = {REAL: 1, COMPLEX: 2, QUATERNION: 4}[ring]
+    for _ in range(20):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        cells = [[tuple(_mixed_frac(rng) for _ in range(rank)) for _ in range(ncols)]
+                 for _ in range(nrows)]
+        rows = [[c[0] for c in row] for row in cells] if rank == 1 else cells
+        built = RingMatrix.from_components(ring, rows)
+        assert built == _scalar_built(ring, rows)
+        assert (built.nrows, built.ncols) == (nrows, ncols) and built.ring == ring
+    # ints and Fractions mix; short tuples fill with zeros; zero j/k parts pass on C
+    assert RingMatrix.from_components(REAL, [[1, Fraction(1, 2)], [True, -3]]) == _scalar_built(
+        REAL, [[1, Fraction(1, 2)], [1, -3]])
+    if ring != REAL:
+        short = [[(1,), ()], [(0, Fraction(2, 3)), (5, 1, 0, 0)]]
+        assert RingMatrix.from_components(ring, short) == _scalar_built(ring, short)
+        assert RingMatrix.from_components(ring, short).entry(0, 1).is_zero
+
+
+def test_from_components_refuses_what_the_scalars_refuse():
+    with pytest.raises(KeyError):
+        RingMatrix.from_components("Z", [[1]])
+    for doubled, cell in ((DOUBLE_REAL, 1), (DOUBLE_QUATERNION, (1, 0, 0, 0))):
+        with pytest.raises(UnsupportedRingError):
+            RingMatrix.from_components(doubled, [[cell]])
+    with pytest.raises(TypeError):
+        RingMatrix.from_components(REAL, [[1, 0.5]])
+    with pytest.raises(TypeError):
+        RingMatrix.from_components(COMPLEX, [[(0.5, 0)]])
+    with pytest.raises(TypeError):
+        RingMatrix.from_components(REAL, [[(1, 0)]])
+    with pytest.raises(TypeError):
+        RingMatrix.from_components(COMPLEX, [[1]])  # a bare rational where a pair belongs
+    with pytest.raises(TypeError):
+        RingMatrix.from_components(QUATERNION, [[(1, 2, 3, 4, 5)]])
+    for part in ((0, 0, 1), (0, 0, 0, 1)):
+        with pytest.raises(RingMismatchError, match="j/k"):
+            RingMatrix.from_components(COMPLEX, [[(1, 0)], [part]])
+    for ring in (REAL, COMPLEX, QUATERNION):
+        for empty in ([], [[]]):
+            with pytest.raises(RingMismatchError, match="empty"):
+                RingMatrix.from_components(ring, empty)
+    with pytest.raises(RingMismatchError, match="ragged"):
+        RingMatrix.from_components(REAL, [[1, 2], [3, 4, 5, 6]])
+    with pytest.raises(RingMismatchError, match="ragged"):
+        RingMatrix.from_components(COMPLEX, [[(1, 0)], [(1, 0), (0, 1)]])
 
 
 def test_from_numerators_refuses_bad_layouts():

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import importlib
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -16,16 +18,31 @@ from cliffrep.catalog import (
     RepSpec,
     TransformPair,
     get_spec,
+    routes_for,
 )
 from cliffrep.cli import main
 from cliffrep.represent import (
     _kron,
-    _paste_grid,
     blade_image,
+    element_charpoly,
+    element_det,
     periodic_stage1,
     represent_with,
 )
-from cliffrep.rings import BLOCK_RING, REAL, BlockPair, RingMatrix
+from cliffrep.rings import (
+    BLOCK_RING,
+    COMPONENTS,
+    DOUBLE_REAL,
+    REAL,
+    BlockPair,
+    RingMatrix,
+    UnsupportedRingError,
+    char_poly,
+    from_numerators,
+    mat_det,
+    to_numerators,
+)
+from cliffrep.text import parse_multivector
 from cliffrep.verify import (
     CheckReport,
     EqualityViolationError,
@@ -301,6 +318,21 @@ def test_periodic_similarity_fails_on_a_swapped_core(monkeypatch):
     assert "stage-one" in report.counterexample
 
 
+def _paste_grid(grid, t: int) -> RingMatrix:
+    """One matrix from a grid of t x t blocks over one ring."""
+    ring = grid[0][0].ring
+    parts = [[to_numerators(block) for block in row] for row in grid]
+    den = lcm(*(d for row in parts for _, d in row))
+    width = t * COMPONENTS[ring]  # numerators in one row of a block
+    nums: list[int] = []
+    for row in parts:
+        scaled = [[x * (den // d) for x in block] for block, d in row]
+        for start in range(0, t * width, width):
+            for block in scaled:
+                nums += block[start : start + width]
+    return from_numerators(ring, t * len(grid[0]), nums, den)
+
+
 def _direct_nested(spec: RepSpec, stage1) -> object:
     """The inner recipe's own oracle on each stage-one entry, pasted."""
     inner = spec.node.inner
@@ -442,3 +474,70 @@ def test_negated_unit_image_fails_unit_check(monkeypatch):
     report = check_unit(sig, "negated-unit")
     assert not report.passed
     assert report.counterexample == "image of 1 is not the identity matrix"
+
+
+# -- determinants and characteristic polynomials of 2R images, block by block
+#
+# The reference is the block-diagonal real matrix of the pair, pasted with
+# _paste_grid, and its determinant and characteristic polynomial over R.
+
+
+def _doubled_real_routes():
+    """Every listed route with a 2R target and n <= 9, then (6,5)."""
+    found = [
+        (Signature(p, n - p), route)
+        for n in range(10)
+        for p in range(n + 1)
+        for route in routes_for(Signature(p, n - p))
+        if get_spec(Signature(p, n - p), route).target.ring == DOUBLE_REAL
+    ]
+    return found + [(Signature(6, 5), "diagonal")]
+
+
+def _block_diagonal(pair: BlockPair) -> RingMatrix:
+    zero = RingMatrix.zeros(REAL, pair.nrows)
+    return _paste_grid([[pair.plus, zero], [zero, pair.minus]], pair.nrows)
+
+
+def _plus_one_blade(sig: Signature) -> Multivector:
+    """The first non-scalar blade squaring to +1, so that 1 + b is a zero divisor."""
+    one = Multivector.scalar(sig, 1)
+    return next(b for m in range(1, sig.dim) if (b := Multivector.blade(sig, m)) * b == one)
+
+
+def _seeded(sig: Signature, rng: random.Random, blades: int | None) -> Multivector:
+    masks = range(sig.dim) if blades is None else rng.sample(range(sig.dim), min(blades, sig.dim))
+    return Multivector(sig, {m: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for m in masks})
+
+
+def test_doubled_real_routes_cover_the_named_signatures():
+    pairs = {(sig.p, sig.q) for sig, _ in _doubled_real_routes()}
+    assert {(1, 0), (2, 1), (4, 3), (9, 0), (6, 5)} <= pairs
+
+
+@pytest.mark.parametrize("sig,route", _doubled_real_routes(), ids=lambda x: str(x))
+def test_blockwise_det_and_charpoly_match_the_pasted_form(sig, route):
+    rng = random.Random(f"blockwise:{sig}:{route}")
+    zero_divisor = Multivector.scalar(sig, 1) + _plus_one_blade(sig)
+    # dense up to n = 7 (24 blades above, where the pasted charpoly is slow),
+    # sparse, and a singular product through the zero divisor 1 + b
+    singular = _seeded(sig, rng, 3) * zero_divisor * _seeded(sig, rng, 2)
+    elements = [_seeded(sig, rng, None if sig.n <= 7 else 24), _seeded(sig, rng, 3), singular]
+    for a in elements:
+        pasted = _block_diagonal(represent_with(get_spec(sig, route), a))
+        det, coeffs = element_det(a, route), element_charpoly(a, route)
+        assert det == mat_det(pasted) and det.ring == REAL
+        assert coeffs == char_poly(pasted)
+        assert len(coeffs) == pasted.size + 1 and coeffs[0] == 1
+        assert all(type(c) is Fraction for c in coeffs)
+    assert element_det(singular, route).is_zero
+
+
+def test_doubled_quaternion_refusals_are_unchanged():
+    a = parse_multivector(Signature(0, 3), "1 + eps1")
+    with pytest.raises(UnsupportedRingError) as det_refusal:
+        element_det(a)
+    assert str(det_refusal.value) == "determinant over doubled quaternions is unsupported"
+    with pytest.raises(UnsupportedRingError) as charpoly_refusal:
+        element_charpoly(a)
+    assert str(charpoly_refusal.value) == "characteristic polynomial needs a real target"

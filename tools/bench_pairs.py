@@ -23,10 +23,13 @@ fresh processes, the sides alternating: the operations of the first 40
 rounds of perfbench's own ``RepStream``, warmed by its own warmers, are run
 with no checks through a copy of the library whose ``parse_multivector``,
 ``represent`` and ``format_matrix`` add up their time; best of three passes
-per process.  The rep-stream runs of both sides also give a least-squares
-fit of ``peak_rss_mb`` against ``attempted``: the bytes the harness keeps
-per operation, and the factor on the operation count at which the change's
-runs would cross the ``peak_rss_mb`` bound.
+per process.  The runs of both sides of each workload also give a
+least-squares fit of ``peak_rss_mb`` against ``attempted``: the bytes the
+harness keeps per operation, and the factor on the operation count at which
+the change's runs would cross the ``peak_rss_mb`` bound.  Each run's
+``.bench_out/result-<workload>-<seed>-trace0.json`` in its checkout gives the
+operation label at the median and at p90 (see ``labels_at``); the summary
+counts them per side.
 
 The metrics and their bounds are read from BENCHMARK.json and every run has
 perfbench/run.py's own length.  Standard library only; perfbench/ is run as
@@ -43,6 +46,7 @@ import subprocess
 import sys
 import time
 import types
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,6 +55,29 @@ METRICS = {metric["name"]: metric["better"] for metric in END_TO_END}
 RSS_BOUND = next(metric["bound"] for metric in END_TO_END if metric["name"] == "peak_rss_mb")
 STAGES = {"parse": "parse_multivector", "represent": "represent", "format": "format_matrix"}
 SPLIT_ROUNDS = 40
+LEVELS = (50, 90)  # the percentiles of perfbench's p50_ms and of its tail_ms
+
+
+def labels_at(per_label: dict[str, dict]) -> dict[str, str]:
+    """The operation label at each of LEVELS in one run, from its per_label
+    records: the labels in the order of their own median latency, each
+    standing for all its samples, and at each level the first label whose
+    running sample count reaches that share of the run's samples."""
+    order = sorted(per_label.items(), key=lambda item: (item[1]["p50_ms"], item[0]))
+    total = sum(record["samples"] for _, record in order)
+    out, seen = {}, 0
+    for label, record in order:
+        seen += record["samples"]
+        for level in LEVELS:
+            if f"p{level}" not in out and 100 * seen >= level * total:
+                out[f"p{level}"] = label
+    return out
+
+
+def read_labels(root: Path, workload: str, seed: int) -> dict[str, str]:
+    """labels_at of the result file a --trace 0 run left in its checkout."""
+    path = root / ".bench_out" / f"result-{workload}-{seed}-trace0.json"
+    return labels_at(json.loads(path.read_text())["per_label"])
 
 
 def run_once(root: Path, workload: str, seed: int) -> dict:
@@ -60,7 +87,8 @@ def run_once(root: Path, workload: str, seed: int) -> dict:
     done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     return {"attempted": result["attempted"], "failed": result["failed"],
-            **{name: result["metrics"][name]["value"] for name in METRICS}}
+            **{name: result["metrics"][name]["value"] for name in METRICS},
+            "labels": read_labels(root, workload, seed)}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -109,21 +137,46 @@ def finding(summary: dict) -> str:
             + f"; failed {sum(failed['parent'])} and {sum(failed['change'])}.")
 
 
+def label_counts(runs: dict[str, list[dict]]) -> dict:
+    """Per side and level, how many runs had each operation label there,
+    the most frequent first."""
+    return {side: {f"p{level}": dict(Counter(r["labels"][f"p{level}"] for r in side_runs)
+                                      .most_common())
+                   for level in LEVELS}
+            for side, side_runs in runs.items()}
+
+
+def workload_summary(runs: dict[str, list[dict]], seeds: list[int], first: list[str]) -> dict:
+    """summarize, with the memory fit and the label counts of the workload."""
+    return {**summarize(runs, seeds, first), "rss_fit": rss_fit(runs),
+            "labels": label_counts(runs)}
+
+
 def rss_fit(runs: dict[str, list[dict]]) -> dict:
-    """Least squares of peak_rss_mb on attempted over every run of both sides."""
+    """Least squares of peak_rss_mb on attempted over every run of both sides.
+    The crossing factor is given only when the slope is more than two of its
+    standard errors above zero: where the runs' operation counts spread too
+    little against the peaks' own noise, the fit resolves no growth."""
     points = [(r["attempted"], r["peak_rss_mb"]) for side in runs.values() for r in side]
-    slope, intercept = statistics.linear_regression(*zip(*points))
+    xs = [x for x, _ in points]
+    slope, intercept = statistics.linear_regression(xs, [y for _, y in points])
+    residual = sum((y - intercept - slope * x) ** 2 for x, y in points) / (len(points) - 2)
+    mean = statistics.fmean(xs)
+    stderr = (residual / sum((x - mean) ** 2 for x in xs)) ** 0.5
     change = runs["change"]
     peak = statistics.median(r["peak_rss_mb"] for r in change)
     ops = statistics.fmean(r["attempted"] for r in change)
+    resolved = slope > 2 * stderr
     return {
-        "what": "least squares of rep-stream peak_rss_mb (MiB) on attempted, every run of "
-                f"both sides; crossing_factor is 1 + {RSS_BOUND} * P / (b * N), with P the "
-                "change's median peak, N its mean attempted and b the fitted bytes per operation",
+        "what": "least squares of peak_rss_mb (MiB) on attempted, every run of both sides;"
+                f" crossing_factor is 1 + {RSS_BOUND} * P / (b * N), with P the "
+                "change's median peak, N its mean attempted and b the fitted bytes per "
+                "operation, and null when b is within two standard errors of zero",
         "runs": len(points), "bytes_per_op": round(slope * 2**20, 1),
+        "bytes_per_op_stderr": round(stderr * 2**20, 1),
         "intercept_mb": round(intercept, 3),
         "change_median_peak_mb": peak, "change_mean_attempted": round(ops),
-        "crossing_factor": round(1 + RSS_BOUND * peak / (slope * ops), 3),
+        "crossing_factor": round(1 + RSS_BOUND * peak / (slope * ops), 3) if resolved else None,
     }
 
 
@@ -234,10 +287,8 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: ops_per_s "
                       f"{runs[side][-1]['ops_per_s']:.1f} ({time.perf_counter() - start:.0f} s)",
                       file=sys.stderr)
-        summary = report["workloads"][workload] = summarize(runs, seeds, first)
+        summary = report["workloads"][workload] = workload_summary(runs, seeds, first)
         report["findings"][workload] = finding(summary)
-        if workload == "rep-stream":
-            report["rep_stream_rss_fit"] = rss_fit(runs)
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     if args.split_reps:
         report["rep_stream_split"] = split(roots, args.split_reps, args.seed)
