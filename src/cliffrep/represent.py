@@ -17,7 +17,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
-from math import isqrt, lcm
+from math import isqrt
 from typing import Sequence
 
 from .algebra import (
@@ -40,11 +40,9 @@ from .rings import (
     DOUBLE_REAL,
     REAL,
     BlockPair,
+    RingElement,
     RingMatrix,
     RingScalar,
-    UnsupportedRingError,
-    _charpoly_numerators,
-    _det_numerators,
     char_poly,
     from_numerators,
     mat_det,
@@ -67,7 +65,7 @@ class RepImage:
 
     signature: Signature
     route: str
-    value: RingMatrix | BlockPair
+    value: RingElement
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +196,10 @@ def _blade_cells(spec: RepSpec, mask: int) -> _Cells:
 
 
 def _counters(spec: RepSpec, num: dict[int, int]) -> list[int]:
-    """Flat numerators of sum(num[m] * rho(e_m)), its blocks end to end, each
-    laid out as rings.to_numerators reads a block: each coefficient is added
-    along its blade's +1 cells and subtracted along its -1 cells."""
+    """Flat numerators of sum(num[m] * rho(e_m)), laid out as
+    rings.to_numerators reads the image, a doubled ring's blocks end to end:
+    each coefficient is added along its blade's +1 cells and subtracted along
+    its -1 cells."""
     counts = [0] * _cell_count(spec.target)
     memo = spec.blade_cells
     for mask, x in num.items():
@@ -214,16 +213,9 @@ def _counters(spec: RepSpec, num: dict[int, int]) -> list[int]:
     return counts
 
 
-def _image(spec: RepSpec, a: Multivector) -> RingMatrix | BlockPair:
+def _image(spec: RepSpec, a: Multivector) -> RingElement:
     """Sum the numerators of ``a`` along its blades' compiled images."""
-    ring, size = spec.target.ring, spec.target.size
-    counts = _counters(spec, a._num)
-    inner = BLOCK_RING.get(ring)
-    if inner is None:
-        return from_numerators(ring, size, counts, a._den)
-    span = len(counts) // 2
-    plus = from_numerators(inner, size, counts[:span], a._den)
-    return BlockPair(ring, plus, from_numerators(inner, size, counts[span:], a._den))
+    return from_numerators(spec.target.ring, spec.target.size, _counters(spec, a._num), a._den)
 
 
 def periodic_stage1(node: PeriodicNode, a: Multivector) -> list[list[Multivector]]:
@@ -245,7 +237,7 @@ def represent(a: Multivector, route: str | None = None) -> RepImage:
     return RepImage(a.sig, spec.route, _image(spec, a))
 
 
-def represent_with(spec: RepSpec, a: Multivector) -> RingMatrix | BlockPair:
+def represent_with(spec: RepSpec, a: Multivector) -> RingElement:
     if a.sig != spec.signature:
         raise SignatureMismatchError("element does not match the recipe's signature")
     return _image(spec, a)
@@ -321,16 +313,13 @@ class BasisImageTable:
                     f"differs from {self.norm} * I at blades ({mask:#x}, {min(bad):#x})"
                 )
 
-    def reconstruct(self, value: RingMatrix | BlockPair) -> Multivector:
-        # the ring tag also fixes the kind: only BlockPair holds 2R and 2H
+    def reconstruct(self, value: RingElement) -> Multivector:
+        # the ring tag also fixes the kind: only BlockPair holds 2R and 2H,
+        # and both of its blocks have its shape
         target = self.spec.target
-        blocks = (value.plus, value.minus) if isinstance(value, BlockPair) else (value,)
-        square = (target.size, target.size)
-        if value.ring != target.ring or any((b.nrows, b.ncols) != square for b in blocks):
+        if value.ring != target.ring or (value.nrows, value.ncols) != (target.size, target.size):
             raise NotInImageError(f"matrix does not fit the recipe target {target}")
-        parts = [to_numerators(b) for b in blocks]
-        den = lcm(*(d for _, d in parts))
-        counts = [x * (den // d) for nums, d in parts for x in nums]
+        counts, den = to_numerators(value)
         coeffs = {m: x for m, x in enumerate(_trace_sums(self.cells, counts)) if x}
         result = Multivector._raw(self.spec.signature, coeffs, den * self.norm)
         if represent_with(self.spec, result) != value:
@@ -376,37 +365,15 @@ def element_inverse(a: Multivector, route: str | None = None) -> Multivector | N
 
 
 def element_det(a: Multivector, route: str | None = None) -> RingScalar:
-    """Determinant of the matrix image; commutative targets only.  A 2R
-    image's is det(plus) * det(minus), each block's taken by Bareiss
-    elimination on its numerators."""
-    value = represent(a, route).value
-    if not isinstance(value, BlockPair):
-        return mat_det(value)
-    if value.ring != DOUBLE_REAL:
-        raise UnsupportedRingError("determinant over doubled quaternions is unsupported")
-    (plus, plus_den), (minus, minus_den) = map(_det_numerators, (value.plus, value.minus))
-    return RingScalar(REAL, Fraction(plus * minus, plus_den * minus_den))
+    """Determinant of the matrix image over a commutative target, R, C or
+    2R (rings.mat_det); a 2R image's is det(plus) * det(minus)."""
+    return mat_det(represent(a, route).value)
 
 
 def element_charpoly(a: Multivector, route: str | None = None) -> list[Fraction]:
-    """Monic characteristic polynomial of the image over a real target.  A 2R
-    image's is the exact product of its two blocks' polynomials."""
-    value = represent(a, route).value
-    if value.ring == REAL:
-        return char_poly(value)
-    if value.ring != DOUBLE_REAL:
-        raise UnsupportedRingError("characteristic polynomial needs a real target")
-    (plus, plus_den), (minus, minus_den) = map(_charpoly_numerators, (value.plus, value.minus))
-    # a block's coefficient C_k / d^k is C_k (den/d)^k / den^k over the common
-    # denominator den, so the product's numerators are a convolution
-    den = lcm(plus_den, minus_den)
-    plus = [c * (den // plus_den) ** k for k, c in enumerate(plus)]
-    minus = [c * (den // minus_den) ** k for k, c in enumerate(minus)]
-    out = [0] * (len(plus) + len(minus) - 1)
-    for i, x in enumerate(plus):
-        for j, y in enumerate(minus):
-            out[i + j] += x * y
-    return [Fraction(x, den**k) for k, x in enumerate(out)]
+    """Monic characteristic polynomial of the image over a real target, R or
+    2R (rings.char_poly); a 2R image's is the product of its blocks'."""
+    return char_poly(represent(a, route).value)
 
 
 def charpoly_evaluate(coeffs: Sequence[Fraction], a: Multivector) -> Multivector:
@@ -435,7 +402,7 @@ def charpoly_evaluate(coeffs: Sequence[Fraction], a: Multivector) -> Multivector
 # rectangular lifts for the two one-generator signatures
 
 
-def matrix_represent(rows: Sequence[Sequence[Multivector]]) -> BlockPair | RingMatrix:
+def matrix_represent(rows: Sequence[Sequence[Multivector]]) -> RingElement:
     """Blockwise image of a rectangular array over (1,0) or (0,1).
 
     Over (1,0) the image is the pair (A0 + A1, A0 - A1); over (0,1) it is

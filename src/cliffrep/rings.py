@@ -6,13 +6,16 @@ quaternion products follow the usual unit laws (i^2 = j^2 = -1, ij = k =
 ordered pair of same-size blocks composed entrywise.  Everything is
 immutable and exact.
 
-A RingMatrix is stored as flat integer numerators over one common
-denominator, one to four components per entry, reduced so that each value
-has one stored form.  Products (over R, C and H), determinants (fraction-free
-Bareiss elimination over R and over the Gaussian integers for C),
-characteristic polynomials (Faddeev-LeVerrier), sums, scaling, equality and
-formatting all run on those integers.  ``rows`` and ``entry`` read a
-RingScalar view built on first use; inversion eliminates over that view.
+Every ring element is read and built as flat integer numerators over one
+common denominator, one to four components per entry, a doubled ring's
+plus block then its minus block (to_numerators, from_numerators); a
+RingMatrix stores that layout reduced, so each value has one stored form.
+Products (over R, C and H), determinants (fraction-free Bareiss
+elimination over R and over the Gaussian integers for C, blockwise over
+2R), characteristic polynomials (Faddeev-LeVerrier, blockwise over 2R),
+sums, scaling, equality and formatting all run on those integers.  ``rows``
+and ``entry`` read a RingScalar view built on first use; inversion
+eliminates over that view.
 """
 
 from __future__ import annotations
@@ -263,8 +266,6 @@ class RingMatrix:
         shorter tuples filled with zeros, over one common denominator and
         without a RingScalar per entry; a cell is refused as RingScalar
         refuses it."""
-        if ring not in COMPONENTS:
-            raise KeyError(ring)
         if _plain_rank(ring) == 1:
             grid = [[(_frac(cell),) for cell in row] for row in rows]
         else:
@@ -381,8 +382,8 @@ class BlockPair:
         if inner is None:
             raise UnsupportedRingError(f"BlockPair does not hold ring {ring!r}")
         for block in (plus, minus):
-            if block.ring != inner:
-                raise RingMismatchError(f"{ring} blocks must be over {inner}")
+            if not isinstance(block, RingMatrix) or block.ring != inner:
+                raise RingMismatchError(f"{ring} blocks must be RingMatrix blocks over {inner}")
         if (plus.nrows, plus.ncols) != (minus.nrows, minus.ncols):
             raise RingMismatchError("blocks of different shapes")
         object.__setattr__(self, "ring", ring)
@@ -454,12 +455,16 @@ class BlockPair:
         return f"<BlockPair {self.ring} {self.nrows}x{self.ncols} x2>"
 
 
+RingElement = RingMatrix | BlockPair
+
+
 # ---------------------------------------------------------------------------
 # integer kernel
 #
 # A matrix is read as flat integer numerators over one common denominator:
 # entry (r, c) holds its COMPONENTS[ring] components at (r * ncols + c) * rank
-# onwards.  The components of one unit, nums[u::rank], form a real matrix
+# onwards, and a doubled ring's pair is its plus block's run then its minus
+# block's.  The components of one unit, nums[u::rank], form a real matrix
 # (a plane), so a product over C or H is a signed sum of real plane products.
 
 _ZERO = Fraction(0)
@@ -474,14 +479,26 @@ _UNIT_PRODUCTS = (
 )
 
 
-def to_numerators(a: RingMatrix) -> tuple[list[int], int]:
+def to_numerators(a: RingElement) -> tuple[list[int], int]:
     """Flat integer numerators of ``a`` over their least common denominator,
-    as a fresh list: the matrix keeps its own copy."""
+    as a fresh list: the matrix keeps its own copy.  A doubled ring's are
+    the plus block's followed by the minus block's."""
+    if isinstance(a, BlockPair):
+        den = lcm(a.plus._den, a.minus._den)
+        return [x * (den // b._den) for b in (a.plus, a.minus) for x in b._nums], den
     return list(a._nums), a._den
 
 
-def from_numerators(ring: str, ncols: int, nums: Sequence[int], den: int) -> RingMatrix:
-    """The RingMatrix whose flat numerators over ``den`` are ``nums``."""
+def from_numerators(ring: str, ncols: int, nums: Sequence[int], den: int) -> RingElement:
+    """The ring element whose flat numerators over ``den`` are ``nums``: a
+    RingMatrix, or for a doubled ring the BlockPair of the two halves."""
+    inner = BLOCK_RING.get(ring)
+    if inner is not None:
+        half, odd = divmod(len(nums), 2)
+        if odd:
+            raise RingMismatchError(f"{len(nums)} numerators do not split into two {ring} blocks")
+        plus = from_numerators(inner, ncols, nums[:half], den)
+        return BlockPair(ring, plus, from_numerators(inner, ncols, nums[half:], den))
     rank = _plain_rank(ring)
     if not nums or ncols < 1:
         raise RingMismatchError("empty matrix")
@@ -600,9 +617,6 @@ def _bareiss(rows: list[list], ring: str) -> tuple[object, int]:
     return rows[n - 1][n - 1], swaps
 
 
-RingElement = RingMatrix | BlockPair
-
-
 def ring_identity(ring: str, size: int) -> RingElement:
     if ring in BLOCK_RING:
         return BlockPair.identity(ring, size)
@@ -655,17 +669,19 @@ def _det_numerators(a: RingMatrix) -> tuple[object, int]:
     return det, a._den**n
 
 
-def mat_det(a: RingMatrix) -> RingScalar:
+def mat_det(a: RingElement) -> RingScalar:
     """Determinant over the commutative rings R and C: Bareiss elimination on
-    the integer (R) or Gaussian-integer (C) numerators, over den^n.  A
-    doubled-ring pair is refused; represent.element_det takes the
-    determinant of a 2R image block by block."""
-    if isinstance(a, BlockPair):
-        raise UnsupportedRingError("determinant of a doubled-ring pair is taken blockwise")
+    the integer (R) or Gaussian-integer (C) numerators, over den^n.  A 2R
+    pair's is det(plus) * det(minus), each block's taken the same way."""
     if a.ring == QUATERNION:
         raise UnsupportedRingError("no determinant over the quaternions")
-    if not a.is_square:
+    if a.ring == DOUBLE_QUATERNION:
+        raise UnsupportedRingError("determinant over doubled quaternions is unsupported")
+    if a.nrows != a.ncols:
         raise RingMismatchError("determinant of a non-square matrix")
+    if isinstance(a, BlockPair):
+        (plus, plus_den), (minus, minus_den) = map(_det_numerators, (a.plus, a.minus))
+        return RingScalar(REAL, Fraction(plus * minus, plus_den * minus_den))
     det, scale = _det_numerators(a)
     parts = (det,) if a.ring == REAL else det
     return RingScalar(a.ring, *(Fraction(x, scale) for x in parts))
@@ -697,16 +713,28 @@ def _charpoly_numerators(a: RingMatrix) -> tuple[list[int], int]:
     return coeffs, a._den
 
 
-def char_poly(a: RingMatrix) -> list[Fraction]:
+def char_poly(a: RingElement) -> list[Fraction]:
     """Monic characteristic polynomial coefficients [1, c1, ..., cn] over R,
     by Faddeev-LeVerrier on the integer numerators (_charpoly_numerators).
-    represent.element_charpoly takes a 2R image block by block."""
-    if isinstance(a, BlockPair) or a.ring != REAL:
-        raise UnsupportedRingError("characteristic polynomial is computed over R")
-    if not a.is_square:
+    A 2R pair's is the exact product of its two blocks' polynomials."""
+    if a.ring not in (REAL, DOUBLE_REAL):
+        raise UnsupportedRingError("characteristic polynomial needs a real target")
+    if a.nrows != a.ncols:
         raise RingMismatchError("characteristic polynomial of a non-square matrix")
-    coeffs, den = _charpoly_numerators(a)
-    return [Fraction(c, den**k) for k, c in enumerate(coeffs)]
+    if not isinstance(a, BlockPair):
+        coeffs, den = _charpoly_numerators(a)
+        return [Fraction(c, den**k) for k, c in enumerate(coeffs)]
+    (plus, plus_den), (minus, minus_den) = map(_charpoly_numerators, (a.plus, a.minus))
+    # a block's coefficient C_k / d^k is C_k (den/d)^k / den^k over the common
+    # denominator den, so the product's numerators are a convolution
+    den = lcm(plus_den, minus_den)
+    plus = [c * (den // plus_den) ** k for k, c in enumerate(plus)]
+    minus = [c * (den // minus_den) ** k for k, c in enumerate(minus)]
+    out = [0] * (len(plus) + len(minus) - 1)
+    for i, x in enumerate(plus):
+        for j, y in enumerate(minus):
+            out[i + j] += x * y
+    return [Fraction(x, den**k) for k, x in enumerate(out)]
 
 
 def poly_eval_matrix(coeffs: Sequence[Fraction], a: RingMatrix) -> RingMatrix:
@@ -755,15 +783,13 @@ def ring_embed_real(a: RingMatrix) -> RingMatrix:
 
 
 def format_matrix(a: RingElement) -> str:
-    """Ring tag header, then aligned rows; doubled rings label both blocks."""
-    if isinstance(a, BlockPair):
-        inner_plus = _format_rows(a.plus)
-        inner_minus = _format_rows(a.minus)
-        return "\n".join(
-            [f"{a.ring}({a.plus.nrows})", "plus:", inner_plus, "minus:", inner_minus]
-        )
+    """Ring tag and shape header (``n`` when square, else ``rxc``), then
+    aligned rows; doubled rings label both blocks."""
     shape = f"{a.nrows}" if a.nrows == a.ncols else f"{a.nrows}x{a.ncols}"
-    return f"{a.ring}({shape})\n" + _format_rows(a)
+    head = f"{a.ring}({shape})"
+    if isinstance(a, BlockPair):
+        return "\n".join([head, "plus:", _format_rows(a.plus), "minus:", _format_rows(a.minus)])
+    return f"{head}\n{_format_rows(a)}"
 
 
 def _format_rows(a: RingMatrix) -> str:

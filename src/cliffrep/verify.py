@@ -31,9 +31,15 @@ x_m * O(e_m), with O(e_m) the direct sandwich of inner basis blade e_m
 (taken once per call), is exactly the direct sandwich of x.  A residue on
 any blade it uses raises, which covers every case where the sandwich of
 x would raise, and more.  The sum is taken in place: each entry adds x_m
-times O(e_m)'s integer numerators into its block of the composed image's
-flat numerators, over one common denominator, and each block of the
-result is built once.  The stage-one sandwich of a stays direct.
+times O(e_m)'s integer numerators (rings.to_numerators, a doubled ring's
+blocks end to end) into its place in the composed image's flat numerators,
+over one common denominator, and the result is built once by
+rings.from_numerators.  The stage-one sandwich of a stays direct.
+
+The oracle shares only the rings module's numerator layout with the fast
+path, and with it the split of a doubled ring's numerators into halves;
+which half is the plus block each side fixes on its own, here by the
+sandwich's diagonal and there by the compiled images' block order.
 """
 
 from __future__ import annotations
@@ -63,8 +69,7 @@ from .rings import (
     COMPONENTS,
     DOUBLE_REAL,
     REAL,
-    BlockPair,
-    RingMatrix,
+    RingElement,
     from_numerators,
     ring_identity,
     to_numerators,
@@ -122,7 +127,7 @@ def _read(grid: MvMatrix, cell: dict, signed: Sequence[tuple[int, int]], what: s
     return coords
 
 
-def _matrix_from_mv(grid: MvMatrix, spec: RepSpec) -> RingMatrix | BlockPair:
+def _matrix_from_mv(grid: MvMatrix, spec: RepSpec) -> RingElement:
     """Read a conjugated grid over the ring units {1, i, j, ij}; a doubled
     ring reads both diagonal blocks and needs zero off-diagonal blocks."""
     named = spec.unit_blades
@@ -131,16 +136,14 @@ def _matrix_from_mv(grid: MvMatrix, spec: RepSpec) -> RingMatrix | BlockPair:
         units.append(named["i"] * named["j"])
     signed = _signs(units, "the ring units")
     target = spec.target
-    ring = BLOCK_RING.get(target.ring, target.ring)
 
-    def block(start: int, size: int) -> RingMatrix:
+    def block(start: int, size: int) -> list[int]:
         cells = range(start, start + size)
         entries = [grid._cells[r][c] for r in cells for c in cells]
-        nums = [v for x in entries for v in _read(grid, x, signed, "the ring units")]
-        return from_numerators(ring, size, nums, grid._den)
+        return [v for x in entries for v in _read(grid, x, signed, "the ring units")]
 
     if target.ring not in BLOCK_RING:
-        return block(0, grid.nrows)
+        return from_numerators(target.ring, grid.nrows, block(0, grid.nrows), grid._den)
     s = target.size
     for r in range(2 * s):
         for c in range(2 * s):
@@ -148,7 +151,7 @@ def _matrix_from_mv(grid: MvMatrix, spec: RepSpec) -> RingMatrix | BlockPair:
                 raise EqualityViolationError(
                     f"off-diagonal block entry ({r},{c}) = {grid.rows[r][c]} is non-zero"
                 )
-    return BlockPair(target.ring, block(0, s), block(s, s))
+    return from_numerators(target.ring, s, block(0, s) + block(s, s), grid._den)
 
 
 def _stage_one(a: Multivector, spec: RepSpec) -> list[list[Multivector]]:
@@ -161,38 +164,36 @@ def _stage_one(a: Multivector, spec: RepSpec) -> list[list[Multivector]]:
     return [[Multivector._raw(reduced, dict(enumerate(c)), grid._den) for c in row] for row in coords]
 
 
-def _inner_oracle(spec: RepSpec, stage1: list[list[Multivector]]) -> RingMatrix | BlockPair:
+def _inner_oracle(spec: RepSpec, stage1: list[list[Multivector]]) -> RingElement:
     """The inner oracle on every stage-one entry, summed in place: by
     linearity, c_m times the direct sandwich of each inner basis blade e_m
     the entry uses, added into the composed image's numerators over one
     common denominator."""
     inner = spec.node.inner
-    sandwiches: dict[int, list[tuple[list[int], int]]] = {}
+    sandwiches: dict[int, tuple[list[int], int]] = {}
     for m in sorted({m for row in stage1 for x in row for m in x._num}):
-        value = oracle_represent(Multivector.blade(inner.signature, m), inner)
-        parts = (value.plus, value.minus) if isinstance(value, BlockPair) else (value,)
-        sandwiches[m] = [to_numerators(part) for part in parts]
+        sandwiches[m] = to_numerators(oracle_represent(Multivector.blade(inner.signature, m), inner))
     target = spec.target
-    ring = BLOCK_RING.get(target.ring, target.ring)
-    rank, t, size = COMPONENTS[ring], inner.target.size, target.size
+    rank, t, size = COMPONENTS[target.ring], inner.target.size, target.size
     span = t * rank  # numerators in one row of an entry's image
     xden = lcm(*(x._den for row in stage1 for x in row))
-    sden = lcm(*(d for parts in sandwiches.values() for _, d in parts))
-    outs = [[0] * (size * size * rank) for _ in range(2 if target.ring in BLOCK_RING else 1)]
+    sden = lcm(*(d for _, d in sandwiches.values()))
+    blocks = 2 if target.ring in BLOCK_RING else 1
+    out = [0] * (blocks * size * size * rank)
     for r, row in enumerate(stage1):
         for c, x in enumerate(row):
             for m, cm in x._num.items():
-                for out, (nums, d) in zip(outs, sandwiches[m]):
-                    f = cm * (xden // x._den) * (sden // d)
-                    for i in range(t):
-                        at = ((r * t + i) * size + c * t) * rank
-                        line = nums[i * span : (i + 1) * span]
-                        out[at : at + span] = [o + f * v for o, v in zip(out[at : at + span], line)]
-    blocks = [from_numerators(ring, size, out, xden * sden) for out in outs]
-    return BlockPair(target.ring, *blocks) if target.ring in BLOCK_RING else blocks[0]
+                nums, d = sandwiches[m]
+                f = cm * (xden // x._den) * (sden // d)
+                for q in range(blocks * t):  # row q of the image is row i of block b
+                    b, i = divmod(q, t)
+                    at = ((b * size + r * t + i) * size + c * t) * rank
+                    line = nums[q * span : (q + 1) * span]
+                    out[at : at + span] = [o + f * v for o, v in zip(out[at : at + span], line)]
+    return from_numerators(target.ring, size, out, xden * sden)
 
 
-def oracle_represent(a: Multivector, spec: RepSpec) -> RingMatrix | BlockPair:
+def oracle_represent(a: Multivector, spec: RepSpec) -> RingElement:
     """Image by direct symbolic conjugation of the diagonal argument.
 
     Independent of the structural fast path; entries outside the spanned

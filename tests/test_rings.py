@@ -12,6 +12,7 @@ from cliffrep.catalog import MvMatrix
 from cliffrep.represent import represent
 from cliffrep.rings import (
     COMPLEX,
+    COMPONENTS,
     DOUBLE_QUATERNION,
     DOUBLE_REAL,
     QUATERNION,
@@ -294,6 +295,13 @@ def test_block_pair_ops():
         BlockPair(DOUBLE_QUATERNION, a, b)
 
 
+def test_block_pair_refuses_blocks_that_are_not_matrices():
+    eye = RingMatrix.identity(REAL, 1)
+    for plus, minus in ((1, 2), (eye, 2), ([[1]], eye), (BlockPair.identity(DOUBLE_REAL, 1), eye)):
+        with pytest.raises(RingMismatchError, match="RingMatrix"):
+            BlockPair(DOUBLE_REAL, plus, minus)
+
+
 # -- determinant / characteristic polynomial
 
 
@@ -473,6 +481,19 @@ def test_matrix_printer_headers():
     pair = BlockPair.identity(DOUBLE_REAL, 2)
     text = format_matrix(pair)
     assert text.startswith("2R(2)\n") and "plus:" in text and "minus:" in text
+
+
+def test_non_square_pairs_print_their_shape_as_matrices_do():
+    from cliffrep.represent import matrix_represent
+
+    sig = Signature(1, 0)
+    one, e1 = Multivector.scalar(sig, 1), Multivector.generator(sig, 1)
+    wide = matrix_represent([[one, e1, one + e1]])
+    assert format_matrix(wide) == "2R(1x3)\nplus:\n[ 1  1  2 ]\nminus:\n[ 1  -1  0 ]"
+    tall = matrix_represent([[one + e1], [Multivector.scalar(sig, Fraction(1, 2))]])
+    assert format_matrix(tall) == "2R(2x1)\nplus:\n[   2 ]\n[ 1/2 ]\nminus:\n[   0 ]\n[ 1/2 ]"
+    assert format_matrix(RingMatrix.zeros(REAL, 2, 3)).startswith("R(2x3)\n")
+    assert format_matrix(BlockPair(DOUBLE_REAL, wide.minus, wide.plus)).startswith("2R(1x3)\n")
 
 
 def test_numbers_past_the_digit_limit_raise_typed_error():
@@ -656,7 +677,7 @@ def test_from_components_equals_the_scalar_built_matrix(ring):
 
 
 def test_from_components_refuses_what_the_scalars_refuse():
-    with pytest.raises(KeyError):
+    with pytest.raises(UnsupportedRingError):
         RingMatrix.from_components("Z", [[1]])
     for doubled, cell in ((DOUBLE_REAL, 1), (DOUBLE_QUATERNION, (1, 0, 0, 0))):
         with pytest.raises(UnsupportedRingError):
@@ -692,9 +713,140 @@ def test_from_numerators_refuses_bad_layouts():
     with pytest.raises(RingMismatchError, match="denominator"):
         from_numerators(REAL, 1, [1], 0)
     with pytest.raises(UnsupportedRingError):
+        from_numerators("Z", 1, [1], 1)
+    # a doubled ring's numerators split into two blocks of one shape
+    with pytest.raises(RingMismatchError, match="split"):
         from_numerators(DOUBLE_REAL, 1, [1], 1)
+    with pytest.raises(RingMismatchError, match="split"):
+        from_numerators(DOUBLE_QUATERNION, 1, [1, 0, 0, 0, 1, 0, 0], 1)
+    with pytest.raises(RingMismatchError, match="ragged"):
+        from_numerators(DOUBLE_REAL, 2, [1, 2, 3, 4, 5, 6], 1)
+    with pytest.raises(RingMismatchError, match="ragged"):
+        from_numerators(DOUBLE_QUATERNION, 1, [1, 0, 0, 0], 1)
+    with pytest.raises(RingMismatchError, match="empty"):
+        from_numerators(DOUBLE_REAL, 1, [], 1)
     with pytest.raises(RingMismatchError, match="empty"):
         RingMatrix.identity(REAL, 0)
+
+
+# -- one numerator layout for every ring element
+
+
+def _rand_element(ring, size, rng, ncols=None):
+    """A random RingMatrix, or a BlockPair of two random blocks."""
+    inner = {DOUBLE_REAL: REAL, DOUBLE_QUATERNION: QUATERNION}.get(ring, ring)
+    blocks = [_rand_matrix(inner, size, rng, ncols, _mixed_frac) for _ in range(2)]
+    return BlockPair(ring, *blocks) if ring != inner else blocks[0]
+
+
+@pytest.mark.parametrize("ring", [REAL, COMPLEX, QUATERNION, DOUBLE_REAL, DOUBLE_QUATERNION])
+def test_numerators_round_trip_on_every_ring(ring):
+    rng = random.Random(f"round-trip:{ring}")
+    for _ in range(10):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        value = _rand_element(ring, nrows, rng, ncols)
+        nums, den = to_numerators(value)
+        blocks = 2 if ring in (DOUBLE_REAL, DOUBLE_QUATERNION) else 1
+        assert len(nums) == blocks * nrows * ncols * COMPONENTS[ring]
+        rebuilt = from_numerators(ring, ncols, nums, den)
+        assert type(rebuilt) is type(value) and rebuilt == value and hash(rebuilt) == hash(value)
+        assert to_numerators(rebuilt) == (nums, den)
+        # the same value over a wider denominator has the same stored form
+        assert from_numerators(ring, ncols, [6 * x for x in nums], 6 * den) == value
+
+
+def test_doubled_numerators_are_the_plus_block_then_the_minus_block():
+    # blocks over 1/2 and over 1/3 share the least common denominator 6
+    halves = from_numerators(REAL, 2, [1, 0, -3, 5], 2)
+    thirds = from_numerators(REAL, 2, [2, 1, 0, -1], 3)
+    pair = BlockPair(DOUBLE_REAL, halves, thirds)
+    assert to_numerators(pair) == ([3, 0, -9, 15, 4, 2, 0, -2], 6)
+    assert from_numerators(DOUBLE_REAL, 2, [3, 0, -9, 15, 4, 2, 0, -2], 6) == pair
+    assert to_numerators(BlockPair(DOUBLE_REAL, thirds, halves)) == ([4, 2, 0, -2, 3, 0, -9, 15], 6)
+    # the layout of each ring: two block-ring from_numerators calls on the halves
+    rng = random.Random("doubled-layout")
+    for ring, inner in ((DOUBLE_REAL, REAL), (DOUBLE_QUATERNION, QUATERNION)):
+        rank = {REAL: 1, QUATERNION: 4}[inner]
+        for _ in range(10):
+            nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+            half = nrows * ncols * rank
+            nums = [rng.randint(-9, 9) for _ in range(2 * half)]
+            den = rng.choice((1, 2, 6, 35))
+            assembled = BlockPair(
+                ring,
+                from_numerators(inner, ncols, nums[:half], den),
+                from_numerators(inner, ncols, nums[half:], den),
+            )
+            built = from_numerators(ring, ncols, nums, den)
+            assert type(built) is BlockPair and built == assembled
+            assert (built.nrows, built.ncols) == (nrows, ncols)
+            plus, plus_den = to_numerators(assembled.plus)
+            minus, minus_den = to_numerators(assembled.minus)
+            common, scale = to_numerators(built)
+            assert [Fraction(x, scale) for x in common] == (
+                [Fraction(x, plus_den) for x in plus] + [Fraction(x, minus_den) for x in minus]
+            )
+
+
+def _pasted(pair):
+    """The block-diagonal real matrix diag(plus, minus) of a 2R pair."""
+    zero = [0] * pair.nrows
+    plus = [[s.r for s in row] + zero for row in pair.plus.rows]
+    minus = [zero + [s.r for s in row] for row in pair.minus.rows]
+    return RingMatrix.from_components(REAL, plus + minus)
+
+
+def test_det_and_charpoly_of_a_doubled_real_pair_equal_the_pasted_form():
+    rng = random.Random("doubled-det")
+    pairs = []
+    for size in range(1, 7):
+        # blocks over different denominators
+        plus = _rand_matrix(REAL, size, rng, frac=_mixed_frac)
+        minus = _rand_matrix(REAL, size, rng, frac=lambda r: Fraction(r.randint(-9, 9), 7))
+        pairs.append(BlockPair(DOUBLE_REAL, plus, minus))
+    # one singular block: its last row repeats its first
+    rows = [[_mixed_frac(rng) for _ in range(4)] for _ in range(3)]
+    singular = RingMatrix.from_components(REAL, rows + [rows[0]])
+    pairs.append(BlockPair(DOUBLE_REAL, _rand_matrix(REAL, 4, rng, frac=_mixed_frac), singular))
+    pairs.append(BlockPair(DOUBLE_REAL, singular, RingMatrix.identity(REAL, 4)))
+    for pair in pairs:
+        pasted = _pasted(pair)
+        assert mat_det(pair) == mat_det(pasted) == mat_det(pair.plus) * mat_det(pair.minus)
+        coeffs = char_poly(pair)
+        assert coeffs == char_poly(pasted) and all(type(c) is Fraction for c in coeffs)
+    assert mat_det(pairs[-1]).is_zero and mat_det(pairs[-2]).is_zero
+    assert char_poly(pairs[-1])[-1] == 0
+
+
+def test_non_square_pair_is_refused_before_any_block(monkeypatch):
+    import cliffrep.rings as rings
+
+    def untouched(block):
+        raise AssertionError("a block was read")
+
+    monkeypatch.setattr(rings, "_det_numerators", untouched)
+    monkeypatch.setattr(rings, "_charpoly_numerators", untouched)
+    wide = RingMatrix.from_components(REAL, [[1, 2, 3], [4, 5, 6]])
+    pair = BlockPair(DOUBLE_REAL, wide, wide)
+    with pytest.raises(RingMismatchError, match="non-square"):
+        mat_det(pair)
+    with pytest.raises(RingMismatchError, match="non-square"):
+        char_poly(pair)
+
+
+def test_det_and_charpoly_refusals_name_the_ring():
+    quaternion = RingMatrix.identity(QUATERNION, 2)
+    doubled_quaternion = BlockPair.identity(DOUBLE_QUATERNION, 2)
+    with pytest.raises(UnsupportedRingError) as refusal:
+        mat_det(quaternion)
+    assert str(refusal.value) == "no determinant over the quaternions"
+    with pytest.raises(UnsupportedRingError) as refusal:
+        mat_det(doubled_quaternion)
+    assert str(refusal.value) == "determinant over doubled quaternions is unsupported"
+    for value in (RingMatrix.identity(COMPLEX, 2), quaternion, doubled_quaternion):
+        with pytest.raises(UnsupportedRingError) as refusal:
+            char_poly(value)
+        assert str(refusal.value) == "characteristic polynomial needs a real target"
 
 
 def test_rows_is_a_cached_view_of_the_numerators():
